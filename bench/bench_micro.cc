@@ -273,7 +273,7 @@ BM_TsoSegmentation(benchmark::State &state)
     };
     auto frame = make_frame();
     for (auto _ : state) {
-        auto segs = netdev::Nic::segmentTso(frame, true);
+        auto segs = netdev::Nic::segmentTso(frame);
         benchmark::DoNotOptimize(segs);
     }
     state.SetBytesProcessed(

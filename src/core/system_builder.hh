@@ -215,11 +215,12 @@ class FabricSystem : public System
     }
 
     /** Longest node-to-node path, counted in PathTrace stamps:
-     *  stack tx, source NIC, access link, leaf, trunk, spine,
-     *  trunk, remote leaf, access link, destination NIC = 10 for
-     *  cross-rack traffic (intra-rack is 6). A delivered packet
-     *  with more stamps than this means a forwarding loop. */
-    std::size_t diameterHops() const { return 10; }
+     *  stack tx, source NIC driver and DMA-TX, access link, leaf,
+     *  trunk, spine, trunk, remote leaf, access link, destination
+     *  NIC DMA-RX and driver = 12 for cross-rack traffic
+     *  (intra-rack is 8). A delivered packet with more stamps than
+     *  this means a forwarding loop. */
+    std::size_t diameterHops() const { return 12; }
 
     const FabricSystemParams &params() const { return params_; }
 

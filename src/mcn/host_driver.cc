@@ -380,17 +380,13 @@ McnHostDriver::drainLoop(std::size_t idx)
     std::uint64_t bytes = msg->bytes.size();
     trace("MCNDriver", "drain dimm ", idx, ": ", bytes, "B from TX ring");
     auto pkt = net::Packet::make(std::move(msg->bytes));
-    pkt->trace = msg->trace;
-    if (msg->path) [[unlikely]]
-        pkt->path = std::make_unique<net::PathTrace>(*msg->path);
+    pkt->path = std::move(msg->path);
 
     const auto &costs = kernel_.costs();
     const sim::Tick t0 = curTick();
     auto after_copy = [this, idx, pkt, t0](sim::Tick now) {
         tlSpan("hostRxCopy", t0, now);
-        pkt->trace.stamp(net::Stage::DriverRx, now);
-        if (sim::FlowTelemetry::active()) [[unlikely]]
-            pkt->pathHop(name().c_str(), now);
+        pkt->stamp(net::Stage::DriverRx, name().c_str(), now);
         forward(idx, pkt);
         drainLoop(idx);
     };
@@ -448,15 +444,10 @@ McnHostDriver::xmitToDimm(std::size_t idx, net::PacketPtr pkt)
     const sim::Tick t0 = curTick();
     auto finish = [this, idx, pkt, need, t0](sim::Tick now) {
         tlSpan("hostTxCopy", t0, now);
-        pkt->trace.stamp(net::Stage::DriverTx, now);
-        if (sim::FlowTelemetry::active()) [[unlikely]]
-            pkt->pathHop(name().c_str(), now);
+        pkt->stamp(net::Stage::DriverTx, name().c_str(), now);
         Binding &bb = *dimms_[idx];
         bool ok = bb.dimm->iface().sram().rx().enqueue(
-            pkt->cdata(), pkt->size(),
-            std::make_shared<net::LatencyTrace>(pkt->trace),
-            pkt->path ? std::make_shared<net::PathTrace>(*pkt->path)
-                      : nullptr);
+            pkt->cdata(), pkt->size(), std::move(pkt->path));
         MCNSIM_ASSERT(ok, "RX ring enqueue failed after reserve");
         if (faultTxCorrupt_.fires())
             bb.dimm->iface().sram().rx().corruptNewest();

@@ -115,14 +115,9 @@ McnDriver::xmit(net::PacketPtr pkt)
     const sim::Tick t0 = curTick();
     auto finish = [this, pkt, need, t0](sim::Tick now) {
         tlSpan("mcnTxCopy", t0, now);
-        pkt->trace.stamp(net::Stage::DriverTx, now);
-        if (sim::FlowTelemetry::active()) [[unlikely]]
-            pkt->pathHop(name().c_str(), now);
+        pkt->stamp(net::Stage::DriverTx, name().c_str(), now);
         bool ok = iface_.sram().tx().enqueue(
-            pkt->cdata(), pkt->size(),
-            std::make_shared<net::LatencyTrace>(pkt->trace),
-            pkt->path ? std::make_shared<net::PathTrace>(*pkt->path)
-                      : nullptr);
+            pkt->cdata(), pkt->size(), std::move(pkt->path));
         MCNSIM_ASSERT(ok, "TX ring enqueue failed after reserve");
         if (faultTxCorrupt_.fires())
             iface_.sram().tx().corruptNewest();
@@ -185,17 +180,13 @@ McnDriver::drainRx()
     std::uint64_t bytes = msg->bytes.size();
     trace("MCNDriver", "drain RX ring: ", bytes, "B");
     auto pkt = net::Packet::make(std::move(msg->bytes));
-    pkt->trace = msg->trace;
-    if (msg->path) [[unlikely]]
-        pkt->path = std::make_unique<net::PathTrace>(*msg->path);
+    pkt->path = std::move(msg->path);
 
     const auto &costs = kernel_.costs();
     const sim::Tick t0 = curTick();
     auto deliver = [this, pkt, t0](sim::Tick now) {
         tlSpan("mcnRxCopy", t0, now);
-        pkt->trace.stamp(net::Stage::DriverRx, now);
-        if (sim::FlowTelemetry::active()) [[unlikely]]
-            pkt->pathHop(name().c_str(), now);
+        pkt->stamp(net::Stage::DriverRx, name().c_str(), now);
         deliverUp(pkt);
         drainRx();
     };

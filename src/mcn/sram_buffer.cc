@@ -28,9 +28,8 @@ payloadCrc(const std::uint8_t *data, std::size_t n)
     return h;
 }
 
-/** CRC side-channel records: bit 32 set = a CRC was computed at
- *  enqueue (fault plan armed); low 32 bits hold it. 0 = skipped,
- *  so a disarmed run never pays the per-byte hash and a plan armed
+/** Meta::crc bit 32 set = a CRC was computed at enqueue (fault plan
+ *  armed). A record without it is never checked, so a plan armed
  *  between enqueue and dequeue cannot false-positive. */
 constexpr std::uint64_t crcValidBit = 1ull << 32;
 
@@ -76,18 +75,10 @@ MessageRing::auditInvariants() const
                  "MCN ring start/end/used inconsistent (start=",
                  start_, " end=", end_, " used=", used_,
                  " capacity=", buf_.size(), ")");
-    MCNSIM_CHECK(traces_.size() == enqueued_ - dequeued_,
-                 "MCN ring trace queue out of sync (", traces_.size(),
-                 " traces vs ", enqueued_ - dequeued_,
+    MCNSIM_CHECK(meta_.size() == enqueued_ - dequeued_,
+                 "MCN ring side channel out of sync (", meta_.size(),
+                 " records vs ", enqueued_ - dequeued_,
                  " messages in flight)");
-    MCNSIM_CHECK(crcs_.size() == traces_.size(),
-                 "MCN ring CRC side channel out of sync (",
-                 crcs_.size(), " CRCs vs ", traces_.size(),
-                 " traces)");
-    MCNSIM_CHECK(paths_.size() == traces_.size(),
-                 "MCN ring path side channel out of sync (",
-                 paths_.size(), " paths vs ", traces_.size(),
-                 " traces)");
 }
 
 void
@@ -99,18 +90,16 @@ MessageRing::corruptForTest()
 
 bool
 MessageRing::enqueue(const std::uint8_t *data, std::size_t len,
-                     std::shared_ptr<net::LatencyTrace> trace,
-                     std::shared_ptr<net::PathTrace> path)
+                     std::unique_ptr<net::PathTrace> path)
 {
     MCNSIM_IF_CHECKED(auditInvariants();)
     std::size_t need = footprint(len);
     if (need > freeBytes() || len == 0)
         return false;
-    traces_.push_back(std::move(trace));
-    paths_.push_back(std::move(path));
-    crcs_.push_back(sim::FaultPlan::active()
-                        ? (crcValidBit | payloadCrc(data, len))
-                        : 0);
+    meta_.push_back(Meta{sim::FaultPlan::active()
+                             ? (crcValidBit | payloadCrc(data, len))
+                             : 0,
+                         std::move(path)});
 
     std::uint8_t hdr[lengthFieldBytes];
     hdr[0] = static_cast<std::uint8_t>(len >> 24);
@@ -153,23 +142,12 @@ MessageRing::dequeue()
     out.bytes.resize(*len);
     readBytes((start_ + lengthFieldBytes) % buf_.size(),
               out.bytes.data(), *len);
-    if (!traces_.empty()) {
-        if (traces_.front())
-            out.trace = *traces_.front();
-        traces_.pop_front();
-    }
-    if (!paths_.empty()) {
-        out.path = std::move(paths_.front());
-        paths_.pop_front();
-    }
-    if (!crcs_.empty()) {
-        const std::uint64_t rec = crcs_.front();
-        crcs_.pop_front();
-        if (rec & crcValidBit) [[unlikely]]
-            out.crcOk = payloadCrc(out.bytes.data(),
-                                   out.bytes.size()) ==
-                        (rec & 0xffffffffu);
-    }
+    Meta &meta = meta_.front();
+    out.path = std::move(meta.path);
+    if (meta.crc & crcValidBit) [[unlikely]]
+        out.crcOk = payloadCrc(out.bytes.data(), out.bytes.size()) ==
+                    (meta.crc & 0xffffffffu);
+    meta_.pop_front();
     std::size_t need = footprint(*len);
     start_ = (start_ + need) % buf_.size();
     used_ -= need;

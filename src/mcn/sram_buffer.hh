@@ -31,14 +31,13 @@
 namespace mcnsim::mcn {
 
 /** A dequeued MCN message: the frame bytes plus the simulation-side
- *  latency trace that rode along (metadata, not modelled bytes). */
+ *  metadata that rode along (not modelled bytes). */
 struct McnMessage
 {
     std::vector<std::uint8_t> bytes;
-    net::LatencyTrace trace;
-    /** Per-hop path telemetry riding the crossing (null unless flow
-     *  telemetry is active; metadata, not modelled bytes). */
-    std::shared_ptr<net::PathTrace> path;
+    /** The packet's timing record, moved across the crossing (null
+     *  unless flow telemetry or the timeline was active). */
+    std::unique_ptr<net::PathTrace> path;
     /** Ring-entry CRC verdict: false when the payload read back
      *  does not match the checksum computed at enqueue (in-SRAM
      *  corruption). The drivers drop such messages and count them
@@ -61,13 +60,12 @@ class MessageRing
 
     /**
      * Enqueue one message; returns false when it does not fit
-     * (the driver then returns NETDEV_TX_BUSY). @p trace is
-     * simulation metadata carried alongside the bytes so latency
-     * breakdowns survive the ring crossing.
+     * (the driver then returns NETDEV_TX_BUSY). @p path is the
+     * packet's timing record, carried alongside the bytes so path
+     * stamps survive the ring crossing.
      */
     bool enqueue(const std::uint8_t *data, std::size_t len,
-                 std::shared_ptr<net::LatencyTrace> trace = nullptr,
-                 std::shared_ptr<net::PathTrace> path = nullptr);
+                 std::unique_ptr<net::PathTrace> path = nullptr);
 
     /** Dequeue the oldest message, if any. */
     std::optional<McnMessage> dequeue();
@@ -108,7 +106,7 @@ class MessageRing
 
 #ifdef MCNSIM_CHECKED
     /** Checked build: audit start/end/used consistency, pointer
-     *  bounds and trace-queue sync; runs on every ring operation. */
+     *  bounds and side-channel sync; runs on every ring operation. */
     void auditInvariants() const;
 #endif
 
@@ -117,19 +115,20 @@ class MessageRing
     void readBytes(std::size_t pos, std::uint8_t *dst,
                    std::size_t n) const;
 
+    /** Per-message metadata, one entry per message in flight. Kept
+     *  in a side channel -- not in the ring bytes -- so the modelled
+     *  ring footprint (and therefore timing) is unchanged. */
+    struct Meta
+    {
+        /** Payload CRC record: bit 32 = computed, low 32 = FNV-1a;
+         *  0 = skipped because no fault plan was armed at enqueue,
+         *  so disarmed runs pay no per-byte hash. */
+        std::uint64_t crc;
+        std::unique_ptr<net::PathTrace> path;
+    };
+
     std::vector<std::uint8_t> buf_;
-    std::deque<std::shared_ptr<net::LatencyTrace>> traces_;
-    /** Per-message payload CRC records, parallel to traces_ (bit 32
-     *  = computed, low 32 = FNV-1a; 0 = skipped because no fault
-     *  plan was armed at enqueue). Kept in a side channel -- not in
-     *  the ring bytes -- so the modelled ring footprint (and
-     *  therefore timing) is unchanged, and only computed under an
-     *  armed fault plan so disarmed runs pay no per-byte hash. */
-    std::deque<std::uint64_t> crcs_;
-    /** Per-hop path telemetry riding each message, parallel to
-     *  traces_; entries are null unless flow telemetry was active
-     *  at enqueue. */
-    std::deque<std::shared_ptr<net::PathTrace>> paths_;
+    std::deque<Meta> meta_;
     std::size_t start_ = 0; ///< first byte of the oldest message
     std::size_t end_ = 0;   ///< one past the newest message
     std::size_t used_ = 0;

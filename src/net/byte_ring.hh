@@ -23,6 +23,8 @@
 #ifndef MCNSIM_NET_BYTE_RING_HH
 #define MCNSIM_NET_BYTE_RING_HH
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -104,11 +106,24 @@ class ByteRing
   private:
     std::size_t wrap(std::size_t i) const { return i & (cap_ - 1); }
 
+    /** Write ((base + i) & 0xff) as memcpy runs from a table that
+     *  holds the 256-byte period plus one chunk. iperf and MPI
+     *  payloads are filled here; a byte loop at the -O1 cap ran up
+     *  to a third slower depending only on where the linker placed
+     *  it. */
     static void
     fillPattern(std::uint8_t *dst, std::size_t base, std::size_t n)
     {
-        for (std::size_t i = 0; i < n; ++i)
-            dst[i] = static_cast<std::uint8_t>((base + i) & 0xff);
+        constexpr std::size_t chunk = 4096;
+        static constexpr auto table = [] {
+            std::array<std::uint8_t, 256 + chunk> t{};
+            for (std::size_t i = 0; i < t.size(); ++i)
+                t[i] = static_cast<std::uint8_t>(i & 0xff);
+            return t;
+        }();
+        for (std::size_t off = 0; off < n; off += chunk)
+            std::memcpy(dst + off, &table[(base + off) & 0xff],
+                        std::min(chunk, n - off));
     }
 
     /** Grow to a power-of-two capacity >= @p need, linearising the

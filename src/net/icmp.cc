@@ -138,18 +138,9 @@ IcmpLayer::rx(Ipv4Addr src, Ipv4Addr dst, PacketPtr pkt,
 
     if (sim::FlowTelemetry::active() &&
         (h->type == icmpEchoRequest || h->type == icmpEchoReply))
-        [[unlikely]] {
-        pkt->trace.stamp(Stage::Delivered, curTick());
-        sim::Tick e2e =
-            pkt->trace.reached(Stage::StackTx)
-                ? pkt->trace.span(Stage::StackTx, Stage::Delivered)
-                : sim::maxTick;
-        sim::FlowTelemetry::instance().recordRx(
-            shardId(), echoKey(src, dst, h->id), pkt->size(),
-            curTick(), e2e);
-        foldPathLatency(*pkt, shardId(), name().c_str(),
-                        curTick());
-    }
+        [[unlikely]]
+        recordDelivery(*pkt, shardId(), echoKey(src, dst, h->id),
+                       name().c_str(), curTick());
 
     if (h->type == icmpEchoRequest) {
         statEchoReq_ += 1;

@@ -283,9 +283,7 @@ NetStack::sendIp(Ipv4Addr src, Ipv4Addr dst, std::uint8_t proto,
     eth.dst = *mac;
     eth.src = dev->mac();
     eth.push(*pkt);
-    pkt->trace.stamp(Stage::StackTx, curTick());
-    if (sim::FlowTelemetry::active()) [[unlikely]]
-        pkt->pathHop(name().c_str(), curTick());
+    pkt->stamp(Stage::StackTx, name().c_str(), curTick());
 
     qdiscXmit(dev, std::move(pkt));
     return true;

@@ -12,30 +12,6 @@
 
 namespace mcnsim::net {
 
-const char *
-to_string(Stage s)
-{
-    switch (s) {
-      case Stage::StackTx:
-        return "StackTx";
-      case Stage::DriverTx:
-        return "DriverTx";
-      case Stage::DmaTx:
-        return "DmaTx";
-      case Stage::Phy:
-        return "PHY";
-      case Stage::DmaRx:
-        return "DmaRx";
-      case Stage::DriverRx:
-        return "DriverRx";
-      case Stage::Delivered:
-        return "Delivered";
-      case Stage::kCount:
-        break;
-    }
-    return "?";
-}
-
 PacketPtr
 Packet::wrap(BufRef buf, std::size_t head, std::size_t tail)
 {
@@ -185,7 +161,6 @@ Packet::clone() const
     MCNSIM_IF_CHECKED(BufferPool::auditLive(buf_.get());
                       auditSeal();)
     PacketPtr copy = wrap(buf_, head_, tail_);
-    copy->trace = trace;
     if (path) [[unlikely]]
         copy->path = std::make_unique<PathTrace>(*path);
     copy->srcNode = srcNode;
@@ -224,6 +199,20 @@ foldPathLatency(const Packet &pkt, std::size_t shard,
                       delivered >= last ? delivered - last : 0);
     }
     tel.recordPathLen(shard, p.size());
+}
+
+void
+recordDelivery(const Packet &pkt, std::size_t shard,
+               const sim::FlowTelemetry::FlowKey &key,
+               const char *final_hop, Tick delivered)
+{
+    const Tick sent = pkt.lastStamp(Stage::StackTx);
+    const Tick e2e = sent == PathTrace::unreached ? sim::maxTick
+                     : delivered >= sent          ? delivered - sent
+                                                  : 0;
+    sim::FlowTelemetry::instance().recordRx(shard, key, pkt.size(),
+                                            delivered, e2e);
+    foldPathLatency(pkt, shard, final_hop, delivered);
 }
 
 } // namespace mcnsim::net

@@ -2,8 +2,9 @@
  * @file
  * Packet: the simulator's sk_buff. A packet owns real bytes --
  * headers are pushed/pulled at the front exactly as the Linux stack
- * does -- plus simulation metadata: a latency trace used to produce
- * the paper's Table III breakdown, and bookkeeping for TSO.
+ * does -- plus simulation metadata: a per-hop timing record used for
+ * the paper's Table III breakdown and flow telemetry, and
+ * bookkeeping for TSO.
  *
  * Buffer ownership (see DESIGN.md "Hot paths & buffer ownership"
  * and §10): the byte buffer is a pooled, intrusively refcounted
@@ -11,8 +12,9 @@
  * shares the block and is O(1); so are pull() and trim(), which
  * only move the [head, tail) view. The first mutation of a shared
  * packet -- push(), put(), or the non-const data() -- copies the
- * live bytes into a private block (detach()). Metadata (the latency
- * trace, node ids, TSO state) is always per-clone, by value.
+ * live bytes into a private block (detach()). Metadata (node ids,
+ * TSO state, and the timing record when one is kept) is always
+ * per-clone.
  */
 
 #ifndef MCNSIM_NET_PACKET_HH
@@ -28,104 +30,63 @@
 
 #include "net/buffer_pool.hh"
 #include "sim/checked.hh"
+#include "sim/flow_stats.hh"
+#include "sim/timeline.hh"
 #include "sim/types.hh"
 
 namespace mcnsim::net {
 
 using sim::Tick;
 
-/** Stages stamped into a packet's latency trace (Table III). */
+/** Table III stages a path hop can mark. */
 enum class Stage : std::uint8_t {
-    StackTx,     ///< handed to the netdev by the network stack
-    DriverTx,    ///< driver done (descriptor ready / SRAM written)
-    DmaTx,       ///< device fetched the bytes (NIC DMA done)
-    Phy,         ///< left the physical medium (wire/switch)
-    DmaRx,       ///< bytes landed in receiver memory
-    DriverRx,    ///< receiver driver handed to the stack
-    Delivered,   ///< delivered to the application/socket
-    kCount,
-};
-
-const char *to_string(Stage s);
-
-/**
- * Per-packet tick stamps, one per stage. An unstamped stage holds
- * the sentinel `unreached` (sim::maxTick), so a stamp at tick 0 --
- * perfectly legal, simulations start there -- is still
- * distinguishable from "never reached".
- */
-class LatencyTrace
-{
-  public:
-    static constexpr Tick unreached = sim::maxTick;
-
-    LatencyTrace() { at_.fill(unreached); }
-
-    void
-    stamp(Stage s, Tick t)
-    {
-        at_[static_cast<std::size_t>(s)] = t;
-    }
-
-    Tick
-    at(Stage s) const
-    {
-        return at_[static_cast<std::size_t>(s)];
-    }
-
-    bool
-    reached(Stage s) const
-    {
-        return at(s) != unreached;
-    }
-
-    /** Delta between two stages (0 if either missing). */
-    Tick
-    span(Stage from, Stage to) const
-    {
-        if (!reached(from) || !reached(to))
-            return 0;
-        Tick a = at(from), b = at(to);
-        return b >= a ? b - a : 0;
-    }
-
-  private:
-    std::array<Tick, static_cast<std::size_t>(Stage::kCount)> at_;
+    StackTx,  ///< handed to the netdev by the network stack
+    DriverTx, ///< driver done (descriptor ready / SRAM written)
+    DmaTx,    ///< device fetched the bytes (NIC DMA done)
+    Phy,      ///< left the physical medium (link)
+    Switch,   ///< forwarded by a switch
+    DmaRx,    ///< bytes landed in receiver memory
+    DriverRx, ///< receiver driver handed to the stack
 };
 
 /**
- * INT-style per-hop path telemetry: an ordered list of
- * (hop-name, tick) pairs stamped as the packet crosses components
- * (stack, NIC, link, switch, MCN ring crossings). Where
- * LatencyTrace answers "when did the packet reach stage X" for a
- * fixed stage set, PathTrace answers "which concrete components did
- * it traverse and when" -- the per-hop latency histograms in
- * sim/flow_stats.hh are folded from consecutive-entry deltas at
- * delivery.
+ * The per-packet timing record: an ordered list of (stage, hop-name,
+ * tick) stamps taken as the packet crosses components (stack, NIC,
+ * link, switch, MCN ring crossings). It serves three readers with
+ * the same stamps:
+ *
+ *  - flow telemetry folds consecutive-entry deltas into per-hop
+ *    latency histograms at delivery (sim/flow_stats.hh);
+ *  - timeline spans and Table III ask "when did the packet last
+ *    reach stage S" through last(), where the latest stamp of a
+ *    stage wins (a forwarded packet crosses several stacks);
+ *  - end-to-end latency runs from the last StackTx stamp to the
+ *    delivery tick, which is passed to the fold, not stamped.
  *
  * Hop names are borrowed `const char *`s that must outlive the run
  * (SimObject::name().c_str() qualifies: objects are pinned until
- * teardown and folding happens at stats-dump time). The structure
- * is heap-allocated per packet only while flow telemetry is active
- * (Packet::path stays null otherwise), so the disabled-path cost is
- * one null unique_ptr copy per clone.
+ * teardown and folding happens at stats-dump time). A stage never
+ * stamped reads as `unreached` (sim::maxTick), so a stamp at tick 0
+ * -- perfectly legal, simulations start there -- still counts.
  */
 class PathTrace
 {
   public:
     static constexpr std::size_t kMaxHops = 16;
+    static constexpr Tick unreached = sim::maxTick;
 
     struct Hop
     {
         const char *name;
         Tick t;
+        Stage stage;
     };
 
     void
-    record(const char *name, Tick t)
+    record(Stage stage, const char *name, Tick t)
     {
         if (n_ < kMaxHops)
-            hops_[n_++] = Hop{name, t};
+            hops_[n_++] = Hop{name, t, stage};
         else
             truncated_ = true;
     }
@@ -137,6 +98,16 @@ class PathTrace
     at(std::size_t i) const
     {
         return hops_[i];
+    }
+
+    /** Tick of the last hop marking @p stage, or `unreached`. */
+    Tick
+    last(Stage stage) const
+    {
+        for (std::size_t i = n_; i-- > 0;)
+            if (hops_[i].stage == stage)
+                return hops_[i].t;
+        return unreached;
     }
 
   private:
@@ -245,25 +216,33 @@ class Packet
      *  pre-pool vector's size() was (tests). */
     std::size_t bufferLen() const { return buf_->len; }
 
-    /** Simulation metadata. */
-    LatencyTrace trace;
-
     /**
-     * Per-hop path telemetry; null unless flow telemetry is active
-     * (sim/flow_stats.hh). Deep-copied by clone()/TSO segmentation
-     * when present. Record hops through pathHop(), which allocates
-     * lazily -- call sites gate on FlowTelemetry::active().
+     * Timing record; null unless flow telemetry or the timeline is
+     * active, so default runs carry no timing metadata. Deep-copied
+     * by clone()/TSO segmentation when present.
      */
     std::unique_ptr<PathTrace> path;
 
-    /** Append a (hop, tick) pair, allocating the trace on first
-     *  use. Callers gate on FlowTelemetry::active(). */
+    /** Stamp that the packet reached @p stage at component @p hop
+     *  at tick @p t, allocating the record on first use. Records
+     *  only while flow telemetry or the timeline is active. */
     void
-    pathHop(const char *hop, Tick t)
+    stamp(Stage stage, const char *hop, Tick t)
     {
-        if (!path)
-            path = std::make_unique<PathTrace>();
-        path->record(hop, t);
+        if (sim::FlowTelemetry::active() || sim::Timeline::active())
+            [[unlikely]] {
+            if (!path)
+                path = std::make_unique<PathTrace>();
+            path->record(stage, hop, t);
+        }
+    }
+
+    /** PathTrace::last() of this packet's record (`unreached` when
+     *  it carries none). */
+    Tick
+    lastStamp(Stage stage) const
+    {
+        return path ? path->last(stage) : PathTrace::unreached;
     }
 
     /** Source node id (diagnostics) and flow hint for stats. */
@@ -336,6 +315,17 @@ class Packet
  */
 void foldPathLatency(const Packet &pkt, std::size_t shard,
                      const char *final_hop, Tick delivered);
+
+/**
+ * Record a packet delivered at @p delivered by @p final_hop into
+ * flow telemetry: the flow's rx bytes and end-to-end latency (last
+ * StackTx stamp to delivery, or sim::maxTick when the packet carries
+ * none), then foldPathLatency(). The TCP, UDP and ICMP delivery
+ * sites share it; callers gate on FlowTelemetry::active().
+ */
+void recordDelivery(const Packet &pkt, std::size_t shard,
+                    const sim::FlowTelemetry::FlowKey &key,
+                    const char *final_hop, Tick delivered);
 
 } // namespace mcnsim::net
 

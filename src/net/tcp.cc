@@ -1055,19 +1055,9 @@ TcpSocket::deliverData(const TcpHeader &h, PacketPtr pkt)
         sendAckNow();
     }
 
-    // Stamp delivery for latency traces.
-    pkt->trace.stamp(Stage::Delivered, layer_.curTick());
-    if (sim::FlowTelemetry::active()) [[unlikely]] {
-        Tick e2e = pkt->trace.reached(Stage::StackTx)
-                       ? pkt->trace.span(Stage::StackTx,
-                                         Stage::Delivered)
-                       : sim::maxTick;
-        sim::FlowTelemetry::instance().recordRx(
-            layer_.shardId(), flowKey(tuple_, false), pkt->size(),
-            layer_.curTick(), e2e);
-        foldPathLatency(*pkt, layer_.shardId(),
-                        layer_.name().c_str(), layer_.curTick());
-    }
+    if (sim::FlowTelemetry::active()) [[unlikely]]
+        recordDelivery(*pkt, layer_.shardId(), flowKey(tuple_, false),
+                       layer_.name().c_str(), layer_.curTick());
     if (layer_.deliveryHook())
         layer_.deliveryHook()(*pkt);
 }

@@ -237,7 +237,6 @@ UdpSocket::datagramArrived(Ipv4Addr src, std::uint16_t src_port,
     d.srcAddr = src;
     d.srcPort = src_port;
     d.data = pkt->bytes();
-    pkt->trace.stamp(Stage::Delivered, layer_.curTick());
     if (sim::FlowTelemetry::active()) [[unlikely]] {
         sim::FlowTelemetry::FlowKey k;
         k.srcIp = src.v;
@@ -245,15 +244,8 @@ UdpSocket::datagramArrived(Ipv4Addr src, std::uint16_t src_port,
         k.srcPort = src_port;
         k.dstPort = localPort_;
         k.proto = protoUdp;
-        sim::Tick e2e =
-            pkt->trace.reached(Stage::StackTx)
-                ? pkt->trace.span(Stage::StackTx, Stage::Delivered)
-                : sim::maxTick;
-        sim::FlowTelemetry::instance().recordRx(
-            layer_.shardId(), k, pkt->size(), layer_.curTick(),
-            e2e);
-        foldPathLatency(*pkt, layer_.shardId(),
-                        layer_.name().c_str(), layer_.curTick());
+        recordDelivery(*pkt, layer_.shardId(), k,
+                       layer_.name().c_str(), layer_.curTick());
     }
     rxQueue_.push_back(std::move(d));
     rxCv_.notifyAll();

@@ -342,9 +342,8 @@ EthernetLink::deliver(EtherEndpoint *dst_ep, net::PacketPtr pkt,
                               : 5 * sim::oneUs;
         q.scheduleIn(
             [this, dst_ep, pkt, &q] {
-                pkt->trace.stamp(net::Stage::Phy, q.curTick());
-                if (sim::FlowTelemetry::active()) [[unlikely]]
-                    pkt->pathHop(name().c_str(), q.curTick());
+                pkt->stamp(net::Stage::Phy, name().c_str(),
+                           q.curTick());
                 dst_ep->receiveFrame(pkt);
             },
             delay, "link.reorder");
@@ -355,12 +354,9 @@ EthernetLink::deliver(EtherEndpoint *dst_ep, net::PacketPtr pkt,
             dir.rxDuplicated += 1;
         else
             statDuplicated_ += 1;
-        pkt->trace.stamp(net::Stage::Phy, q.curTick());
         dst_ep->receiveFrame(pkt->clone());
     }
-    pkt->trace.stamp(net::Stage::Phy, q.curTick());
-    if (sim::FlowTelemetry::active()) [[unlikely]]
-        pkt->pathHop(name().c_str(), q.curTick());
+    pkt->stamp(net::Stage::Phy, name().c_str(), q.curTick());
     dst_ep->receiveFrame(pkt);
 }
 

@@ -131,11 +131,10 @@ EthernetSwitch::egress(std::uint32_t port, net::PacketPtr pkt)
         return;
     }
     statForwarded_ += 1;
-    if (sim::FlowTelemetry::active()) [[unlikely]] {
+    if (sim::FlowTelemetry::active()) [[unlikely]]
         portBacklogQ_[port]->update(curTick(),
                                     backlog + pkt->size());
-        pkt->pathHop(name().c_str(), curTick());
-    }
+    pkt->stamp(net::Stage::Switch, name().c_str(), curTick());
     // The forwarding pipeline occupies [now, now + fwdLatency_].
     tlSpan("fwd", curTick(), curTick() + fwdLatency_);
     Port *p = ports_[port].get();

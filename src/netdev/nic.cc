@@ -19,7 +19,9 @@ Nic::Nic(sim::Simulation &s, std::string name, net::MacAddr mac,
          os::Kernel &kernel, NicParams params)
     : os::NetDevice(s, std::move(name), mac, 1500),
       kernel_(kernel), params_(params),
-      irqLine_(kernel.irq().allocateLine())
+      irqLine_(kernel.irq().allocateLine()),
+      dmaTxHop_(this->name() + ".dmaTx"),
+      dmaRxHop_(this->name() + ".dmaRx")
 {
     regStat(&statRxDrops_);
     regStat(&statTsoSegs_);
@@ -60,9 +62,7 @@ Nic::xmit(net::PacketPtr pkt)
     const auto &costs = kernel_.costs();
     kernel_.cpus().leastLoaded().execute(
         costs.nicDriverTx, [this, pkt](sim::Tick now) {
-            pkt->trace.stamp(net::Stage::DriverTx, now);
-            if (sim::FlowTelemetry::active()) [[unlikely]]
-                pkt->pathHop(name().c_str(), now);
+            pkt->stamp(net::Stage::DriverTx, name().c_str(), now);
             dmaTxStart(pkt);
         });
     return os::TxResult::Ok;
@@ -79,7 +79,8 @@ Nic::dmaTxStart(net::PacketPtr pkt)
         [this, pkt](sim::Tick) {
             eventQueue().scheduleIn(
                 [this, pkt] {
-                    pkt->trace.stamp(net::Stage::DmaTx, curTick());
+                    pkt->stamp(net::Stage::DmaTx, dmaTxHop_.c_str(),
+                               curTick());
                     toWire(pkt);
                 },
                 params_.pcieLatency, "nic.pcie");
@@ -93,10 +94,10 @@ Nic::toWire(net::PacketPtr pkt)
     txInFlight_--;
     if (sim::FlowTelemetry::active()) [[unlikely]]
         statTxRingQ_.update(curTick(), txInFlight_);
-    // Doorbell -> wire, straight off the packet's latency stamps.
+    // Doorbell -> wire, straight off the packet's path stamps.
     if (sim::Timeline::active()) [[unlikely]] {
-        sim::Tick t0 = pkt->trace.at(net::Stage::DriverTx);
-        if (t0 != net::LatencyTrace::unreached)
+        sim::Tick t0 = pkt->lastStamp(net::Stage::DriverTx);
+        if (t0 != net::PathTrace::unreached)
             tlSpan("nicTx", t0, curTick());
     }
     countTx(*pkt);
@@ -105,8 +106,7 @@ Nic::toWire(net::PacketPtr pkt)
 
     if (pkt->tsoMss > 0) {
         // O1-O4: hardware segmentation.
-        auto segs = segmentTso(pkt, features().checksumOffload ||
-                                        true);
+        auto segs = segmentTso(pkt);
         statTsoSegs_ += static_cast<double>(segs.size());
         for (auto &s : segs)
             link_->sendFrom(this, std::move(s));
@@ -116,7 +116,7 @@ Nic::toWire(net::PacketPtr pkt)
 }
 
 std::vector<net::PacketPtr>
-Nic::segmentTso(const net::PacketPtr &pkt, bool fill_checksums)
+Nic::segmentTso(const net::PacketPtr &pkt)
 {
     using namespace net;
 
@@ -148,7 +148,6 @@ Nic::segmentTso(const net::PacketPtr &pkt, bool fill_checksums)
         std::size_t chunk = std::min<std::size_t>(mss, total - off);
         auto seg = Packet::make(std::vector<std::uint8_t>(
             payload + off, payload + off + chunk));
-        seg->trace = pkt->trace;
         if (pkt->path) [[unlikely]]
             seg->path = std::make_unique<net::PathTrace>(*pkt->path);
         seg->srcNode = pkt->srcNode;
@@ -160,14 +159,13 @@ Nic::segmentTso(const net::PacketPtr &pkt, bool fill_checksums)
         if (!last)
             th.flags = static_cast<std::uint8_t>(th.flags &
                                                  ~tcpPsh);
-        th.push(*seg, ip->src, ip->dst,
-                fill_checksums && had_checksum);
+        th.push(*seg, ip->src, ip->dst, had_checksum);
 
         Ipv4Header ih = *ip;
         ih.id = ip_id++;
         ih.totalLength = static_cast<std::uint16_t>(
             seg->size() + Ipv4Header::size);
-        ih.push(*seg, fill_checksums && had_checksum);
+        ih.push(*seg, had_checksum);
 
         eth.push(*seg);
         out.push_back(std::move(seg));
@@ -201,7 +199,8 @@ Nic::receiveFrame(net::PacketPtr pkt)
         [this, pkt](sim::Tick) {
             eventQueue().scheduleIn(
                 [this, pkt] {
-                    pkt->trace.stamp(net::Stage::DmaRx, curTick());
+                    pkt->stamp(net::Stage::DmaRx, dmaRxHop_.c_str(),
+                               curTick());
                     rxCompleted_.push_back(pkt);
                     if (!napiActive_) {
                         napiActive_ = true;
@@ -248,13 +247,11 @@ Nic::napiPoll()
             for (const auto &p : batch) {
                 // Host-DRAM landing -> stack delivery, per packet.
                 if (sim::Timeline::active()) [[unlikely]] {
-                    sim::Tick t0 = p->trace.at(net::Stage::DmaRx);
-                    if (t0 != net::LatencyTrace::unreached)
+                    sim::Tick t0 = p->lastStamp(net::Stage::DmaRx);
+                    if (t0 != net::PathTrace::unreached)
                         tlSpan("nicRx", t0, now);
                 }
-                p->trace.stamp(net::Stage::DriverRx, now);
-                if (sim::FlowTelemetry::active()) [[unlikely]]
-                    p->pathHop(name().c_str(), now);
+                p->stamp(net::Stage::DriverRx, name().c_str(), now);
                 rxRingUsed_--;
                 deliverUp(p);
             }

@@ -14,6 +14,7 @@
 #define MCNSIM_NETDEV_NIC_HH
 
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "netdev/ethernet_link.hh"
@@ -70,10 +71,12 @@ class Nic : public os::NetDevice, public EtherEndpoint
     /**
      * Split a TSO super-frame (Ethernet+IP+TCP with tsoMss set)
      * into MSS-sized wire frames, reproducing the paper's O1-O4.
+     * Segments get IP/TCP checksums exactly when the super-frame
+     * carried a TCP checksum (checksum bypass stays bypassed).
      * Exposed for unit testing.
      */
     static std::vector<net::PacketPtr>
-    segmentTso(const net::PacketPtr &pkt, bool fill_checksums);
+    segmentTso(const net::PacketPtr &pkt);
 
   private:
     void dmaTxStart(net::PacketPtr pkt);
@@ -85,6 +88,10 @@ class Nic : public os::NetDevice, public EtherEndpoint
     NicParams params_;
     EthernetLink *link_ = nullptr;
     std::uint32_t irqLine_;
+    /** Path-hop names of the DMA stamps (Table III's DMA-TX and
+     *  DMA-RX columns); the driver stamps use name(). */
+    std::string dmaTxHop_;
+    std::string dmaRxHop_;
 
     std::size_t txInFlight_ = 0; ///< descriptors awaiting DMA
     std::deque<net::PacketPtr> rxCompleted_;

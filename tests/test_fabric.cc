@@ -109,7 +109,7 @@ TEST(FabricWiring, LeafSpineAddressesMacsAndUplinks)
     EXPECT_EQ(sys.uplinksPerSpine(), 1u);
     EXPECT_EQ(sys.uplinkPortBase(), 2u);
     EXPECT_EQ(sys.uplinkPortCount(), 2u);
-    EXPECT_EQ(sys.diameterHops(), 10u);
+    EXPECT_EQ(sys.diameterHops(), 12u);
 
     // Node i = rack (i / nodesPerRack), member (i % nodesPerRack):
     // addresses encode (rack, member), MACs are unique.
@@ -234,6 +234,9 @@ TEST(FabricTraffic, CrossRackIperfDeliversWithinDiameter)
         delivered += lens[n];
     }
     EXPECT_GT(delivered, 0u) << "no path-hop samples recorded";
+    // Cross-rack clients reach the diameter exactly, so a stale
+    // diameter cannot hide behind a loose bound.
+    EXPECT_GT(lens[sys.diameterHops()], 0u);
 }
 
 TEST(FabricPartition, DeadUplinkGroupFailsSocketsFast)

@@ -117,33 +117,38 @@ TEST(PathTrace, RecordsInOrderAndTruncatesAtCapacity)
     EXPECT_EQ(p.size(), 0u);
     EXPECT_FALSE(p.truncated());
     for (std::size_t i = 0; i < net::PathTrace::kMaxHops; ++i)
-        p.record("hop", static_cast<Tick>(i * 10));
+        p.record(net::Stage::Phy, "hop", static_cast<Tick>(i * 10));
     EXPECT_EQ(p.size(), net::PathTrace::kMaxHops);
     EXPECT_FALSE(p.truncated());
     EXPECT_EQ(p.at(3).t, 30u);
 
     // One past capacity: dropped, flagged, size unchanged.
-    p.record("late", 999);
+    p.record(net::Stage::Phy, "late", 999);
     EXPECT_EQ(p.size(), net::PathTrace::kMaxHops);
     EXPECT_TRUE(p.truncated());
 }
 
 TEST(PathTrace, PacketAllocatesLazilyAndClonesDeeply)
 {
+    using net::Stage;
     auto pkt = net::Packet::makePattern(64);
+    pkt->stamp(Stage::StackTx, "a", 1);
     EXPECT_EQ(pkt->path, nullptr); // no telemetry, no allocation
 
-    pkt->pathHop("a", 5);
-    pkt->pathHop("b", 9);
+    auto &tel = FlowTelemetry::instance();
+    tel.enable();
+    pkt->stamp(Stage::StackTx, "a", 5);
+    pkt->stamp(Stage::DriverTx, "b", 9);
     ASSERT_NE(pkt->path, nullptr);
     EXPECT_EQ(pkt->path->size(), 2u);
 
     auto copy = pkt->clone();
     ASSERT_NE(copy->path, nullptr);
     EXPECT_NE(copy->path.get(), pkt->path.get()); // deep copy
-    copy->pathHop("c", 12);
+    copy->stamp(Stage::Phy, "c", 12);
     EXPECT_EQ(copy->path->size(), 3u);
     EXPECT_EQ(pkt->path->size(), 2u); // original untouched
+    tel.disable();
 }
 
 TEST(PathTrace, FoldAttributesDeltasToTheLaterHop)
@@ -152,9 +157,9 @@ TEST(PathTrace, FoldAttributesDeltasToTheLaterHop)
     tel.enable();
 
     auto pkt = net::Packet::makePattern(64);
-    pkt->pathHop("a", 10);
-    pkt->pathHop("b", 25);
-    pkt->pathHop("c", 40);
+    pkt->stamp(net::Stage::StackTx, "a", 10);
+    pkt->stamp(net::Stage::DriverTx, "b", 25);
+    pkt->stamp(net::Stage::Phy, "c", 40);
     net::foldPathLatency(*pkt, 0, "sink", 60);
 
     auto hops = tel.foldHops();

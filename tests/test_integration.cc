@@ -373,7 +373,7 @@ TEST(McnIntegration, BroadcastReachesAllDimms)
     EXPECT_GE(sys.dimm(2).driver().rxMessages(), 1u);
 }
 
-TEST(McnIntegration, LatencyTraceHasNoPhyStage)
+TEST(McnIntegration, PathHasNoDmaOrPhyHop)
 {
     // Table III: MCN has no DMA-TX/PHY/DMA-RX components.
     Simulation s;
@@ -382,9 +382,24 @@ TEST(McnIntegration, LatencyTraceHasNoPhyStage)
     p.config = McnConfig::level(0);
     McnSystem sys(s, p);
 
+    std::size_t delivered = 0;
+    std::vector<std::string> bad;
+    sys.dimm(0).stack().tcp().setDeliveryHook([&](const Packet &pkt) {
+        ASSERT_TRUE(pkt.path);
+        ++delivered;
+        for (std::size_t i = 0; i < pkt.path->size(); ++i) {
+            Stage st = pkt.path->at(i).stage;
+            if (st == Stage::DmaTx || st == Stage::Phy ||
+                st == Stage::DmaRx)
+                bad.emplace_back(pkt.path->at(i).name);
+        }
+    });
+    mcnsim::sim::FlowTelemetry::instance().enable();
     runTcpTransfer(s, sys.hostStack(), sys.dimm(0).stack(),
                    sys.dimmAddr(0), 8 * 1024);
-    // Indirectly verified via driver stats: messages crossed rings,
-    // and no Ethernet device exists in the system.
-    EXPECT_GT(sys.dimm(0).driver().rxMessages(), 0u);
+    mcnsim::sim::FlowTelemetry::instance().disable();
+    sys.dimm(0).stack().tcp().setDeliveryHook(nullptr);
+
+    EXPECT_GT(delivered, 0u);
+    EXPECT_TRUE(bad.empty()) << "first DMA/PHY hop: " << bad.front();
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/byte_ring.hh"
 #include "net/checksum.hh"
 #include "net/ethernet.hh"
 #include "net/icmp.hh"
@@ -17,6 +18,25 @@
 
 using namespace mcnsim::net;
 using mcnsim::sim::Rng;
+
+TEST(ByteRingTest, PatternBytesAcrossChunksAndWrapSeam)
+{
+    // Consume part of the ring first so later appends wrap, and use
+    // lengths that straddle the fill's internal copy chunks.
+    ByteRing ring;
+    ring.appendPattern(7, 1000);
+    ring.popFront(900);
+    std::size_t base = 1007;
+    for (std::size_t n : {1u, 255u, 4097u, 9000u}) {
+        ring.appendPattern(base, n);
+        base += n;
+    }
+    auto got = ring.take(ring.size());
+    ASSERT_EQ(got.size(), base - 907);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        ASSERT_EQ(got[i], static_cast<std::uint8_t>((907 + i) & 0xff))
+            << i;
+}
 
 TEST(PacketBuf, PushPullRoundTrip)
 {
@@ -162,29 +182,62 @@ TEST(PacketBuf, PoolClassSelection)
     EXPECT_EQ(cap(100000), 100000u + Packet::defaultHeadroom);
 }
 
-TEST(LatencyTraceTest, SpansComputed)
+namespace {
+
+/** End-to-end latency recordDelivery() books for @p pkt delivered at
+ *  @p delivered: total latency ticks and sample count of its flow. */
+std::pair<std::uint64_t, std::uint64_t>
+deliveredLatency(const Packet &pkt, Tick delivered)
 {
-    LatencyTrace t;
-    t.stamp(Stage::StackTx, 100);
-    t.stamp(Stage::DriverTx, 250);
-    t.stamp(Stage::Delivered, 900);
-    EXPECT_EQ(t.span(Stage::StackTx, Stage::DriverTx), 150u);
-    EXPECT_EQ(t.span(Stage::StackTx, Stage::Delivered), 800u);
-    EXPECT_EQ(t.span(Stage::StackTx, Stage::Phy), 0u); // missing
-    EXPECT_TRUE(t.reached(Stage::DriverTx));
-    EXPECT_FALSE(t.reached(Stage::DmaRx));
+    auto &tel = mcnsim::sim::FlowTelemetry::instance();
+    tel.enable();
+    mcnsim::sim::FlowTelemetry::FlowKey key;
+    recordDelivery(pkt, 0, key, "sink", delivered);
+    const auto flows = tel.foldFlows();
+    const auto &lat = flows.at(key).latency;
+    std::pair<std::uint64_t, std::uint64_t> out{lat.sum(),
+                                                lat.count()};
+    tel.disable();
+    return out;
 }
 
-TEST(LatencyTraceTest, TickZeroStampIsReached)
+} // namespace
+
+TEST(PathTraceTest, SpansComputed)
+{
+    PathTrace t;
+    t.record(Stage::StackTx, "stack", 100);
+    t.record(Stage::DriverTx, "drv", 250);
+    t.record(Stage::Phy, "link0", 400);
+    t.record(Stage::Phy, "link1", 600);
+    EXPECT_EQ(t.last(Stage::DriverTx) - t.last(Stage::StackTx), 150u);
+    // The last stamp of a stage wins (a frame crosses two links).
+    EXPECT_EQ(t.last(Stage::Phy), 600u);
+    EXPECT_EQ(t.last(Stage::DmaRx), PathTrace::unreached);
+
+    // End to end: last StackTx stamp -> delivery tick.
+    auto pkt = Packet::makePattern(64);
+    pkt->path = std::make_unique<PathTrace>(t);
+    EXPECT_EQ(deliveredLatency(*pkt, 900),
+              std::make_pair(std::uint64_t{800}, std::uint64_t{1}));
+    // No StackTx stamp: the delivery is counted, no latency sample.
+    pkt->path.reset();
+    EXPECT_EQ(deliveredLatency(*pkt, 900).second, 0u);
+}
+
+TEST(PathTraceTest, TickZeroStampIsReached)
 {
     // Tick 0 is a legal simulation time, not the "never reached"
     // sentinel (that is maxTick).
-    LatencyTrace t;
-    EXPECT_FALSE(t.reached(Stage::StackTx));
-    t.stamp(Stage::StackTx, 0);
-    t.stamp(Stage::Delivered, 50);
-    EXPECT_TRUE(t.reached(Stage::StackTx));
-    EXPECT_EQ(t.span(Stage::StackTx, Stage::Delivered), 50u);
+    PathTrace t;
+    EXPECT_EQ(t.last(Stage::StackTx), PathTrace::unreached);
+    t.record(Stage::StackTx, "stack", 0);
+    EXPECT_EQ(t.last(Stage::StackTx), 0u);
+
+    auto pkt = Packet::makePattern(64);
+    pkt->path = std::make_unique<PathTrace>(t);
+    EXPECT_EQ(deliveredLatency(*pkt, 50),
+              std::make_pair(std::uint64_t{50}, std::uint64_t{1}));
 }
 
 TEST(Checksum, KnownVector)

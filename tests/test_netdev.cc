@@ -16,6 +16,7 @@
 #include "netdev/nic.hh"
 #include "os/kernel.hh"
 #include "sim/fault.hh"
+#include "sim/flow_stats.hh"
 #include "sim/simulation.hh"
 
 using namespace mcnsim;
@@ -94,13 +95,15 @@ TEST(LinkTest, SerializationPlusLatency)
     link.attachA(&a);
     link.attachB(&b);
 
+    FlowTelemetry::instance().enable(); // packets carry their path
     auto pkt = Packet::makePattern(1250); // 1 us at 10 Gbps
     link.sendFrom(&a, pkt);
     s.run();
+    FlowTelemetry::instance().disable();
     ASSERT_EQ(b.got.size(), 1u);
     // 1 us serialization + 1 us propagation.
     EXPECT_EQ(b.when[0], 2 * oneUs);
-    EXPECT_TRUE(b.got[0]->trace.reached(Stage::Phy));
+    EXPECT_EQ(b.got[0]->lastStamp(Stage::Phy), 2 * oneUs);
 }
 
 TEST(LinkTest, FramesSerialiseFifo)
@@ -400,7 +403,7 @@ TEST(LoopbackTest, EchoesUp)
 TEST(TsoTest, SplitsIntoMssSizedSegments)
 {
     auto frame = tsoFrame(10000, 1460, true);
-    auto segs = Nic::segmentTso(frame, true);
+    auto segs = Nic::segmentTso(frame);
     // ceil(10000 / 1460) = 7 segments.
     ASSERT_EQ(segs.size(), 7u);
 
@@ -433,7 +436,7 @@ TEST(TsoTest, SplitsIntoMssSizedSegments)
 TEST(TsoTest, PayloadBytesPreservedInOrder)
 {
     auto frame = tsoFrame(5000, 1000, true);
-    auto segs = Nic::segmentTso(frame, true);
+    auto segs = Nic::segmentTso(frame);
     std::vector<std::uint8_t> reassembled;
     for (auto &sp : segs) {
         auto seg = sp->clone();
@@ -456,7 +459,7 @@ TEST(TsoTest, BypassedChecksumsStayAbsent)
     // mcn2+mcn4: the super-frame carries no checksums; segments
     // must not invent them.
     auto frame = tsoFrame(4000, 1460, false);
-    auto segs = Nic::segmentTso(frame, true);
+    auto segs = Nic::segmentTso(frame);
     for (auto &sp : segs) {
         auto seg = sp->clone();
         EthernetHeader::pull(*seg);
@@ -472,7 +475,7 @@ TEST(TsoTest, NonTsoPacketPassesThrough)
 {
     auto pkt = Packet::makePattern(500);
     pkt->tsoMss = 0;
-    auto segs = Nic::segmentTso(pkt, true);
+    auto segs = Nic::segmentTso(pkt);
     ASSERT_EQ(segs.size(), 1u);
     EXPECT_EQ(segs[0].get(), pkt.get());
 }
@@ -499,20 +502,28 @@ TEST(NicTest, TxTravelsLinkAndRxDeliversWithTrace)
 
     auto frame =
         framedPacket(1000, MacAddr::fromId(2), MacAddr::fromId(1));
+    FlowTelemetry::instance().enable(); // packets carry their path
     EXPECT_EQ(nic_a.xmit(frame), os::TxResult::Ok);
     s.run();
+    FlowTelemetry::instance().disable();
 
+    // One hop per Table III stage, in causal order, each DMA stamp
+    // under its own hop name.
     ASSERT_TRUE(got);
-    EXPECT_TRUE(got->trace.reached(Stage::DriverTx));
-    EXPECT_TRUE(got->trace.reached(Stage::DmaTx));
-    EXPECT_TRUE(got->trace.reached(Stage::Phy));
-    EXPECT_TRUE(got->trace.reached(Stage::DmaRx));
-    EXPECT_TRUE(got->trace.reached(Stage::DriverRx));
-    // Stages are causally ordered.
-    EXPECT_LT(got->trace.at(Stage::DriverTx),
-              got->trace.at(Stage::Phy));
-    EXPECT_LT(got->trace.at(Stage::Phy),
-              got->trace.at(Stage::DriverRx));
+    ASSERT_TRUE(got->path);
+    const PathTrace &path = *got->path;
+    const std::pair<Stage, std::string> expect[] = {
+        {Stage::DriverTx, "nicA"},     {Stage::DmaTx, "nicA.dmaTx"},
+        {Stage::Phy, "link"},          {Stage::DmaRx, "nicB.dmaRx"},
+        {Stage::DriverRx, "nicB"},
+    };
+    ASSERT_EQ(path.size(), std::size(expect));
+    for (std::size_t i = 0; i < path.size(); ++i) {
+        EXPECT_EQ(path.at(i).stage, expect[i].first) << i;
+        EXPECT_EQ(path.at(i).name, expect[i].second) << i;
+        if (i > 0)
+            EXPECT_LT(path.at(i - 1).t, path.at(i).t) << i;
+    }
     EXPECT_EQ(nic_b.interrupts(), 1u);
 }
 

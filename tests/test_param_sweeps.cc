@@ -277,7 +277,7 @@ TEST_P(TsoSweep, SegmentsPartitionThePayload)
     eh.src = MacAddr::fromId(8);
     eh.push(*pkt);
 
-    auto segs = netdev::Nic::segmentTso(pkt, true);
+    auto segs = netdev::Nic::segmentTso(pkt);
     std::size_t expect =
         (payload + mss - 1) / mss;
     ASSERT_EQ(segs.size(), expect);

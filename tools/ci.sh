@@ -215,13 +215,13 @@ assert docs[1] == docs[2] == docs[4], \
 print("rack-chaos: stat JSON identical across threads 1/2/4")
 EOF
     # Path-hop telemetry: on a 2-level fabric no delivered packet
-    # may carry more stamps than the topology diameter (10) -- more
+    # may carry more stamps than the topology diameter (12) -- more
     # means a forwarding loop.
     "$BUILD_DIR/tools/mcnsim_cli" iperf --topology=leafspine \
         --duration-ms=1 --flow-stats="$RACK_DIR/flow.json" \
         > /dev/null
     python3 "$REPO_ROOT/tools/flow_report.py" \
-        "$RACK_DIR/flow.json" --validate --max-path-hops 10
+        "$RACK_DIR/flow.json" --validate --max-path-hops 12
     rm -rf "$RACK_DIR"
     # The SLO gates themselves run in bench_chaos (chaos stage).
 fi
