@@ -27,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -244,6 +245,16 @@ class BenchReport
         w.kv("generator", "mcnsim");
         w.kv("mode", quick_ ? "quick" : "full");
         writeMap(w, "config", config_);
+        // How the binary was built and where it ran: host-time
+        // metrics compare only between like builds
+        // (tools/check_perf.py).
+        w.key("build");
+        w.beginObject();
+        w.kv("compiler", MCNSIM_BENCH_COMPILER);
+        w.kv("build_type", MCNSIM_BENCH_BUILD_TYPE);
+        w.kv("opt_flags", MCNSIM_BENCH_OPT_FLAGS);
+        w.kv("cores", std::uint64_t{std::thread::hardware_concurrency()});
+        w.endObject();
         writeMap(w, "metrics", metrics_);
         writeMap(w, "paper_targets", targets_);
         w.kv("wall_seconds", wall);

@@ -18,14 +18,24 @@ namespace {
 
 constexpr std::size_t headerBytes = 12;
 
-/** Receive exactly @p n bytes from @p sock. */
+/**
+ * Receive exactly @p n bytes from @p sock.
+ *
+ * The socket is taken by reference, not as a TcpSocketPtr by value:
+ * GCC 12 at -O2 miscompiles the by-value form when pump() passes its
+ * local TcpSocketPtr inside its loop, and TcpSocket::recv's frame
+ * then crashes when a core slot resumes it (reproduced by
+ * Task.SharedSourceReadInALoop in tests/test_task.cc). Both callers
+ * hold their TcpSocketPtr across the await, which keeps the socket
+ * alive.
+ */
 Task<std::vector<std::uint8_t>>
-recvExactly(net::TcpSocketPtr sock, std::size_t n)
+recvExactly(net::TcpSocket &sock, std::size_t n)
 {
     std::vector<std::uint8_t> out;
     out.reserve(n);
     while (out.size() < n) {
-        auto chunk = co_await sock->recv(n - out.size());
+        auto chunk = co_await sock.recv(n - out.size());
         if (chunk.empty())
             co_return out; // EOF
         out.insert(out.end(), chunk.begin(), chunk.end());
@@ -307,7 +317,7 @@ MpiWorld::establishMesh(MpiRank &r)
                        int my_rank, int count) -> Task<void> {
         for (int k = 0; k < count; ++k) {
             auto conn = co_await lst->accept();
-            auto hello = co_await recvExactly(conn, 4);
+            auto hello = co_await recvExactly(*conn, 4);
             if (hello.size() < 4)
                 continue;
             int who = (hello[0] << 24) | (hello[1] << 16) |
@@ -359,7 +369,7 @@ MpiWorld::pump(MpiRank &r, int peer)
     int me = r.rank();
     auto sock = sockOf(me, peer);
     while (true) {
-        auto hdr = co_await recvExactly(sock, headerBytes);
+        auto hdr = co_await recvExactly(*sock, headerBytes);
         if (hdr.size() < headerBytes)
             co_return; // connection closed
         std::uint32_t src = (std::uint32_t(hdr[0]) << 24) |

@@ -108,9 +108,8 @@ class ByteRing
 
     /** Write ((base + i) & 0xff) as memcpy runs from a table that
      *  holds the 256-byte period plus one chunk. iperf and MPI
-     *  payloads are filled here; a byte loop at the -O1 cap ran up
-     *  to a third slower depending only on where the linker placed
-     *  it. */
+     *  payloads are filled here; a byte loop's speed swung by up to
+     *  a third with nothing but where the linker placed it. */
     static void
     fillPattern(std::uint8_t *dst, std::size_t base, std::size_t n)
     {

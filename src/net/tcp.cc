@@ -288,8 +288,7 @@ TcpLayer::peerPartitioned(Ipv4Addr addr)
             sock->state() != TcpState::Listen)
             victims.push_back(sock);
     }
-    statPartitionAborts_ +=
-        static_cast<std::int64_t>(victims.size());
+    statPartitionAborts_ += static_cast<double>(victims.size());
     for (auto &sock : victims)
         sock->abortConnection(TcpError::Unreachable);
 }

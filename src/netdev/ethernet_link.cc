@@ -16,8 +16,8 @@ namespace mcnsim::netdev {
 EthernetLink::EthernetLink(sim::Simulation &s, std::string name,
                            double bandwidth_bps, sim::Tick latency)
     : sim::SimObject(s, std::move(name)),
-      burst_(burstDefault_),
-      bandwidthBps_(bandwidth_bps), latency_(latency)
+      bandwidthBps_(bandwidth_bps), latency_(latency),
+      burst_(burstDefault_)
 {
     if (bandwidth_bps <= 0.0)
         sim::fatal(this->name(), ": bandwidth must be > 0");

@@ -114,7 +114,7 @@ class Trace
 
     /** True when at least one flag is enabled — a cheap first-level
      *  gate so disabled tracing stays off the hot paths. Inline so
-     *  the disabled case costs one load + branch, even at -O1. */
+     *  the disabled case costs one load + branch. */
     static bool
     anyActive()
     {

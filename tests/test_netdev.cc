@@ -521,8 +521,9 @@ TEST(NicTest, TxTravelsLinkAndRxDeliversWithTrace)
     for (std::size_t i = 0; i < path.size(); ++i) {
         EXPECT_EQ(path.at(i).stage, expect[i].first) << i;
         EXPECT_EQ(path.at(i).name, expect[i].second) << i;
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(path.at(i - 1).t, path.at(i).t) << i;
+        }
     }
     EXPECT_EQ(nic_b.interrupts(), 1u);
 }

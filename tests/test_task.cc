@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,45 @@ outerTask(EventQueue &q, std::vector<std::string> &log)
 
 } // namespace
 
+/** A shared byte source whose read suspends through the queue. */
+struct ByteSource
+{
+    EventQueue &q;
+
+    Task<std::vector<std::uint8_t>>
+    read(std::size_t n)
+    {
+        co_await delayFor(q, 1);
+        co_return std::vector<std::uint8_t>(n, 1);
+    }
+};
+
+/**
+ * The shape of dist/mpi.cc's recvExactly. GCC 12 at -O2 miscompiles
+ * it when the source is a std::shared_ptr taken by value and the
+ * caller passes a local copy inside a loop: the second read()'s
+ * frame crashes when the queue resumes it. Taking the source by
+ * reference compiles correctly. These helpers have external linkage
+ * on purpose: in the anonymous namespace GCC inlines the ramps and
+ * the by-value form no longer crashes, so the test would guard
+ * nothing.
+ */
+Task<std::vector<std::uint8_t>>
+readVia(ByteSource &src, std::size_t n)
+{
+    co_return co_await src.read(n);
+}
+
+Task<void>
+readLoop(const std::shared_ptr<ByteSource> &held, int &got)
+{
+    auto src = held;
+    for (int i = 0; i < 4; ++i) {
+        auto v = co_await readVia(*src, 8);
+        got += static_cast<int>(v.size());
+    }
+}
+
 TEST(Task, LazyStart)
 {
     EventQueue q;
@@ -65,6 +105,18 @@ TEST(Task, NestedAwaitReturnsValue)
     EXPECT_EQ(log[0], "outer-start");
     EXPECT_EQ(log[1], "got-42");
     EXPECT_EQ(q.curTick(), 100u);
+}
+
+TEST(Task, SharedSourceReadInALoop)
+{
+    EventQueue q;
+    auto src = std::make_shared<ByteSource>(ByteSource{q});
+    int got = 0;
+    spawnDetached(q, readLoop(src, got));
+    q.run();
+    EXPECT_EQ(got, 32);
+    EXPECT_EQ(q.curTick(), 4u);
+    EXPECT_EQ(src.use_count(), 1);
 }
 
 TEST(Task, ImmediateValueTask)

@@ -20,7 +20,11 @@ an artifact's ``config.threads`` differs from the baseline's, they
 are skipped (with a note) rather than compared -- wall clock at
 ``--threads=4`` says nothing about a regression against a
 ``--threads=1`` baseline. Modeled metrics are thread-count
-independent (DESIGN.md §9) and stay checked.
+independent (DESIGN.md §9) and stay checked. The same holds for the
+optimisation flags the bench binary was built with (the artifact's
+``build.opt_flags``): an ``-O1`` baseline says nothing about an
+``-O2`` build's wall clock, so differing flags skip the host-time
+bands too, while modeled metrics stay checked.
 
 The modeled-metric bit-identity check doubles as the proof that the
 determinism-contract annotations (MCNSIM_SHARD_SAFE,
@@ -70,6 +74,13 @@ def threads_of(doc):
     return int(doc.get("config", {}).get("threads", 1))
 
 
+def opt_flags_of(doc):
+    """Optimisation flags the artifact's bench was built with (build
+    block, written by bench::BenchReport); None for artifacts
+    predating the field."""
+    return doc.get("build", {}).get("opt_flags")
+
+
 def load_json(path):
     with open(path) as f:
         return json.load(f)
@@ -111,16 +122,20 @@ def check_bench(bench, base_entry, art_dir, problems, notes,
     base = base_entry.get("metrics", {})
 
     # Host-time metrics are only comparable between runs with the
-    # same worker count: more threads shift work off the measured
-    # wall clock (or onto it, on an oversubscribed box). Modeled
-    # metrics are thread-count-independent by design (DESIGN.md §9)
-    # and stay gated.
-    skip_perf = threads_of(doc) != base_entry.get("threads", 1)
-    if skip_perf:
-        notes.append(
-            f"{bench}: artifact threads={threads_of(doc)} != "
-            f"baseline threads={base_entry.get('threads', 1)}; "
-            f"host-time metrics skipped")
+    # same worker count (more threads shift work off the measured
+    # wall clock, or onto it on an oversubscribed box) and the same
+    # optimisation flags. Modeled metrics depend on neither
+    # (DESIGN.md §9) and stay gated.
+    skip_perf = False
+    for what, got, want in (
+            ("threads", threads_of(doc), base_entry.get("threads", 1)),
+            ("opt_flags", opt_flags_of(doc),
+             base_entry.get("opt_flags"))):
+        if got != want:
+            skip_perf = True
+            notes.append(
+                f"{bench}: artifact {what}={got!r} != baseline "
+                f"{what}={want!r}; host-time metrics skipped")
 
     for key, base_val in sorted(base.items()):
         if key not in fresh:
@@ -197,6 +212,7 @@ def update_baseline(benches, art_dir, baseline_path):
         doc = load_json(path)
         out[bench] = {"mode": doc.get("mode"),
                       "threads": threads_of(doc),
+                      "opt_flags": opt_flags_of(doc),
                       "metrics": flatten(doc)}
     with open(baseline_path, "w") as f:
         json.dump(out, f, indent=2, sort_keys=True)

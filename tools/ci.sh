@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # One-command CI pipeline, organised as named stages:
 #
-#   build    configure + build the default tree
+#   build    configure + build the default tree, warnings as errors
 #   test     tier-1 ctest suite
 #   lint     mcnsim_lint.py --check and mcnsim_analyze.py --check
 #            (the shard-safety analyzer: baseline drift + fixture
@@ -63,7 +63,9 @@ want() { case ",$STAGES," in *",$1,"*) return 0 ;; *) return 1 ;; esac; }
 
 if want build; then
     echo "== stage: build =="
-    cmake -B "$BUILD_DIR" -S "$REPO_ROOT"
+    # Warnings are errors here, so one that a compiler upgrade or
+    # -O2's extra analysis turns up fails CI instead of scrolling by.
+    cmake -B "$BUILD_DIR" -S "$REPO_ROOT" -DMCNSIM_WERROR=ON
     cmake --build "$BUILD_DIR" -j
 fi
 
