@@ -123,13 +123,19 @@ carve(std::uint8_t cls, std::size_t n)
     b->refs.store(1, std::memory_order_relaxed);
     b->cap = static_cast<std::uint32_t>(usable);
     b->cls = cls;
+    // Checked build: a fresh block starts poisoned like a recycled
+    // one, so bytes an acquire() caller skipped but never wrote read
+    // as 0xA5 whichever way the block arrived.
+    MCNSIM_IF_CHECKED(std::memset(b->bytes(), BufferPool::poisonByte,
+                                  usable);)
     return b;
 }
 
 } // namespace
 
 PktBuf *
-BufferPool::acquire(std::size_t n)
+BufferPool::acquire(std::size_t n, std::size_t skip,
+                    std::size_t skipLen)
 {
     std::uint8_t cls = classFor(n);
     Cache &c = cache();
@@ -147,8 +153,10 @@ BufferPool::acquire(std::size_t n)
     }
     b->len = static_cast<std::uint32_t>(n);
     MCNSIM_IF_CHECKED(b->magic = liveMagic;)
-    if (n)
-        std::memset(b->bytes(), 0, n);
+    std::size_t skipEnd = skip + skipLen;
+    MCNSIM_ASSERT(skipEnd <= n, "acquire skip range past the block");
+    std::memset(b->bytes(), 0, skip);
+    std::memset(b->bytes() + skipEnd, 0, n - skipEnd);
     return b;
 }
 

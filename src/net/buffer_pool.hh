@@ -98,11 +98,16 @@ class BufferPool
     static constexpr std::size_t cacheCap = 4096;
 
     /**
-     * Acquire a block with capacity >= @p n and refs == 1. Bytes
-     * [0, n) are zeroed (len = n), matching the value-initialised
-     * vector the pool replaced.
+     * Acquire a block with capacity >= @p n, refs == 1 and len ==
+     * n. Bytes [0, n) are zeroed, matching the value-initialised
+     * vector the pool replaced -- except [@p skip, @p skip + @p
+     * skipLen), which is left as it lies: the caller must write
+     * every byte of it before anything reads the block. Packets
+     * skip the payload they are about to fill and keep the
+     * headroom zeroed.
      */
-    static PktBuf *acquire(std::size_t n);
+    static PktBuf *acquire(std::size_t n, std::size_t skip = 0,
+                           std::size_t skipLen = 0);
 
     static void
     addRef(PktBuf *b)

@@ -1,7 +1,8 @@
 /**
  * @file
- * ByteRing: a growable circular byte buffer for the TCP send and
- * receive queues.
+ * ByteRing: a growable circular byte buffer (the TCP receive queue
+ * and the literal bytes of the send queue); SendQueue: the TCP send
+ * queue, which keeps pattern payload as descriptors.
  *
  * The queues used to be std::deque<uint8_t>: every appended byte
  * paid a deque emplace, and at iperf rates the per-byte bookkeeping
@@ -18,6 +19,11 @@
  * pair, so the ring starts small). Byte values and sizes are
  * exactly what the deque held -- host-side container choice only,
  * so modeled metrics are untouched (tools/check_perf.py pins that).
+ *
+ * The send side writes each payload byte once (DESIGN.md "Hot paths
+ * & buffer ownership"): SendQueue records sendPattern() bulk data as
+ * {base, len} runs and materialises bytes only when a segment is
+ * copied out, straight into the packet's pooled block.
  */
 
 #ifndef MCNSIM_NET_BYTE_RING_HH
@@ -28,12 +34,33 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <vector>
 
 #include "sim/logging.hh"
 
 namespace mcnsim::net {
+
+/** Write the test pattern ((base + i) & 0xff), i in [0, n), as
+ *  memcpy runs from a table that holds the 256-byte period plus one
+ *  chunk. iperf and MPI payloads are filled here; a byte loop's
+ *  speed swung by up to a third with nothing but where the linker
+ *  placed it. */
+inline void
+fillPattern(std::uint8_t *dst, std::size_t base, std::size_t n)
+{
+    constexpr std::size_t chunk = 4096;
+    static constexpr auto table = [] {
+        std::array<std::uint8_t, 256 + chunk> t{};
+        for (std::size_t i = 0; i < t.size(); ++i)
+            t[i] = static_cast<std::uint8_t>(i & 0xff);
+        return t;
+    }();
+    for (std::size_t off = 0; off < n; off += chunk)
+        std::memcpy(dst + off, &table[(base + off) & 0xff],
+                    std::min(chunk, n - off));
+}
 
 /** Growable circular byte FIFO with random-access reads. */
 class ByteRing
@@ -106,25 +133,6 @@ class ByteRing
   private:
     std::size_t wrap(std::size_t i) const { return i & (cap_ - 1); }
 
-    /** Write ((base + i) & 0xff) as memcpy runs from a table that
-     *  holds the 256-byte period plus one chunk. iperf and MPI
-     *  payloads are filled here; a byte loop's speed swung by up to
-     *  a third with nothing but where the linker placed it. */
-    static void
-    fillPattern(std::uint8_t *dst, std::size_t base, std::size_t n)
-    {
-        constexpr std::size_t chunk = 4096;
-        static constexpr auto table = [] {
-            std::array<std::uint8_t, 256 + chunk> t{};
-            for (std::size_t i = 0; i < t.size(); ++i)
-                t[i] = static_cast<std::uint8_t>(i & 0xff);
-            return t;
-        }();
-        for (std::size_t off = 0; off < n; off += chunk)
-            std::memcpy(dst + off, &table[(base + off) & 0xff],
-                        std::min(chunk, n - off));
-    }
-
     /** Grow to a power-of-two capacity >= @p need, linearising the
      *  live bytes into the new allocation. */
     void
@@ -148,6 +156,141 @@ class ByteRing
     std::size_t cap_ = 0;  ///< power of two (or 0 before first use)
     std::size_t head_ = 0; ///< index of the first live byte
     std::size_t size_ = 0; ///< live byte count
+};
+
+/**
+ * The TCP send queue: a byte FIFO whose pattern data stays a
+ * descriptor until read. It holds a deque of runs, each either
+ * pattern bytes ((base + i) & 0xff) or literal bytes parked in a
+ * ByteRing (the MPI header, any send(vector) data). copyOut() fills
+ * pattern runs with fillPattern() and copies literal runs from the
+ * ring, so a segment's payload is written once, into its packet.
+ *
+ * copyOut() resumes from a cursor left at the previous read, so
+ * reading a window segment by segment visits each run a bounded
+ * number of times instead of rescanning from the front (an MPI
+ * window holds tens of thousands of header + payload runs).
+ */
+class SendQueue
+{
+  public:
+    std::size_t size() const { return size_; }
+
+    /** Append @p n literal bytes from @p p. */
+    void
+    append(const std::uint8_t *p, std::size_t n)
+    {
+        if (n == 0)
+            return;
+        if (!runs_.empty() && !runs_.back().pattern)
+            runs_.back().len += n;
+        else
+            runs_.push_back(Run{n, litPopped_ + lit_.size(), false});
+        lit_.append(p, n);
+        size_ += n;
+    }
+
+    /** Append the n-byte test pattern ((base + i) & 0xff). Merges
+     *  with a preceding pattern run that it continues. */
+    void
+    appendPattern(std::size_t base, std::size_t n)
+    {
+        if (n == 0)
+            return;
+        if (!runs_.empty() && runs_.back().pattern &&
+            ((runs_.back().base + runs_.back().len) & 0xff) ==
+                (base & 0xff))
+            runs_.back().len += n;
+        else
+            runs_.push_back(Run{n, base, true});
+        size_ += n;
+    }
+
+    /** Copy bytes [off, off+n) into @p dst. */
+    void
+    copyOut(std::size_t off, std::size_t n, std::uint8_t *dst)
+    {
+        if (n == 0)
+            return;
+        MCNSIM_ASSERT(off + n <= size_, "SendQueue read past end");
+        if (off < curStart_) {
+            curIdx_ = 0;
+            curStart_ = 0;
+        }
+        while (curStart_ + runs_[curIdx_].len <= off) {
+            curStart_ += runs_[curIdx_].len;
+            ++curIdx_;
+            ++runVisits_;
+        }
+        std::size_t in = off - curStart_; // offset within the run
+        for (;;) {
+            ++runVisits_;
+            const Run &r = runs_[curIdx_];
+            std::size_t m = std::min(n, r.len - in);
+            if (r.pattern)
+                fillPattern(dst, r.base + in, m);
+            else
+                lit_.copyOut(r.base - litPopped_ + in, m, dst);
+            dst += m;
+            n -= m;
+            if (n == 0)
+                return; // cursor stays on the run holding the end
+            curStart_ += r.len;
+            ++curIdx_;
+            in = 0;
+        }
+    }
+
+    /** Drop the first @p n bytes. */
+    void
+    popFront(std::size_t n)
+    {
+        MCNSIM_ASSERT(n <= size_, "SendQueue pop past end");
+        size_ -= n;
+        while (n > 0) {
+            Run &r = runs_.front();
+            std::size_t m = std::min(n, r.len);
+            if (!r.pattern) {
+                lit_.popFront(m);
+                litPopped_ += m;
+            }
+            n -= m;
+            if (m < r.len) {
+                r.base += m;
+                r.len -= m;
+            } else {
+                runs_.pop_front();
+                if (curIdx_ > 0)
+                    --curIdx_;
+            }
+            // The cursor's run start moves with the front, except
+            // at the front run itself, which always starts at 0.
+            curStart_ = curIdx_ > 0 ? curStart_ - m : 0;
+        }
+    }
+
+    /** Runs stepped over or read by copyOut() so far (tests bound
+     *  the read cost with it). */
+    std::uint64_t runVisits() const { return runVisits_; }
+
+  private:
+    struct Run
+    {
+        std::size_t len;
+        /** Pattern: the first byte is (base & 0xff). Literal: the
+         *  first byte's position in the stream of all literal bytes
+         *  ever appended (ring offset = base - litPopped_). */
+        std::size_t base;
+        bool pattern;
+    };
+
+    std::deque<Run> runs_;
+    ByteRing lit_;               ///< literal bytes, in run order
+    std::size_t litPopped_ = 0;  ///< literal bytes ever popped
+    std::size_t size_ = 0;       ///< live byte count
+    std::size_t curIdx_ = 0;     ///< run index of the read cursor
+    std::size_t curStart_ = 0;   ///< queue offset where it starts
+    std::uint64_t runVisits_ = 0;
 };
 
 } // namespace mcnsim::net

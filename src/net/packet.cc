@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "net/byte_ring.hh"
 #include "sim/flow_stats.hh"
 #include "sim/logging.hh"
 
@@ -23,30 +24,30 @@ Packet::wrap(BufRef buf, std::size_t head, std::size_t tail)
 PacketPtr
 Packet::make(std::vector<std::uint8_t> payload, std::size_t headroom)
 {
-    std::size_t total = headroom + payload.size();
-    BufRef buf{BufferPool::acquire(total)};
-    if (!payload.empty())
-        std::memcpy(buf->bytes() + headroom, payload.data(),
-                    payload.size());
-    return wrap(std::move(buf), headroom, total);
+    return makeFilled(
+        payload.size(),
+        [&](std::uint8_t *p) {
+            if (!payload.empty())
+                std::memcpy(p, payload.data(), payload.size());
+        },
+        headroom);
 }
 
 PacketPtr
 Packet::makePattern(std::size_t n, std::uint8_t seed,
                     std::size_t headroom)
 {
-    BufRef buf{BufferPool::acquire(headroom + n)};
-    std::uint8_t *p = buf->bytes() + headroom;
-    for (std::size_t i = 0; i < n; ++i)
-        p[i] = static_cast<std::uint8_t>(seed + (i & 0xff));
-    return wrap(std::move(buf), headroom, headroom + n);
+    return makeFilled(
+        n, [&](std::uint8_t *p) { fillPattern(p, seed, n); },
+        headroom);
 }
 
 void
 Packet::detach(std::size_t headroom, std::size_t tailroom)
 {
     std::size_t n = size();
-    BufRef fresh{BufferPool::acquire(headroom + n + tailroom)};
+    BufRef fresh{
+        BufferPool::acquire(headroom + n + tailroom, headroom, n)};
     if (n)
         std::memcpy(fresh->bytes() + headroom, buf_->bytes() + head_,
                     n);
@@ -66,7 +67,7 @@ Packet::growTo(std::size_t newLen)
         buf_->len = static_cast<std::uint32_t>(newLen);
         return;
     }
-    BufRef fresh{BufferPool::acquire(newLen)};
+    BufRef fresh{BufferPool::acquire(newLen, 0, buf_->len)};
     if (buf_->len)
         std::memcpy(fresh->bytes(), buf_->bytes(), buf_->len);
     buf_ = std::move(fresh);

@@ -142,6 +142,23 @@ class Packet
                                  std::size_t headroom =
                                      defaultHeadroom);
 
+    /**
+     * Create a packet with an @p n-byte payload written in place by
+     * @p fill(ptr), which must write all of [ptr, ptr + n). The
+     * pool skips zeroing those bytes, so each payload byte is
+     * written once, straight into the pooled block; the headroom
+     * still reads zero.
+     */
+    template <typename Fill>
+    static PacketPtr
+    makeFilled(std::size_t n, Fill &&fill,
+               std::size_t headroom = defaultHeadroom)
+    {
+        BufRef buf{BufferPool::acquire(headroom + n, headroom, n)};
+        fill(buf->bytes() + headroom);
+        return wrap(std::move(buf), headroom, headroom + n);
+    }
+
     Packet(Priv, BufRef buf, std::size_t head, std::size_t tail)
         : buf_(std::move(buf)), head_(head), tail_(tail)
     {}

@@ -700,16 +700,11 @@ TcpSocket::emitSegment(std::uint32_t seq, std::uint32_t len,
 {
     const auto &costs = stack_.kernel().costs();
 
-    // Copy payload out of the send buffer.
-    std::vector<std::uint8_t> payload;
-    if (len > 0) {
-        std::uint32_t off = seq - sndUna_;
-        MCNSIM_ASSERT(off + len <= sndBuf_.size(),
-                      "segment beyond send buffer");
-        payload.resize(len);
-        sndBuf_.copyOut(off, len, payload.data());
-    }
-    auto pkt = Packet::make(std::move(payload));
+    // Write the payload straight from the send queue into the
+    // packet's pooled block.
+    auto pkt = Packet::makeFilled(len, [&](std::uint8_t *p) {
+        sndBuf_.copyOut(seq - sndUna_, len, p);
+    });
     pkt->tsoMss = tso_mss;
 
     TcpHeader h;

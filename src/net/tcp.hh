@@ -377,7 +377,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     std::weak_ptr<TcpSocket> parent_; ///< listener that spawned us
 
     // Send side.
-    ByteRing sndBuf_; ///< front == sndUna_
+    SendQueue sndBuf_; ///< front == sndUna_
     std::uint32_t iss_ = 0;
     std::uint32_t sndUna_ = 0;
     std::uint32_t sndNxt_ = 0;

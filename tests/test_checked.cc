@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -122,6 +123,53 @@ TEST(Checked, RecycledBlockReacquiresClean)
     auto fresh = net::Packet::makePattern(256, 9);
     EXPECT_NO_THROW(fresh->cdata());
     EXPECT_EQ(fresh->cdata()[0], 9);
+}
+
+TEST(Checked, PoisonNeverLeaksIntoFilledPackets)
+{
+    // acquire() leaves the caller-filled payload unzeroed, and a
+    // recycled block arrives full of 0xA5 poison. Every constructor
+    // that skips the payload must overwrite all of it, the headroom
+    // must still read zero, and so must a detach's tailroom.
+    auto recyclePoisoned = [] {
+        for (std::size_t bytes : net::BufferPool::classBytes)
+            net::Packet::makePattern(bytes, 0, 0);
+    };
+    auto zeros = [](const std::uint8_t *p, std::size_t n) {
+        for (std::size_t i = 0; i < n; ++i)
+            if (p[i] != 0)
+                return false;
+        return true;
+    };
+    constexpr std::size_t hr = net::Packet::defaultHeadroom;
+    std::vector<std::uint8_t> payload(700);
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<std::uint8_t>(i * 3);
+
+    recyclePoisoned();
+    auto filled = net::Packet::makeFilled(
+        payload.size(), [&](std::uint8_t *p) {
+            std::memcpy(p, payload.data(), payload.size());
+        });
+    EXPECT_EQ(filled->bytes(), payload);
+    EXPECT_TRUE(zeros(filled->push(hr), hr));
+
+    recyclePoisoned();
+    auto made = net::Packet::make(payload);
+    EXPECT_EQ(made->bytes(), payload);
+    EXPECT_TRUE(zeros(made->push(hr), hr));
+
+    recyclePoisoned();
+    auto pat = net::Packet::makePattern(payload.size(), 11);
+    auto pbytes = pat->bytes();
+    for (std::size_t i = 0; i < pbytes.size(); ++i)
+        ASSERT_EQ(pbytes[i], static_cast<std::uint8_t>(i + 11)) << i;
+    EXPECT_TRUE(zeros(pat->push(hr), hr));
+
+    auto c = made->clone();
+    recyclePoisoned();
+    std::uint8_t *tail = c->put(48);
+    EXPECT_TRUE(zeros(tail, 48));
 }
 
 TEST(Checked, RingCorruptionPanicsOnNextOperation)

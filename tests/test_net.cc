@@ -1,10 +1,16 @@
 /**
  * @file
- * Unit tests for packet buffers, checksums, Ethernet/IPv4/ICMP/UDP
- * wire formats, and interface-table routing semantics.
+ * Unit tests for the TCP send queue, packet buffers, checksums,
+ * Ethernet/IPv4/ICMP/UDP wire formats, and interface-table routing
+ * semantics.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstring>
+#include <vector>
 
 #include "net/byte_ring.hh"
 #include "net/checksum.hh"
@@ -36,6 +42,125 @@ TEST(ByteRingTest, PatternBytesAcrossChunksAndWrapSeam)
     for (std::size_t i = 0; i < got.size(); ++i)
         ASSERT_EQ(got[i], static_cast<std::uint8_t>((907 + i) & 0xff))
             << i;
+}
+
+TEST(SendQueueTest, MatchesByteRingReferenceUnderRandomOps)
+{
+    // Drive the lazy send queue and a fully materialised ByteRing
+    // with the same random mix of literal runs, pattern runs that do
+    // and do not merge, pops and reads; every read must agree. Reads
+    // start and end mid-run and span several runs; some walk forward
+    // from the last read's end (the cursor path), some jump back to
+    // the front (retransmits), some land anywhere.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed);
+        SendQueue q;
+        ByteRing ref;
+        std::size_t nextBase = 0; // continuing this base merges
+        std::size_t lastEnd = 0;
+        std::vector<std::uint8_t> a, b;
+        for (int step = 0; step < 3000; ++step) {
+            switch (rng.uniformInt(0, 5)) {
+            case 0: {
+                std::vector<std::uint8_t> lit(rng.uniformInt(1, 40));
+                for (auto &byte : lit)
+                    byte = static_cast<std::uint8_t>(
+                        rng.uniformInt(0, 255));
+                q.append(lit.data(), lit.size());
+                ref.append(lit.data(), lit.size());
+                break;
+            }
+            case 1: {
+                std::size_t n = rng.uniformInt(1, 3000);
+                std::size_t base;
+                switch (rng.uniformInt(0, 2)) {
+                case 0: base = nextBase; break;
+                case 1: base = nextBase + 256 * 3; break;
+                default: base = rng.uniformInt(0, 1 << 20); break;
+                }
+                q.appendPattern(base, n);
+                ref.appendPattern(base, n);
+                nextBase = base + n;
+                break;
+            }
+            case 2: {
+                std::size_t n = rng.uniformInt(0, ref.size() / 3);
+                q.popFront(n);
+                ref.popFront(n);
+                lastEnd = lastEnd > n ? lastEnd - n : 0;
+                break;
+            }
+            default: {
+                if (ref.empty())
+                    break;
+                std::size_t off;
+                switch (rng.uniformInt(0, 2)) {
+                case 0: off = std::min(lastEnd, ref.size() - 1); break;
+                case 1: off = 0; break;
+                default: off = rng.uniformInt(0, ref.size() - 1); break;
+                }
+                std::size_t n = rng.uniformInt(
+                    1, std::min<std::size_t>(ref.size() - off, 5000));
+                a.assign(n, 0);
+                b.assign(n, 1);
+                q.copyOut(off, n, a.data());
+                ref.copyOut(off, n, b.data());
+                ASSERT_EQ(a, b) << "seed " << seed << " step " << step
+                                << " off " << off << " n " << n;
+                lastEnd = off + n;
+                break;
+            }
+            }
+            ASSERT_EQ(q.size(), ref.size());
+        }
+        std::vector<std::uint8_t> rest(ref.size());
+        q.copyOut(0, rest.size(), rest.data());
+        EXPECT_EQ(rest, ref.take(ref.size())) << "seed " << seed;
+    }
+}
+
+TEST(SendQueueTest, SegmentReadsOfManyTinyMessagesStayLinear)
+{
+    // An MPI window: 50 000 messages of a 12-byte header plus a
+    // short pattern payload, 100 000 runs that never merge. Reading
+    // it back one MSS segment at a time, with ACK-style pops behind
+    // the reads, must visit each run a bounded number of times; a
+    // rescan from the front per segment would be quadratic.
+    constexpr std::size_t msgs = 50'000;
+    constexpr std::size_t mss = 1448;
+    SendQueue q;
+    ByteRing ref;
+    for (std::size_t k = 0; k < msgs; ++k) {
+        std::array<std::uint8_t, 12> hdr{};
+        for (std::size_t j = 0; j < hdr.size(); ++j)
+            hdr[j] = static_cast<std::uint8_t>(k * 31 + j);
+        std::size_t n = 1 + (k * 37) % 300;
+        q.append(hdr.data(), hdr.size());
+        q.appendPattern(0, n);
+        ref.append(hdr.data(), hdr.size());
+        ref.appendPattern(0, n);
+    }
+    const std::uint64_t runs = 2 * msgs;
+    std::size_t segments = 0;
+    std::size_t una = 0; // bytes popped so far
+    std::vector<std::uint8_t> a(mss), b(mss);
+    for (std::size_t off = 0; off < ref.size() + una;) {
+        std::size_t rel = off - una;
+        std::size_t n = std::min(mss, q.size() - rel);
+        q.copyOut(rel, n, a.data());
+        ref.copyOut(rel, n, b.data());
+        ASSERT_TRUE(std::equal(a.begin(), a.begin() + n, b.begin()))
+            << "segment at " << off;
+        off += n;
+        if (++segments % 4 == 0) { // ACK all but the last segment
+            std::size_t acked = off - una - n;
+            q.popFront(acked);
+            ref.popFront(acked);
+            una += acked;
+        }
+    }
+    EXPECT_GT(segments, 1000u);
+    EXPECT_LE(q.runVisits(), 2 * runs + 2 * segments);
 }
 
 TEST(PacketBuf, PushPullRoundTrip)
@@ -166,6 +291,82 @@ TEST(PacketBuf, PoolRecyclesBlocksAcrossPackets)
     auto fin = classTotals();
     EXPECT_GT(fin[0], mid[0]);
     EXPECT_EQ(fin[1], mid[1]) << "warm-cache alloc carved a block";
+}
+
+namespace {
+
+/** Leave blocks holding non-zero bytes at the top of every size
+ *  class's free list, so the next acquire() of any class recycles
+ *  a dirty block. */
+void
+dirtyPoolBlocks()
+{
+    std::vector<PacketPtr> hold;
+    for (std::size_t bytes : BufferPool::classBytes)
+        for (int i = 0; i < 4; ++i)
+            hold.push_back(Packet::makeFilled(
+                bytes,
+                [bytes](std::uint8_t *p) {
+                    std::memset(p, 0xff, bytes);
+                },
+                0));
+}
+
+/** True when @p n bytes at @p p all read zero. */
+bool
+allZero(const std::uint8_t *p, std::size_t n)
+{
+    return std::all_of(p, p + n, [](std::uint8_t b) { return b == 0; });
+}
+
+} // namespace
+
+TEST(PacketBuf, RecycledBlockReadsWrittenPayloadAndZeroHeadroom)
+{
+    // acquire() skips zeroing only the payload the caller fills, so
+    // on a recycled block the payload reads exactly what was written
+    // and the headroom still reads zero.
+    std::vector<std::uint8_t> payload(1000);
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<std::uint8_t>(i * 7 + 1);
+    auto expectPacket = [](PacketPtr pkt,
+                           const std::vector<std::uint8_t> &want) {
+        EXPECT_EQ(pkt->bytes(), want);
+        std::uint8_t *head = pkt->push(Packet::defaultHeadroom);
+        EXPECT_TRUE(allZero(head, Packet::defaultHeadroom));
+    };
+
+    dirtyPoolBlocks();
+    expectPacket(Packet::makeFilled(payload.size(),
+                                    [&](std::uint8_t *p) {
+                                        std::memcpy(p, payload.data(),
+                                                    payload.size());
+                                    }),
+                 payload);
+    dirtyPoolBlocks();
+    expectPacket(Packet::make(payload), payload);
+    dirtyPoolBlocks();
+    std::vector<std::uint8_t> pattern(3000);
+    for (std::size_t i = 0; i < pattern.size(); ++i)
+        pattern[i] = static_cast<std::uint8_t>(i + 200);
+    expectPacket(Packet::makePattern(pattern.size(), 200), pattern);
+}
+
+TEST(PacketBuf, DetachTailroomReadsZeroOnRecycledBlock)
+{
+    // A put() on a shared packet detaches into a fresh block with
+    // tailroom: the live view is copied over, the new tail reads
+    // zero, exactly as the value-initialised vector did.
+    auto pkt = Packet::makePattern(100, 5);
+    auto c = pkt->clone();
+    dirtyPoolBlocks();
+    std::uint8_t *tail = c->put(64);
+    EXPECT_FALSE(c->sharesBufferWith(*pkt));
+    EXPECT_TRUE(allZero(tail, 64));
+    auto got = c->bytes();
+    ASSERT_EQ(got.size(), 164u);
+    for (std::size_t i = 0; i < 100; ++i)
+        ASSERT_EQ(got[i], static_cast<std::uint8_t>(i + 5)) << i;
 }
 
 TEST(PacketBuf, PoolClassSelection)

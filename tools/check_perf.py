@@ -24,7 +24,11 @@ independent (DESIGN.md §9) and stay checked. The same holds for the
 optimisation flags the bench binary was built with (the artifact's
 ``build.opt_flags``): an ``-O1`` baseline says nothing about an
 ``-O2`` build's wall clock, so differing flags skip the host-time
-bands too, while modeled metrics stay checked.
+bands too, while modeled metrics stay checked. ``--modeled-only``
+skips the host-time bands the same way for every bench: CI runs the
+gate like that on every build (shared boxes are too noisy for wall
+clock bands), so the modeled metrics of every artifact are checked
+for bit-identity on every run.
 
 The modeled-metric bit-identity check doubles as the proof that the
 determinism-contract annotations (MCNSIM_SHARD_SAFE,
@@ -34,12 +38,13 @@ byte-for-byte unchanged, and this gate keeps it that way.
 
 Usage:
   tools/check_perf.py [--baseline FILE] [--artifacts-dir DIR]
-                      [--update] [BENCH ...]
+                      [--update] [--modeled-only] [BENCH ...]
 
 With no BENCH names, every bench present in the baseline is checked.
-``--update`` rewrites the baseline from the fresh artifacts instead
-of checking (run it after an intentional perf or model change, and
-commit the result).
+``--update`` rewrites the baseline entries of the named benches (all
+of them by default) from the fresh artifacts instead of checking,
+keeping the entries of benches not named (run it after an
+intentional perf or model change, and commit the result).
 """
 
 import argparse
@@ -105,7 +110,7 @@ def flatten(doc):
 
 
 def check_bench(bench, base_entry, art_dir, problems, notes,
-                deltas):
+                deltas, modeled_only=False):
     path = artifact_path(art_dir, bench)
     if not os.path.exists(path):
         problems.append(f"{bench}: artifact {path} missing")
@@ -126,7 +131,10 @@ def check_bench(bench, base_entry, art_dir, problems, notes,
     # wall clock, or onto it on an oversubscribed box) and the same
     # optimisation flags. Modeled metrics depend on neither
     # (DESIGN.md §9) and stay gated.
-    skip_perf = False
+    skip_perf = modeled_only
+    if modeled_only:
+        notes.append(f"{bench}: --modeled-only; host-time metrics "
+                     f"skipped")
     for what, got, want in (
             ("threads", threads_of(doc), base_entry.get("threads", 1)),
             ("opt_flags", opt_flags_of(doc),
@@ -202,11 +210,12 @@ def print_delta_table(deltas):
 
 
 def update_baseline(benches, art_dir, baseline_path):
-    out = {}
+    out = (load_json(baseline_path) if os.path.exists(baseline_path)
+           else {})
     for bench in benches:
         path = artifact_path(art_dir, bench)
         if not os.path.exists(path):
-            print(f"warning: {path} missing; not in baseline",
+            print(f"warning: {path} missing; baseline entry kept",
                   file=sys.stderr)
             continue
         doc = load_json(path)
@@ -236,6 +245,9 @@ def main():
     ap.add_argument("--artifacts-dir", default=repo_root)
     ap.add_argument("--update", action="store_true",
                     help="rewrite the baseline from fresh artifacts")
+    ap.add_argument("--modeled-only", action="store_true",
+                    help="check modeled metrics only; skip the "
+                         "host-time bands")
     args = ap.parse_args()
 
     if args.update:
@@ -266,7 +278,7 @@ def main():
                          f"(--update to add)")
             continue
         check_bench(bench, baseline[bench], args.artifacts_dir,
-                    problems, notes, deltas)
+                    problems, notes, deltas, args.modeled_only)
 
     for n in notes:
         print(f"note: {n}")

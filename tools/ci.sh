@@ -6,8 +6,11 @@
 #   lint     mcnsim_lint.py --check and mcnsim_analyze.py --check
 #            (the shard-safety analyzer: baseline drift + fixture
 #            self-test), plus clang-tidy when installed
-#   benches  regenerate bench artifacts (perf gate skipped -- CI
-#            boxes are too noisy; run tools/run_benches.sh locally)
+#   benches  regenerate bench artifacts and gate their modeled
+#            metrics (tools/check_perf.py --modeled-only): every
+#            artifact must match the committed baseline bit for
+#            bit. Host-time bands are skipped -- CI boxes are too
+#            noisy; the perf stage runs them
 #   perf     regenerate bench artifacts AND run the
 #            tools/check_perf.py gate: host-time bands plus
 #            bit-identical modeled metrics. Off by default for the
@@ -52,7 +55,7 @@ while [ $# -gt 0 ]; do
         --with-perf) STAGES="$STAGES,perf" ;;
         --stages) STAGES="$2"; shift ;;
         -h|--help)
-            sed -n '2,26p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
             exit 0 ;;
         *) echo "unknown option: $1" >&2; exit 2 ;;
     esac
@@ -95,9 +98,9 @@ fi
 
 if want benches; then
     echo
-    echo "== stage: benches (perf gate skipped) =="
+    echo "== stage: benches (modeled metrics gated) =="
     "$REPO_ROOT/tools/run_benches.sh" --quick \
-        --build-dir "$BUILD_DIR" --skip-perf
+        --build-dir "$BUILD_DIR" --modeled-only
 fi
 
 if want perf; then

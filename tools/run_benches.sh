@@ -8,12 +8,14 @@
 #
 # After regeneration the perf gate (tools/check_perf.py) compares
 # the artifacts against tools/perf_baseline.json and fails on
-# regressions. --skip-perf disables the gate; --update-baseline
-# rewrites the baseline from the fresh artifacts instead.
+# regressions. --modeled-only gates the modeled metrics alone
+# (skipping the host-time bands); --skip-perf disables the gate;
+# --update-baseline rewrites the baseline from the fresh artifacts
+# instead.
 #
 # Usage: tools/run_benches.sh [--quick|--full]
 #                             [--build-dir DIR] [--out-dir DIR]
-#                             [--only NAME]
+#                             [--only NAME] [--modeled-only]
 #                             [--skip-perf] [--update-baseline]
 set -u
 
@@ -23,6 +25,7 @@ BUILD_DIR="$REPO_ROOT/build"
 OUT_DIR="$REPO_ROOT"
 ONLY=""
 SKIP_PERF=0
+MODELED_ONLY=""
 UPDATE_BASELINE=0
 
 while [ $# -gt 0 ]; do
@@ -32,9 +35,10 @@ while [ $# -gt 0 ]; do
         --out-dir) OUT_DIR="$2"; shift ;;
         --only) ONLY="$2"; shift ;;
         --skip-perf) SKIP_PERF=1 ;;
+        --modeled-only) MODELED_ONLY=--modeled-only ;;
         --update-baseline) UPDATE_BASELINE=1 ;;
         -h|--help)
-            sed -n '2,17p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,19p' "$0" | sed 's/^# \{0,1\}//'
             exit 0 ;;
         *) echo "unknown option: $1" >&2; exit 2 ;;
     esac
@@ -120,4 +124,4 @@ echo
 echo "== perf gate =="
 # shellcheck disable=SC2086
 python3 "$REPO_ROOT/tools/check_perf.py" \
-    --artifacts-dir "$OUT_DIR" $ran_names
+    --artifacts-dir "$OUT_DIR" $MODELED_ONLY $ran_names
