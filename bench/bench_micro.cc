@@ -2,14 +2,17 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
  * event queue churn, internet checksum, SRAM message rings,
- * interleave address math, and hardware TSO segmentation. These
- * guard the simulator's own performance (a full Fig. 8(a) sweep
- * pushes tens of millions of events).
+ * interleave address math, hardware TSO segmentation, and the
+ * sharded engine's per-window cost. These guard the simulator's own
+ * performance (a full Fig. 8(a) sweep pushes tens of millions of
+ * events).
  */
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "netdev/ethernet_switch.hh"
 #include "netdev/nic.hh"
 #include "sim/event_queue.hh"
+#include "sim/shard.hh"
 #include "sim/simulation.hh"
 #include "sim/timer_wheel.hh"
 
@@ -281,6 +285,49 @@ BM_TsoSegmentation(benchmark::State &state)
 }
 BENCHMARK(BM_TsoSegmentation);
 
+static void
+BM_ShardWindow(benchmark::State &state)
+{
+    // The sharded engine's cost per window: 85 shards (a 64-node fat
+    // tree's count) and sparse mail -- four balls hopping to a random
+    // shard one lookahead out, so every window holds four events and
+    // four posts. The window loop, not event work, dominates.
+    constexpr std::size_t shards = 85;
+    constexpr sim::Tick lookahead = sim::oneUs;
+    constexpr sim::Tick windowsPerRun = 64;
+    sim::ShardSet set;
+    std::vector<std::unique_ptr<sim::EventQueue>> queues;
+    for (std::size_t i = 0; i < shards; ++i) {
+        queues.push_back(std::make_unique<sim::EventQueue>("shard"));
+        set.addQueue(queues.back().get());
+        if (i > 0)
+            set.addEdge(0, i, lookahead);
+    }
+    std::function<void(std::size_t, std::uint32_t)> hop =
+        [&](std::size_t at, std::uint32_t ball) {
+            ball = ball * 1664525u + 1013904223u;
+            const std::size_t to = (ball >> 8) % shards;
+            set.post(at, to, queues[at]->curTick() + lookahead,
+                     sim::EventPriority::Default, "bench.ball",
+                     [&hop, to, ball] { hop(to, ball); });
+        };
+    for (std::uint32_t b = 0; b < 4; ++b) {
+        const std::size_t at = b * 21;
+        queues[at]->schedule([&hop, at, b] { hop(at, b + 1); }, 0,
+                             "bench.serve");
+    }
+    const auto workers = static_cast<unsigned>(state.range(0));
+    sim::Tick until = 0;
+    for (auto _ : state) {
+        until += windowsPerRun * lookahead;
+        set.run(until, workers);
+    }
+    state.counters["ops"] = benchmark::Counter(
+        static_cast<double>(set.windowsRun()),
+        benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_ShardWindow)->Arg(1)->Arg(2);
+
 namespace {
 
 /** Console output plus a captured (name, real time) per run, so
@@ -303,6 +350,11 @@ class CaptureReporter : public benchmark::ConsoleReporter
                     return r.first == run.benchmark_name();
                 });
             double t = run.GetAdjustedRealTime();
+            // A bench that does several operations per iteration
+            // counts them in an "ops" counter: record time per op.
+            if (auto ops = run.counters.find("ops");
+                ops != run.counters.end() && ops->second.value > 0)
+                t /= ops->second.value;
             if (it == runs.end())
                 runs.emplace_back(run.benchmark_name(), t);
             else

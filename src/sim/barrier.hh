@@ -1,12 +1,13 @@
 /**
  * @file
  * SpinBarrier: the synchronization point between parallel-simulation
- * window phases (see sim/shard.hh and DESIGN.md §9).
+ * windows (see sim/shard.hh and DESIGN.md §9).
  *
- * A conservative-lookahead window is three short phases (drain
- * mailboxes, pick the window end, execute), each a handful of
- * microseconds of host work, so the barrier must cost less than a
- * condition variable's syscall round trip. This one is a classic
+ * The window loop crosses it once per window -- after every worker
+ * has published its horizon contribution -- and once more as the
+ * exit latch of a run. A window is a handful of microseconds of
+ * host work, so the barrier must cost less than a condition
+ * variable's syscall round trip. This one is a classic
  * generation-counting (sense-reversing) barrier: the last arriver
  * bumps the generation and wakes the rest, waiters spin briefly on
  * the generation word and then fall back to C++20 atomic wait so an
@@ -15,14 +16,15 @@
  * Usage:
  *
  *   sim::SpinBarrier bar(workers);
- *   // on every worker thread, once per phase:
+ *   // on every worker thread, once per window:
  *   bar.arriveAndWait();
  *
  * The barrier provides acquire/release ordering: every write made
  * before arriveAndWait() is visible to every thread after it
  * returns. That ordering is what lets the window loop keep its
- * shared state (window end, horizon, done flag) as plain members
- * written in single-writer phases.
+ * shared state (horizon slots, parity inboxes) as plain members,
+ * each written by one worker and read by others only after the
+ * next crossing.
  */
 
 #ifndef MCNSIM_SIM_BARRIER_HH
@@ -48,7 +50,7 @@ class SpinBarrier
     /**
      * Block until all count() threads have arrived. The last
      * arriver releases the rest; the generation counter makes the
-     * barrier immediately reusable for the next phase.
+     * barrier immediately reusable for the next window.
      */
     void
     arriveAndWait()
@@ -63,9 +65,9 @@ class SpinBarrier
             gen_.notify_all();
             return;
         }
-        // Spin a little first: phases are short, and the futex round
+        // Spin a little first: windows are short, and the futex round
         // trip of atomic wait usually costs more than the remaining
-        // phase time. Fall back to wait() so an oversubscribed or
+        // window time. Fall back to wait() so an oversubscribed or
         // descheduled sibling cannot pin a core.
         for (int i = 0; i < spinRounds; ++i) {
             if (gen_.load(std::memory_order_acquire) != gen)

@@ -1,6 +1,7 @@
 #include "sim/shard.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <iterator>
 
 #include "sim/fault.hh"
@@ -26,11 +27,6 @@ ShardSet::addQueue(EventQueue *q)
     MCNSIM_ASSERT(!running_, "addQueue during run");
     q->setShardIndex(queues_.size());
     queues_.push_back(q);
-    const std::size_t n = queues_.size();
-    inbox_.resize(n);
-    for (auto &row : inbox_)
-        row.resize(n);
-    scratch_.resize(n);
 }
 
 void
@@ -59,21 +55,35 @@ ShardSet::post(std::size_t src, std::size_t dst, Tick when,
         queues_[dst]->schedule(std::move(fn), when, name, prio);
         return;
     }
+    // Only src's owner runs src, so its state is this thread's.
+    const std::size_t writer = src % assignWorkers_;
+    Worker &me = workers_[writer];
     // The lookahead contract is load-bearing in every build: the
     // destination shard may already be executing past `when` on
     // another thread, so a below-horizon post cannot be honored.
-    if (when < windowEnd_) {
+    if (when < me.windowEnd) {
         panic("cross-shard post below the lookahead horizon: event '",
               name, "' from shard ", src, " to shard ", dst,
               " lands at tick ", when, " but the current window ends "
-              "at tick ", windowEnd_, " (lookahead ", lookahead_,
+              "at tick ", me.windowEnd, " (lookahead ", lookahead_,
               "); cross-shard events must travel over a registered "
               "edge whose latency >= the lookahead (see DESIGN.md "
               "§9)");
     }
-    auto &mb = inbox_[dst][src];
-    mb.msgs.push_back(Msg{when, prio, static_cast<std::uint32_t>(src),
-                          mb.nextSeq++, name, std::move(fn)});
+    me.postMin = std::min(me.postMin, when);
+    auto &box = inbox_[dst * assignWorkers_ + writer].msgs[me.parity];
+    box.push_back(Msg{when, prio, static_cast<std::uint32_t>(src),
+                      box.size(), name, std::move(fn)});
+}
+
+std::vector<ShardSet::WorkerTime>
+ShardSet::workerTimes() const
+{
+    std::vector<WorkerTime> out;
+    out.reserve(workers_.size());
+    for (const auto &w : workers_)
+        out.push_back(w.time);
+    return out;
 }
 
 void
@@ -102,25 +112,6 @@ ShardSet::workerMain(unsigned idx)
     }
 }
 
-void
-ShardSet::recordError()
-{
-    std::lock_guard<std::mutex> lk(errorMutex_);
-    if (!error_)
-        error_ = std::current_exception();
-    errored_.store(true, std::memory_order_release);
-}
-
-void
-ShardSet::atomicMinTick(std::atomic<Tick> &a, Tick v)
-{
-    Tick cur = a.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !a.compare_exchange_weak(cur, v,
-                                    std::memory_order_relaxed))
-        ;
-}
-
 Tick
 ShardSet::windowEndFor(Tick h) const
 {
@@ -136,104 +127,150 @@ ShardSet::windowEndFor(Tick h) const
 }
 
 void
-ShardSet::drainInbox(std::size_t dst)
+ShardSet::drainInbox(std::size_t dst, unsigned parity,
+                     std::vector<Msg> &scratch)
 {
-    auto &sc = scratch_[dst];
-    sc.clear();
-    for (auto &mb : inbox_[dst]) {
-        if (mb.msgs.empty())
+    // Most windows bring a shard no mail, and most that do bring it
+    // from one writer: sort that inbox in place. Only mail from
+    // several writers is gathered into the scratch buffer.
+    std::vector<Msg> *mail = nullptr;
+    for (unsigned w = 0; w < assignWorkers_; ++w) {
+        auto &box = inbox_[dst * assignWorkers_ + w].msgs[parity];
+        if (box.empty())
             continue;
-        sc.insert(sc.end(),
-                  std::make_move_iterator(mb.msgs.begin()),
-                  std::make_move_iterator(mb.msgs.end()));
-        mb.msgs.clear();
+        if (!mail) {
+            mail = &box;
+            continue;
+        }
+        if (mail != &scratch) {
+            scratch.assign(std::make_move_iterator(mail->begin()),
+                           std::make_move_iterator(mail->end()));
+            mail->clear();
+            mail = &scratch;
+        }
+        scratch.insert(scratch.end(),
+                       std::make_move_iterator(box.begin()),
+                       std::make_move_iterator(box.end()));
+        box.clear();
     }
-    if (sc.empty())
+    if (!mail)
         return;
     // The merge key. Everything in it is simulation state -- tick,
-    // priority, topology index, per-mailbox message count -- so the
-    // resulting schedule() order (and hence the destination queue's
-    // sequence numbers) is identical for every thread count.
-    std::sort(sc.begin(), sc.end(), [](const Msg &a, const Msg &b) {
-        if (a.when != b.when)
-            return a.when < b.when;
-        if (a.prio != b.prio)
-            return static_cast<int>(a.prio) < static_cast<int>(b.prio);
-        if (a.srcShard != b.srcShard)
-            return a.srcShard < b.srcShard;
-        return a.seq < b.seq;
-    });
+    // priority, topology index, position among the source's posts --
+    // so the resulting schedule() order (and hence the destination
+    // queue's sequence numbers) is identical for every thread count.
+    std::sort(mail->begin(), mail->end(),
+              [](const Msg &a, const Msg &b) {
+                  if (a.when != b.when)
+                      return a.when < b.when;
+                  if (a.prio != b.prio)
+                      return static_cast<int>(a.prio) <
+                             static_cast<int>(b.prio);
+                  if (a.srcShard != b.srcShard)
+                      return a.srcShard < b.srcShard;
+                  return a.seq < b.seq;
+              });
     EventQueue &q = *queues_[dst];
-    for (auto &m : sc)
+    for (auto &m : *mail)
         q.schedule(std::move(m.fn), m.when, m.name, m.prio);
-    sc.clear();
+    mail->clear();
 }
+
+namespace {
+
+std::uint64_t
+hostNs()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+} // namespace
 
 void
 ShardSet::windowLoop(unsigned w)
 {
     SpinBarrier &bar = *barrier_;
-    for (;;) {
-        // Barrier A: last window's mailbox appends are visible.
-        bar.arriveAndWait();
+    const unsigned parties = bar.count();
+    const std::size_t stride = assignWorkers_;
+    const std::size_t first = w < assignWorkers_ ? w : queues_.size();
+    Worker &me = workers_[w];
 
-        // Phase 1 (parallel): merge inboxes, contribute to the
-        // global horizon. Shards are strided across the workers
-        // that own shards this run; extra pool threads idle
-        // through the barriers.
-        try {
-            if (w < assignWorkers_) {
-                for (std::size_t s = w; s < queues_.size();
-                     s += assignWorkers_) {
-                    drainInbox(s);
-                    atomicMinTick(horizon_,
-                                  queues_[s]->nextEventTick());
-                }
-            }
-        } catch (...) {
-            recordError();
-        }
-
-        // Barrier B: horizon complete.
-        bar.arriveAndWait();
-
-        // Phase 2 (worker 0 only): pick the window or finish.
-        if (w == 0) {
-            const Tick h = horizon_.load(std::memory_order_relaxed);
-            if (errored_.load(std::memory_order_acquire) ||
-                h == maxTick || h > until_) {
-                done_ = true;
-            } else {
-                done_ = false;
-                windowEnd_ = windowEndFor(h);
-                horizon_.store(maxTick, std::memory_order_relaxed);
-                ++windows_;
-            }
-        }
-
-        // Barrier C: window end (or done flag) published.
-        bar.arriveAndWait();
-        if (done_) {
-            // Barrier D: nobody leaves until every participant has
-            // read done_. The coordinator resets it for the next
-            // run() the moment it returns; a late reader would see
-            // false, loop back to barrier A with no run active, and
-            // strand itself (deadlocking the eventual join).
+    // Cross the barrier; when profiling, the time since the last
+    // crossing counts as busy and the time inside it as wait.
+    std::uint64_t mark = profiling_ ? hostNs() : 0;
+    auto cross = [&] {
+        if (!profiling_) {
             bar.arriveAndWait();
             return;
         }
+        const std::uint64_t arrive = hostNs();
+        me.time.busyNs += arrive - mark;
+        bar.arriveAndWait();
+        mark = hostNs();
+        me.time.waitNs += mark - arrive;
+    };
 
-        // Phase 3 (parallel): execute the window on owned shards.
+    unsigned k = 0; // parity of the window being decided
+    for (;; k ^= 1) {
+        // Publish this worker's horizon contribution: its shards'
+        // earliest events, and the earliest mail it posted in the
+        // window just run (not yet merged into any queue).
+        Tick next = me.postMin;
+        for (std::size_t s = first; s < queues_.size(); s += stride)
+            next = std::min(next, queues_[s]->nextEventTick());
+        slots_[k * parties + w] = Slot{next, me.failed};
+        me.postMin = maxTick;
+
+        cross();
+
+        // Every worker reduces the same slots, so all agree on the
+        // window end -- or on stopping -- without a second barrier.
+        Tick h = maxTick;
+        bool failed = false;
+        for (unsigned i = 0; i < parties; ++i) {
+            const Slot &o = slots_[k * parties + i];
+            h = std::min(h, o.next);
+            failed = failed || o.failed;
+        }
+        if (failed || h == maxTick || h > until_)
+            break;
+        me.windowEnd = windowEndFor(h);
+        me.parity = k;
+        if (w == 0)
+            ++windows_;
+
+        // Merge the previous window's mail, then run the window.
         try {
-            if (w < assignWorkers_) {
-                for (std::size_t s = w; s < queues_.size();
-                     s += assignWorkers_)
-                    queues_[s]->runWindow(windowEnd_);
+            for (std::size_t s = first; s < queues_.size();
+                 s += stride) {
+                drainInbox(s, k ^ 1, me.scratch);
+                queues_[s]->runWindow(me.windowEnd);
             }
         } catch (...) {
-            recordError();
+            me.error = std::current_exception();
+            me.failed = true;
         }
     }
+
+    // The horizon passed `until`, so the last window's mail lands
+    // after it: merge it now, leaving every inbox empty for the next
+    // run() slice. (Parity k is empty too unless a failure cut the
+    // last window's merge short.) The exit latch keeps the caller
+    // from returning -- and a next run() from rewriting the slots --
+    // until every worker is done with them.
+    try {
+        for (std::size_t s = first; s < queues_.size(); s += stride) {
+            drainInbox(s, k, me.scratch);
+            drainInbox(s, k ^ 1, me.scratch);
+        }
+    } catch (...) {
+        if (!me.error)
+            me.error = std::current_exception();
+    }
+    cross();
 }
 
 Tick
@@ -263,11 +300,20 @@ ShardSet::run(Tick until, unsigned workers)
     assignWorkers_ =
         startedWorkers_ ? std::min(workers, startedWorkers_) : 1;
 
+    // Size the per-run tables. Inboxes are empty between runs, so a
+    // changed worker count may re-lay them out freely.
+    const unsigned parties = barrier_->count();
+    inbox_.resize(queues_.size() * assignWorkers_);
+    slots_.resize(2 * std::size_t{parties});
+    workers_.resize(parties);
+    for (auto &wk : workers_) {
+        wk.parity = 0;
+        wk.windowEnd = 0;
+        wk.postMin = maxTick;
+        wk.failed = false;
+        wk.error = nullptr;
+    }
     until_ = until;
-    done_ = false;
-    horizon_.store(maxTick, std::memory_order_relaxed);
-    errored_.store(false, std::memory_order_relaxed);
-    error_ = nullptr;
     running_ = true;
 
     if (startedWorkers_ > 1) {
@@ -280,11 +326,9 @@ ShardSet::run(Tick until, unsigned workers)
     windowLoop(0); // the caller is worker 0
     running_ = false;
 
-    if (error_) {
-        std::exception_ptr e = error_;
-        error_ = nullptr;
-        std::rethrow_exception(e);
-    }
+    for (const auto &wk : workers_)
+        if (wk.error)
+            std::rethrow_exception(wk.error);
 
     // Mirror EventQueue::run: fast-forward every shard's clock to
     // the requested bound so curTick() agrees across shards between

@@ -11,22 +11,34 @@
  *  - Every shard is one EventQueue plus the components built inside
  *    its Simulation::ShardScope. Components interact freely within
  *    a shard (same queue, same thread during a window).
- *  - Time advances in windows. Each window, the set computes the
- *    global horizon h = min over shards of the next event tick,
- *    then every shard executes its events with tick < h + L in
- *    parallel, where L is the lookahead: the smallest latency of
- *    any registered inter-shard edge (addEdge). Events a shard
- *    creates for itself are unrestricted; events crossing shards
- *    must land at or beyond the current window end, which the
- *    physical link latency guarantees.
+ *  - Time advances in windows. Each window starts from the global
+ *    horizon h = the earliest pending event anywhere, counting mail
+ *    still in flight; every shard then executes its events with
+ *    tick < h + L in parallel, where L is the lookahead: the
+ *    smallest latency of any registered inter-shard edge (addEdge).
+ *    Events a shard creates for itself are unrestricted; events
+ *    crossing shards must land at or beyond the current window end,
+ *    which the physical link latency guarantees.
+ *  - A window costs one barrier. Before it, each worker publishes
+ *    its horizon contribution -- the earliest event on the shards
+ *    it owns and the earliest message it posted -- in its own slot;
+ *    after it, every worker reduces the slots itself and arrives at
+ *    the same window end. Slots alternate by window parity, so a
+ *    fast worker's next contribution never overwrites one a slow
+ *    worker is still reading.
  *  - Cross-shard events travel as mailbox messages, not direct
- *    schedule() calls. Each (src, dst) pair has a single-writer
- *    mailbox; messages carry a deterministic (tick, priority,
- *    srcShard, srcSeq) key and are merged into the destination
- *    queue -- in exactly that order -- at the window boundary.
- *    The merge order is therefore a pure function of simulation
- *    state, never of thread scheduling, which is why an N-thread
- *    run is byte-identical to a 1-thread run.
+ *    schedule() calls. Each (destination, writing worker) pair has
+ *    a single-writer inbox, again one per window parity: posts of
+ *    window k go to the parity-k inbox, and during window k+1 the
+ *    destination's owner merges them -- sorted by the deterministic
+ *    key (tick, priority, srcShard, seq) -- before running the
+ *    shard. The merge order is therefore a pure function of
+ *    simulation state, never of thread scheduling, which is why an
+ *    N-thread run is byte-identical to a 1-thread run.
+ *  - run() ends when the horizon passes its bound. The last
+ *    window's mail is merged on the way out and one exit latch
+ *    holds the workers until every inbox is empty, so the next
+ *    run() slice starts with all pending work in the queues.
  *
  * Usage (normally driven by Simulation, not directly):
  *
@@ -48,7 +60,6 @@
 #ifndef MCNSIM_SIM_SHARD_HH
 #define MCNSIM_SIM_SHARD_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
@@ -96,8 +107,9 @@ class ShardSet
 
     /**
      * Deliver a cross-shard event: run @p fn at @p when on shard
-     * @p dst. Inside a run the message is mailboxed and merged at
-     * the next window boundary; @p when must be at or beyond the
+     * @p dst. Inside a run the message is mailboxed and merged
+     * into @p dst's queue at the start of the next window (at the
+     * latest when run() returns); @p when must be at or beyond the
      * current window end (guaranteed by any edge latency >= the
      * lookahead) or this panics. Outside a run it schedules
      * directly. @p name must outlive the event (literal/interned).
@@ -121,8 +133,25 @@ class ShardSet
     /** True while run() is executing (posts must mailbox). */
     bool running() const { return running_; }
 
-    /** Windows executed since construction (diagnostics). */
+    /** Windows executed since construction. Like every window
+     *  boundary, the count is the same for any worker count. */
     std::uint64_t windowsRun() const { return windows_; }
+
+    /** Host time one worker spent, summed over every profiled run:
+     *  busy (merging mail, running shards, publishing its horizon)
+     *  versus waiting at the barrier. */
+    struct WorkerTime
+    {
+        std::uint64_t busyNs = 0;
+        std::uint64_t waitNs = 0;
+    };
+
+    /** Time each worker's busy and barrier-wait spans in later
+     *  runs (host time: for --profile, never for modeled output). */
+    void setProfiling(bool on) { profiling_ = on; }
+
+    /** Per-worker host time, one row per pool thread. */
+    std::vector<WorkerTime> workerTimes() const;
 
   private:
     /** One mailboxed cross-shard event. */
@@ -131,34 +160,60 @@ class ShardSet
         Tick when;
         EventPriority prio;
         std::uint32_t srcShard;
-        std::uint64_t seq; ///< per-(src,dst) mailbox counter
+        /** Position in its inbox. A source's posts all go to the
+         *  same inbox in posting order, so (srcShard, seq) orders
+         *  them exactly like a per-source counter would. */
+        std::uint64_t seq;
         const char *name;
         std::function<void()> fn;
     };
 
-    /** Single-writer (src thread) / single-reader (dst thread at
-     *  the barrier) message buffer. Cache-line aligned so two
-     *  sources appending concurrently never share a line. */
-    struct alignas(64) Mailbox
+    /** Mail for one destination from one writing worker, by window
+     *  parity. Written only by that worker during window k (parity
+     *  k), drained only by the destination's owner in window k+1.
+     *  Cache-line aligned so two writers never share a line. */
+    struct alignas(64) Inbox
     {
-        std::vector<Msg> msgs;
-        std::uint64_t nextSeq = 0;
+        std::vector<Msg> msgs[2];
+    };
+
+    /** A worker's horizon contribution for one window parity: the
+     *  earliest pending tick it knows of, and whether it caught an
+     *  exception. Written by its worker before the barrier, read by
+     *  every worker after it. */
+    struct alignas(64) Slot
+    {
+        Tick next = maxTick;
+        bool failed = false;
+    };
+
+    /** State only its own worker touches during a run. */
+    struct alignas(64) Worker
+    {
+        unsigned parity = 0;       ///< parity of the running window
+        Tick windowEnd = 0;        ///< end of the running window
+        Tick postMin = maxTick;    ///< earliest post this window
+        bool failed = false;
+        std::exception_ptr error;
+        std::vector<Msg> scratch;  ///< merge buffer
+        WorkerTime time;
     };
 
     void startThreads(unsigned workers);
     void workerMain(unsigned idx);
     void windowLoop(unsigned w);
-    void drainInbox(std::size_t dst);
+    void drainInbox(std::size_t dst, unsigned parity,
+                    std::vector<Msg> &scratch);
     Tick windowEndFor(Tick horizon) const;
-    void recordError();
-    static void atomicMinTick(std::atomic<Tick> &a, Tick v);
 
     std::vector<EventQueue *> queues_;
-    /** inbox_[dst][src]: written only by src's worker during a
-     *  window, drained only by dst's worker at the barrier. */
-    std::vector<std::vector<Mailbox>> inbox_;
-    /** Per-destination merge scratch (owned by dst's worker). */
-    std::vector<std::vector<Msg>> scratch_;
+    /** inbox_[dst * assignWorkers_ + writer]; empty between runs,
+     *  so run() may re-lay it out when the worker count changes. */
+    std::vector<Inbox> inbox_;
+    /** slots_[parity * barrier count + worker]. */
+    std::vector<Slot> slots_;
+    /** One per barrier participant. */
+    std::vector<Worker> workers_;
     Tick lookahead_ = maxTick;
 
     // Thread pool (lazily started by the first multi-worker run).
@@ -170,18 +225,13 @@ class ShardSet
     std::uint64_t runGen_ = 0;
     bool shutdown_ = false;
 
-    // Per-run state. Plain members are written in single-writer
-    // phases separated by the barrier (which provides the ordering).
+    // Per-run state, written by the caller before the workers are
+    // released and read-only while they run.
     Tick until_ = 0;
-    Tick windowEnd_ = 0;
     unsigned assignWorkers_ = 1; ///< workers owning shards this run
-    bool done_ = false;
     bool running_ = false;
-    std::uint64_t windows_ = 0;
-    std::atomic<Tick> horizon_{maxTick};
-    std::atomic<bool> errored_{false};
-    std::exception_ptr error_;
-    std::mutex errorMutex_;
+    bool profiling_ = false;
+    std::uint64_t windows_ = 0; ///< written by worker 0 only
 };
 
 } // namespace mcnsim::sim

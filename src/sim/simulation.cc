@@ -117,6 +117,16 @@ Simulation::dumpStatsJson(std::ostream &os)
     w.kv("sim_seconds", ticksToSeconds(curTick()));
     w.kv("events_processed", eventsProcessed());
     w.kv("wall_seconds", wallSeconds());
+    if (shards_ && shards_->shardCount() > 1) {
+        // Window boundaries are simulation state, so both numbers
+        // are the same for every worker count.
+        const std::uint64_t windows = shards_->windowsRun();
+        w.kv("windows", windows);
+        w.kv("events_per_window",
+             windows ? static_cast<double>(eventsProcessed()) /
+                           static_cast<double>(windows)
+                     : 0.0);
+    }
     for (const auto &[k, v] : metadata_)
         w.kv(k, v);
     w.endObject();

@@ -85,8 +85,9 @@ class Simulation
     /**
      * Dump all registered statistics as one JSON document,
      * self-describing: a "meta" header (seed, sim ticks, events
-     * processed, wall-clock seconds, plus any setMetadata() pairs
-     * such as the preset name), the stat "groups", and -- when the
+     * processed, wall-clock seconds, on a sharded run the window
+     * count and mean events per window, plus any setMetadata()
+     * pairs such as the preset name), the stat "groups", and -- when the
      * event queue's profiler is enabled -- an "event_profile" array
      * of {name, count, host_ns} rows sorted by host time.
      * schema_version 2; version 1 (groups only) remains available

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -125,6 +127,88 @@ fabricFlowJson(std::uint64_t seed, unsigned threads)
     std::ostringstream os;
     tel.exportJson(os, {{"scenario", "fabric-iperf"}});
     return os.str();
+}
+
+/** Window count of a fat-tree fabric iperf on @p threads workers. */
+std::uint64_t
+fatTreeWindows(std::uint64_t seed, unsigned threads)
+{
+    sim::Simulation s(seed);
+    s.enableSharding();
+    s.setThreads(threads);
+    FabricSystemParams p;
+    p.topology = FabricTopology::FatTree;
+    FabricSystem sys(s, p);
+    runIperf(s, sys, 0, {1, 2, 3}, 300 * sim::oneUs);
+    return s.shardSet()->windowsRun();
+}
+
+/** A bare sharded Simulation: @p shards shards, every one joined to
+ *  shard 0 by an edge of @p lookahead, run on @p workers workers. */
+void
+buildStar(sim::Simulation &s, std::size_t shards, sim::Tick lookahead,
+          unsigned workers)
+{
+    s.enableSharding();
+    for (std::size_t i = 1; i < shards; ++i)
+        s.addShardEdge(0, s.newShard(), lookahead);
+    s.setThreads(workers);
+}
+
+/** What a ping-pong run leaves behind: every shard's delivery log
+ *  (tick, ball state) and the window count. */
+struct PingPongRun
+{
+    std::vector<std::vector<std::pair<sim::Tick, std::uint64_t>>> logs;
+    std::uint64_t windows = 0;
+};
+
+/**
+ * Eight balls bounce among 16 shards. Each carries its own LCG
+ * state, which picks the next shard, the delay (the lookahead plus
+ * zero to two half-lookaheads) and the priority. The balls start in
+ * pairs on four shards at tick 0 and every tick is a multiple of
+ * half a lookahead, so messages often tie on tick, priority and
+ * source shard, and the whole merge key gets exercised.
+ */
+PingPongRun
+pingPong(unsigned workers)
+{
+    constexpr std::size_t shards = 16;
+    constexpr sim::Tick lookahead = 1 * sim::oneUs;
+    sim::Simulation s;
+    buildStar(s, shards, lookahead, workers);
+    PingPongRun out;
+    out.logs.resize(shards);
+
+    std::function<void(std::size_t, std::uint64_t, int)> hop =
+        [&](std::size_t at, std::uint64_t state, int left) {
+            const sim::Tick now = s.shardQueue(at).curTick();
+            out.logs[at].emplace_back(now, state);
+            if (left == 0)
+                return;
+            state = state * 6364136223846793005ULL +
+                    1442695040888963407ULL;
+            const std::size_t to = (state >> 33) % shards;
+            const sim::Tick when =
+                now + lookahead + (state >> 40) % 3 * (lookahead / 2);
+            const auto prio = (state >> 50) & 1
+                                  ? sim::EventPriority::Default
+                                  : sim::EventPriority::Softirq;
+            s.postCrossShard(at, to, when, prio, "test.ball",
+                             [&hop, to, state, left] {
+                                 hop(to, state, left - 1);
+                             });
+        };
+    for (std::uint64_t b = 0; b < 8; ++b) {
+        const std::size_t at = b / 2 * 5;
+        s.shardQueue(at).schedule(
+            [&hop, at, b] { hop(at, b + 1, 300); }, 0, "test.serve");
+    }
+    s.run(50 * sim::oneUs); // a slice boundary mid-rally
+    s.run();
+    out.windows = s.shardSet()->windowsRun();
+    return out;
 }
 
 /** Restore the process-wide link burst default on scope exit. */
@@ -302,28 +386,30 @@ TEST(Pdes, CrossShardPostAtLookaheadExecutesOnTime)
 
 TEST(Pdes, CrossShardPostBelowHorizonPanics)
 {
-    sim::Simulation s;
-    s.enableSharding();
-    std::size_t other = s.newShard();
-    s.addShardEdge(0, other, 1 * sim::oneUs);
-
     // An event that tries to deliver cross-shard *now*: below the
     // lookahead horizon, which the engine must refuse loudly (the
-    // destination shard may already have run past this tick).
-    s.shardQueue(0).schedule(
-        [&] {
-            s.postCrossShard(0, other, s.shardQueue(0).curTick(),
-                             sim::EventPriority::Default,
-                             "test.early", [] {});
-        },
-        100 * sim::oneNs, "test.src");
-    try {
-        s.run(10 * sim::oneUs);
-        FAIL() << "expected a lookahead-violation panic";
-    } catch (const sim::PanicError &e) {
-        EXPECT_NE(std::string(e.what()).find("lookahead horizon"),
-                  std::string::npos)
-            << e.what();
+    // destination shard may already have run past this tick). On two
+    // workers the offender runs on the second one, so the panic must
+    // also cross back to the caller.
+    for (unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE(workers);
+        sim::Simulation s;
+        buildStar(s, 2, 1 * sim::oneUs, workers);
+        s.shardQueue(1).schedule(
+            [&] {
+                s.postCrossShard(1, 0, s.shardQueue(1).curTick(),
+                                 sim::EventPriority::Default,
+                                 "test.early", [] {});
+            },
+            100 * sim::oneNs, "test.src");
+        try {
+            s.run(10 * sim::oneUs);
+            FAIL() << "expected a lookahead-violation panic";
+        } catch (const sim::PanicError &e) {
+            EXPECT_NE(std::string(e.what()).find("lookahead horizon"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
@@ -341,6 +427,128 @@ TEST(Pdes, ShardSetRunsWindowsAndAgreesOnFinalTick)
     // Every shard's clock agrees between run slices.
     for (std::size_t i = 0; i < s.shardCount(); ++i)
         EXPECT_EQ(s.shardQueue(i).curTick(), s.curTick());
+}
+
+TEST(Pdes, CrossShardPostAfterUntilFiresInNextSlice)
+{
+    // A post made in the last window of run(until) that lands after
+    // `until` must wait in the destination's queue, not in a
+    // mailbox, and fire on time in the next slice.
+    for (unsigned workers : {1u, 2u}) {
+        SCOPED_TRACE(workers);
+        sim::Simulation s;
+        buildStar(s, 2, 1 * sim::oneUs, workers);
+        sim::Tick fired = 0;
+        s.shardQueue(0).schedule(
+            [&] {
+                s.postCrossShard(0, 1,
+                                 s.shardQueue(0).curTick() +
+                                     s.shardLookahead(),
+                                 sim::EventPriority::Default,
+                                 "test.late", [&] {
+                                     fired = s.shardQueue(1).curTick();
+                                 });
+            },
+            9500 * sim::oneNs, "test.src");
+        s.run(10 * sim::oneUs);
+        EXPECT_EQ(fired, 0u);
+        EXPECT_EQ(s.shardQueue(1).nextEventTick(),
+                  10500 * sim::oneNs);
+        s.run(20 * sim::oneUs);
+        EXPECT_EQ(fired, 10500 * sim::oneNs);
+    }
+}
+
+TEST(Pdes, RandomPingPongIdenticalAcrossWorkerCounts)
+{
+    PingPongRun one = pingPong(1);
+    std::size_t deliveries = 0;
+    for (const auto &log : one.logs)
+        deliveries += log.size();
+    ASSERT_EQ(deliveries, 8u * 301u); // no ball lost or duplicated
+    ASSERT_GT(one.windows, 0u);
+    for (unsigned workers : {2u, 4u}) {
+        SCOPED_TRACE(workers);
+        PingPongRun n = pingPong(workers);
+        EXPECT_EQ(n.logs, one.logs);
+        EXPECT_EQ(n.windows, one.windows);
+    }
+}
+
+TEST(Pdes, OneShardFansOutToEveryShardInOneWindow)
+{
+    // Shard 0 sends a burst of same-tick, same-priority messages to
+    // every shard (itself included) from one event. Every destination
+    // must get the whole burst one lookahead later, in posting order,
+    // on any worker count: one window to send, one to deliver. The
+    // burst is long enough that only the seq tie-breaker, not the
+    // sort's handling of small inputs, keeps it in order.
+    constexpr int burst = 24;
+    constexpr std::size_t shards = 16;
+    constexpr sim::Tick lookahead = 1 * sim::oneUs;
+    for (unsigned workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(workers);
+        sim::Simulation s;
+        buildStar(s, shards, lookahead, workers);
+        std::vector<std::vector<std::pair<sim::Tick, int>>> got(shards);
+        s.shardQueue(0).schedule(
+            [&] {
+                const sim::Tick when =
+                    s.shardQueue(0).curTick() + lookahead;
+                for (std::size_t dst = 0; dst < shards; ++dst)
+                    for (int i = 0; i < burst; ++i)
+                        s.postCrossShard(
+                            0, dst, when, sim::EventPriority::Default,
+                            "test.fan", [&, dst, i] {
+                                got[dst].emplace_back(
+                                    s.shardQueue(dst).curTick(), i);
+                            });
+            },
+            100 * sim::oneNs, "test.src");
+        s.run();
+        const sim::Tick at = 100 * sim::oneNs + lookahead;
+        std::vector<std::pair<sim::Tick, int>> want;
+        for (int i = 0; i < burst; ++i)
+            want.emplace_back(at, i);
+        for (std::size_t dst = 0; dst < shards; ++dst)
+            EXPECT_EQ(got[dst], want) << "shard " << dst;
+        EXPECT_EQ(s.shardSet()->windowsRun(), 2u);
+    }
+}
+
+TEST(Pdes, FatTreeWindowCountIdenticalAcrossWorkerCounts)
+{
+    const std::uint64_t one = fatTreeWindows(7, 1);
+    ASSERT_GT(one, 0u);
+    EXPECT_EQ(fatTreeWindows(7, 2), one);
+    EXPECT_EQ(fatTreeWindows(7, 4), one);
+}
+
+TEST(Pdes, StatsMetaReportsWindowsIdenticallyAcrossWorkerCounts)
+{
+    // The window count and mean events per window are simulation
+    // state: they go in the stats "meta" block, and the block (bar
+    // its host wall clock) must not depend on the worker count.
+    auto meta = [](unsigned workers) {
+        sim::Simulation s(3);
+        s.enableSharding();
+        s.setThreads(workers);
+        ClusterSystemParams p;
+        p.numNodes = 3;
+        ClusterSystem sys(s, p);
+        runIperf(s, sys, 0, {1, 2}, 100 * sim::oneUs);
+        std::ostringstream os;
+        s.dumpStatsJson(os);
+        std::string doc = os.str();
+        auto at = doc.find("\"wall_seconds\"");
+        doc.erase(at, doc.find(',', at) - at);
+        return doc;
+    };
+    const std::string one = meta(1);
+    EXPECT_NE(one.find("\"windows\""), std::string::npos);
+    EXPECT_NE(one.find("\"events_per_window\""), std::string::npos);
+    EXPECT_EQ(meta(2), one);
+    EXPECT_EQ(meta(4), one);
 }
 
 #ifdef MCNSIM_CHECKED

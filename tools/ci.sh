@@ -27,8 +27,9 @@
 #            counts, plus a path-hop sanity check on the fabric's
 #            flow telemetry
 #   pdes     parallel-engine gate: multi-thread selfchecks on
-#            iperf/ping/chaos plus a byte-compare of the stat JSON
-#            across worker counts (DESIGN.md §9)
+#            iperf/ping/chaos and the fat-tree fabric, plus a
+#            byte-compare of the stat JSON across worker counts on
+#            the multi-server and fat-tree runs (DESIGN.md §9)
 #   checked  build with -DMCNSIM_CHECKED=ON, run ctest + the CLI
 #            determinism selfcheck across mcn levels 0-5
 #   asan     address+undefined sanitizers: ctest + CLI smoke
@@ -55,7 +56,7 @@ while [ $# -gt 0 ]; do
         --with-perf) STAGES="$STAGES,perf" ;;
         --stages) STAGES="$2"; shift ;;
         -h|--help)
-            sed -n '2,43p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,44p' "$0" | sed 's/^# \{0,1\}//'
             exit 0 ;;
         *) echo "unknown option: $1" >&2; exit 2 ;;
     esac
@@ -246,28 +247,37 @@ if want pdes; then
         "$BUILD_DIR/tools/mcnsim_cli" chaos --system=cluster \
             --nodes=4 --threads="$t" --schedule=drop-heavy \
             --selfcheck --duration-ms=1
+        "$BUILD_DIR/tools/mcnsim_cli" iperf --topology=fattree \
+            --racks=4 --nodes-per-rack=4 --spines=4 --threads="$t" \
+            --selfcheck --duration-ms=1
     done
-    # ...and the full stat JSON must byte-match across worker
-    # counts for the same seed (meta.wall_seconds is host time and
-    # exempt).
+    # ...and the full stat JSON -- including the meta block's window
+    # count -- must byte-match across worker counts for the same
+    # seed (meta.wall_seconds is host time and exempt).
     PDES_DIR="$(mktemp -d)"
     for t in 1 2 4; do
         "$BUILD_DIR/tools/mcnsim_cli" iperf --system=multi \
             --servers=4 --threads="$t" --duration-ms=2 --seed=42 \
-            --stats-json="$PDES_DIR/t$t.json" > /dev/null
+            --stats-json="$PDES_DIR/multi-t$t.json" > /dev/null
+        "$BUILD_DIR/tools/mcnsim_cli" iperf --topology=fattree \
+            --racks=4 --nodes-per-rack=4 --spines=4 --threads="$t" \
+            --duration-ms=2 --seed=42 \
+            --stats-json="$PDES_DIR/fattree-t$t.json" > /dev/null
     done
     python3 - "$PDES_DIR" <<'EOF'
 import json, sys, os
 d = sys.argv[1]
-docs = {}
-for t in (1, 2, 4):
-    with open(os.path.join(d, f"t{t}.json")) as f:
-        doc = json.load(f)
-    doc["meta"].pop("wall_seconds", None)
-    docs[t] = json.dumps(doc, sort_keys=True)
-assert docs[1] == docs[2] == docs[4], \
-    "stat JSON differs across --threads=1/2/4"
-print("pdes: stat JSON identical across threads 1/2/4")
+for run in ("multi", "fattree"):
+    docs = {}
+    for t in (1, 2, 4):
+        with open(os.path.join(d, f"{run}-t{t}.json")) as f:
+            doc = json.load(f)
+        doc["meta"].pop("wall_seconds", None)
+        assert doc["meta"]["windows"] > 0, f"{run}: no windows in meta"
+        docs[t] = json.dumps(doc, sort_keys=True)
+    assert docs[1] == docs[2] == docs[4], \
+        f"{run}: stat JSON differs across --threads=1/2/4"
+    print(f"pdes: {run} stat JSON identical across threads 1/2/4")
 EOF
     rm -rf "$PDES_DIR"
 fi

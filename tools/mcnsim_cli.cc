@@ -235,9 +235,12 @@ class ObsSession
             sim::Timeline::instance().clear();
             sim::Timeline::instance().enable(true);
         }
-        if (a_.has("profile"))
+        if (a_.has("profile")) {
             for (std::size_t i = 0; i < s_.shardCount(); ++i)
                 s_.shardQueue(i).setProfiling(true);
+            if (auto *set = s_.shardSet())
+                set->setProfiling(true);
+        }
         if (a_.has("flow-stats"))
             sim::FlowTelemetry::instance().enable();
         if (a_.has("stats-series")) {
@@ -357,6 +360,33 @@ class ObsSession
                         static_cast<double>(r.hostNs) / 1e3,
                         static_cast<double>(r.hostNs) /
                             static_cast<double>(r.count));
+        }
+        if (auto *set = s_.shardSet(); set && set->windowsRun() > 0)
+            printWorkerTimes(*set);
+    }
+
+    /** Per-worker host time of a sharded run: where the pool spent
+     *  its time between windows (busy) and at the barrier (wait). */
+    void
+    printWorkerTimes(const sim::ShardSet &set)
+    {
+        std::printf("---- shard workers: %llu windows, %.1f events "
+                    "per window ----\n",
+                    static_cast<unsigned long long>(set.windowsRun()),
+                    static_cast<double>(s_.eventsProcessed()) /
+                        static_cast<double>(set.windowsRun()));
+        std::printf("%-8s %14s %14s %10s\n", "worker", "busy_us",
+                    "wait_us", "wait_frac");
+        auto times = set.workerTimes();
+        for (std::size_t w = 0; w < times.size(); ++w) {
+            const auto &t = times[w];
+            double total = static_cast<double>(t.busyNs + t.waitNs);
+            std::printf("%-8zu %14.1f %14.1f %10.3f\n", w,
+                        static_cast<double>(t.busyNs) / 1e3,
+                        static_cast<double>(t.waitNs) / 1e3,
+                        total > 0 ? static_cast<double>(t.waitNs) /
+                                        total
+                                  : 0.0);
         }
     }
 

@@ -9,8 +9,8 @@
 # The `thread` set is special-cased: TSan is incompatible with ASan
 # and serializes execution ~10x, so instead of the full ctest suite
 # it runs the concurrency surface -- the PDES engine tests plus
-# multi-threaded CLI selfchecks and a --threads=1/2/4 flow-stats
-# byte-compare -- with TSAN_OPTIONS pinned to tools/tsan.supp and
+# multi-threaded CLI selfchecks (cluster and fat-tree fabric) and a
+# --threads=1/2/4 flow-stats byte-compare -- with TSAN_OPTIONS pinned to tools/tsan.supp and
 # halt_on_error=1. It is not in the default matrix (run it via
 # `--matrix thread` or ci.sh's tsan stage).
 #
@@ -70,6 +70,11 @@ for san in "${SETS[@]}"; do
                 --nodes=4 --threads="$t" --schedule=drop-heavy \
                 --selfcheck --duration-ms=1
         done
+        # Many shards per worker, so every destination gets mail
+        # from several writing workers: the fat-tree fabric.
+        "$tree/tools/mcnsim_cli" iperf --topology=fattree \
+            --racks=4 --nodes-per-rack=4 --spines=4 --threads=4 \
+            --selfcheck --duration-ms=1
 
         echo "-- flow-stats byte-compare across threads under tsan"
         TSAN_TMP="$(mktemp -d)"
