@@ -51,7 +51,6 @@ McnDriver::startup()
     // fault plan: silent runs stay event-identical to the seed
     // baselines, and an armed run is deterministic either way.
     if (sim::FaultPlan::active())
-        // lint-ok: this-capture (SimObject via os::NetDevice)
         eventQueue().scheduleIn([this] { watchdogTick(); },
                                 config_.watchdogEpoch,
                                 "mcn.rxWatchdog");
@@ -80,7 +79,6 @@ McnDriver::watchdogTick()
         trace("MCNDriver", "watchdog: RX ring stuck, resyncing");
         rxIrq();
     }
-    // lint-ok: this-capture (SimObject via os::NetDevice)
     eventQueue().scheduleIn([this] { watchdogTick(); },
                             config_.watchdogEpoch,
                             "mcn.rxWatchdog");

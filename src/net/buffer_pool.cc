@@ -5,7 +5,6 @@
  */
 
 #include "net/buffer_pool.hh"
-#include "sim/annotate.hh"
 
 #include <cstring>
 #include <mutex>
@@ -70,9 +69,8 @@ struct Registry
 Registry &
 registry()
 {
-    MCNSIM_SHARD_SAFE("mutex-guarded cache registry; stats-only "
-                      "aggregation, never read by modeled "
-                      "decisions");
+    // analyze-ok: shard-static (mutex-guarded cache registry;
+    // stats-only aggregation, never read by modeled decisions)
     static Registry r;
     return r;
 }
@@ -104,11 +102,10 @@ Cache::~Cache()
 Cache &
 cache()
 {
-    MCNSIM_SHARD_SAFE("thread_local slab cache: each worker "
-                      "allocates from its own freelists; which "
-                      "buffer a packet lands in never feeds a "
-                      "modeled decision (contents and sizes are "
-                      "identical either way)");
+    // analyze-ok: shard-static (thread_local slab cache: each worker
+    // allocates from its own freelists; which buffer a packet lands in
+    // never feeds a modeled decision (contents and sizes are identical
+    // either way))
     static thread_local Cache c;
     return c;
 }

@@ -143,7 +143,7 @@ class ByteRing
         std::size_t cap = cap_ ? cap_ : 1024;
         while (cap < need)
             cap *= 2;
-        // lint-ok: packet-alloc (socket stream ring, not packets)
+        // analyze-ok: packet-alloc (socket stream ring, not packets)
         auto fresh = std::make_unique<std::uint8_t[]>(cap);
         if (size_)
             copyOut(0, size_, fresh.get());

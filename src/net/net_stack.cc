@@ -55,7 +55,7 @@ l4ChecksumFill(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
         static_cast<std::uint16_t>(pkt.size()));
     sum = checksumPartial(pkt.cdata(), pkt.size(), sum);
     const std::uint16_t c = checksumFold(sum);
-    // lint-ok: packet-cdata (writes the checksum back through p)
+    // analyze-ok: packet-cdata (writes the checksum back through p)
     std::uint8_t *p = pkt.data();
     p[off] = static_cast<std::uint8_t>(c >> 8);
     p[off + 1] = static_cast<std::uint8_t>(c & 0xff);

@@ -1017,14 +1017,14 @@ TcpSocket::deliverData(const TcpHeader &h, PacketPtr pkt)
             if (seqLt(s, rcvNxt_)) {
                 std::uint32_t skip = rcvNxt_ - s;
                 if (skip < seg.size()) {
-                    // lint-ok: packet-cdata (seg is a byte vector)
+                    // analyze-ok: packet-cdata (seg is a byte vector)
                     rcvBuf_.append(seg.data() + skip,
                                    seg.size() - skip);
                     rcvNxt_ += static_cast<std::uint32_t>(
                         seg.size() - skip);
                 }
             } else {
-                // lint-ok: packet-cdata (seg is a byte vector)
+                // analyze-ok: packet-cdata (seg is a byte vector)
                 rcvBuf_.append(seg.data(), seg.size());
                 rcvNxt_ += static_cast<std::uint32_t>(seg.size());
             }

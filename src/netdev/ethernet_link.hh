@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "net/packet.hh"
-#include "sim/annotate.hh"
 #include "sim/fault.hh"
 #include "sim/sim_object.hh"
 
@@ -221,10 +220,9 @@ class EthernetLink : public sim::SimObject
     double lossRate_ = 0.0;
     double corruptRate_ = 0.0;
     bool burst_ = true;
-    MCNSIM_SHARD_SAFE("construction-time default: written only by "
-                      "tests/CLI before a system is built, read "
-                      "once per link constructor; never mutated "
-                      "while an event loop runs");
+    // analyze-ok: shard-static (construction-time default: written only
+    // by tests/CLI before a system is built, read once per link
+    // constructor; never mutated while an event loop runs)
     static inline bool burstDefault_ = true;
     std::uint64_t burstDelivered_ = 0;
     /** Scheduled outage windows [start, end), cached at startup()

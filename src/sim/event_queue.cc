@@ -5,7 +5,6 @@
  * callback events.
  */
 
-#include "sim/annotate.hh"
 #include "sim/event_queue.hh"
 
 #include <algorithm>
@@ -20,8 +19,8 @@
 
 namespace mcnsim::sim {
 
-MCNSIM_SHARD_SAFE("thread_local dispatch context; see the matching "
-                  "annotation on the declaration in event_queue.hh");
+// analyze-ok: shard-static (thread_local dispatch context; see the
+// matching annotation on the declaration in event_queue.hh)
 thread_local EventQueue *EventQueue::currentQueue_ = nullptr;
 
 const char *
@@ -32,10 +31,9 @@ internEventName(const std::string &name)
     // shard worker (a dynamic event name in a window), so the pool
     // is mutex-guarded; the fast path (string-literal names) never
     // comes here.
-    MCNSIM_SHARD_SAFE("mutex-guarded intern pool: insertion order "
-                      "varies across runs/threads but only the "
-                      "interned bytes are ever read back, and equal "
-                      "strings intern to equal bytes");
+    // analyze-ok: shard-static (mutex-guarded intern pool: insertion
+    // order varies across runs/threads but only the interned bytes are
+    // ever read back, and equal strings intern to equal bytes)
     static std::mutex mtx;
     static std::unordered_set<std::string> pool;
     std::lock_guard<std::mutex> lk(mtx);

@@ -69,7 +69,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/annotate.hh"
 #include "sim/checked.hh"
 #include "sim/types.hh"
 
@@ -572,11 +571,10 @@ class EventQueue
      *  grows without relocating live events. */
     static constexpr std::size_t slabEvents = 64;
 
-    MCNSIM_SHARD_SAFE("thread_local dispatch context: each worker "
-                      "reads/writes only its own copy, and a "
-                      "worker's copy always names the shard queue "
-                      "it is executing -- pure function of the "
-                      "schedule, not of thread interleaving");
+    // analyze-ok: shard-static (thread_local dispatch context: each
+    // worker reads/writes only its own copy, and a worker's copy always
+    // names the shard queue it is executing -- pure function of the
+    // schedule, not of thread interleaving)
     static thread_local EventQueue *currentQueue_;
 
     std::string name_;

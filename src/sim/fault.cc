@@ -3,7 +3,6 @@
  * FaultPlan / FaultSite implementation.
  */
 
-#include "sim/annotate.hh"
 #include "sim/fault.hh"
 
 #include <algorithm>
@@ -17,9 +16,9 @@ namespace mcnsim::sim {
 FaultPlan &
 FaultPlan::instance()
 {
-    MCNSIM_SHARD_SAFE("process-wide plan, but ShardSet::run clamps "
-                      "to one worker while a plan is armed, and "
-                      "arm()/clear() happen outside run windows");
+    // analyze-ok: shard-static (process-wide plan, but ShardSet::run
+    // clamps to one worker while a plan is armed, and arm()/clear()
+    // happen outside run windows)
     static FaultPlan plan;
     return plan;
 }

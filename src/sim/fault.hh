@@ -50,7 +50,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/annotate.hh"
 #include "sim/random.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
@@ -61,10 +60,9 @@ namespace detail {
 /** Mirror of "any fault spec armed", inline so the FaultSite::
  *  fires() gate compiles to one load + branch on instrumented hot
  *  paths. Maintained by FaultPlan::arm()/clear(). */
-MCNSIM_SHARD_SAFE("config gate: written by arm()/clear() outside "
-                  "run windows only; ShardSet::run clamps to one "
-                  "worker while armed, so per-site RNG draw order "
-                  "stays deterministic");
+// analyze-ok: shard-static (config gate: written by arm()/clear()
+// outside run windows only; ShardSet::run clamps to one worker while
+// armed, so per-site RNG draw order stays deterministic)
 inline bool faultPlanArmed = false;
 } // namespace detail
 

@@ -51,7 +51,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/annotate.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -61,10 +60,9 @@ namespace detail {
 /** Mirror of "flow telemetry enabled", inline so record-site gates
  *  compile to one load + branch. Maintained by FlowTelemetry::
  *  enable()/disable(). */
-MCNSIM_SHARD_SAFE("config gate: toggled by enable()/disable() "
-                  "outside run windows only; read-only during a "
-                  "window, and the tables it gates are per-shard "
-                  "single-writer");
+// analyze-ok: shard-static (config gate: toggled by enable()/disable()
+// outside run windows only; read-only during a window, and the tables
+// it gates are per-shard single-writer)
 inline bool flowTelemetryActive = false;
 } // namespace detail
 

@@ -3,7 +3,6 @@
  * Logging implementation: trace-flag registry and status output.
  */
 
-#include "sim/annotate.hh"
 #include "sim/logging.hh"
 
 #include <cstdlib>
@@ -16,17 +15,16 @@ namespace mcnsim::sim {
 
 namespace {
 
-MCNSIM_SHARD_SAFE("trace-echo toggle: flipped by tests/CLI outside "
-                  "run windows; traces force one worker anyway");
+// analyze-ok: shard-static (trace-echo toggle: flipped by tests/CLI
+// outside run windows; traces force one worker anyway)
 bool echoTraces = true;
 
 std::set<std::string> &
 flagSet()
 {
-    MCNSIM_SHARD_SAFE("debug-flag set: parsed once during static "
-                      "init, mutated by setFlag() outside run "
-                      "windows only; any active flag clamps the "
-                      "ShardSet to one worker");
+    // analyze-ok: shard-static (debug-flag set: parsed once during
+    // static init, mutated by setFlag() outside run windows only; any
+    // active flag clamps the ShardSet to one worker)
     static std::set<std::string> flags = [] {
         std::set<std::string> s;
         if (const char *env = std::getenv("MCNSIM_DEBUG")) {
@@ -49,8 +47,8 @@ flagSet()
     return flags;
 }
 
-MCNSIM_SHARD_SAFE("CLI-set output toggle: written during argument "
-                  "parsing before any event loop runs");
+// analyze-ok: shard-static (CLI-set output toggle: written during
+// argument parsing before any event loop runs)
 bool quietMode = false;
 
 /** Force the one-time MCNSIM_DEBUG parse during static init so

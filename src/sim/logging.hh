@@ -14,7 +14,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/annotate.hh"
 #include "sim/types.hh"
 
 namespace mcnsim::sim {
@@ -39,9 +38,9 @@ namespace detail {
  *  Trace::anyActive() gate inlines to one load + branch on the
  *  event-dispatch hot path. Maintained by logging.cc (env parse at
  *  startup, Trace::setFlag at runtime). */
-MCNSIM_SHARD_SAFE("config gate: written by setFlag() outside run "
-                  "windows only; ShardSet::run clamps to one worker "
-                  "while any trace flag is active");
+// analyze-ok: shard-static (config gate: written by setFlag() outside
+// run windows only; ShardSet::run clamps to one worker while any trace
+// flag is active)
 inline std::size_t traceActiveFlagCount = 0;
 
 /** Dump the flight-recorder ring to stderr (see trace_ring.hh).

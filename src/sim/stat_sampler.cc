@@ -105,7 +105,7 @@ StatSampler::sampleAndReschedule()
     // EventQueue lifetime rules).
     ev_ = nullptr;
     sampleOnce();
-    // lint-ok: this-capture (stop() deschedules in ~StatSampler)
+    // analyze-ok: this-capture (stop() deschedules in ~StatSampler)
     ev_ = sim_.eventQueue().scheduleIn(
         [this] { sampleAndReschedule(); }, period_, "stat-sample",
         EventPriority::StatsDump);

@@ -4,7 +4,6 @@
  * trace-event JSON export.
  */
 
-#include "sim/annotate.hh"
 #include "sim/timeline.hh"
 
 #include <algorithm>
@@ -18,10 +17,9 @@ namespace mcnsim::sim {
 Timeline &
 Timeline::instance()
 {
-    MCNSIM_SHARD_SAFE("process-wide recorder, but ShardSet::run "
-                      "clamps to one worker while the timeline is "
-                      "active; start()/stop() happen outside run "
-                      "windows");
+    // analyze-ok: shard-static (process-wide recorder, but
+    // ShardSet::run clamps to one worker while the timeline is active;
+    // start()/stop() happen outside run windows)
     static Timeline tl;
     return tl;
 }

@@ -51,7 +51,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/annotate.hh"
 #include "sim/types.hh"
 
 namespace mcnsim::sim {
@@ -60,9 +59,9 @@ namespace detail {
 /** Mirror of the timeline's enabled state, inline so the
  *  Timeline::active() gate compiles to one load + branch on the
  *  instrumented hot paths. Maintained by Timeline::enable(). */
-MCNSIM_SHARD_SAFE("config gate: written by start()/stop() outside "
-                  "run windows only; ShardSet::run clamps to one "
-                  "worker while the timeline records");
+// analyze-ok: shard-static (config gate: written by start()/stop()
+// outside run windows only; ShardSet::run clamps to one worker while
+// the timeline records)
 inline bool timelineActive = false;
 } // namespace detail
 

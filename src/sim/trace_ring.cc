@@ -3,7 +3,6 @@
  * Flight-recorder trace ring implementation.
  */
 
-#include "sim/annotate.hh"
 #include "sim/trace_ring.hh"
 
 #include <cstdlib>
@@ -15,9 +14,9 @@ TraceRing::instance()
 {
     // MCNSIM_TRACE_RING=N sizes the process-wide ring at first use
     // (the CLI's --trace-ring flag calls setCapacity() instead).
-    MCNSIM_SHARD_SAFE("process-wide trace ring, but tracing clamps "
-                      "the ShardSet to one worker; capacity is set "
-                      "during static init or CLI parsing");
+    // analyze-ok: shard-static (process-wide trace ring, but tracing
+    // clamps the ShardSet to one worker; capacity is set during static
+    // init or CLI parsing)
     static TraceRing ring = [] {
         std::size_t cap = defaultCapacity;
         if (const char *env = std::getenv("MCNSIM_TRACE_RING")) {

@@ -1,0 +1,27 @@
+/**
+ * @file
+ * Analyzer fixture: R10 clean counterpart. Literal lowerCamel names,
+ * dotted sub-names, and one justified non-literal name.
+ */
+
+#include <string>
+
+namespace mcnsim::fixture {
+
+struct Scalar
+{
+    Scalar(const std::string &name, const char *desc);
+};
+using Average = Scalar;
+using LogHistogram = Scalar;
+
+struct NicStats
+{
+    Scalar txBytes{"txBytes", "bytes sent"};
+    Average ringUsed{"txRing.usedBytes", "mean ring occupancy"};
+    LogHistogram rtt2{"rtt2", "round-trip times"};
+    // analyze-ok: stat-name (kRttName is the literal "rttUs")
+    Scalar rtt{kRttName, "round-trip time"};
+};
+
+} // namespace mcnsim::fixture

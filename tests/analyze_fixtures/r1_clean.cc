@@ -2,13 +2,12 @@
  * @file
  * Analyzer fixture: R1 shard-static clean counterpart. Nothing in
  * this file may be flagged -- it exercises every shape the rule
- * must NOT fire on, including both suppression forms.
+ * must NOT fire on, including a one-line and a multi-line
+ * suppression.
  */
 
 #include <cstdint>
 #include <string>
-
-#include "sim/annotate.hh"
 
 namespace mcnsim::fixture {
 
@@ -25,8 +24,8 @@ int helperFunction(int x);
 static int fileLocalHelper();
 
 // An annotated mutable static: tracked, not flagged.
-MCNSIM_SHARD_SAFE("fixture: single-writer, set by the test harness "
-                  "before any event loop runs");
+// analyze-ok: shard-static (fixture: single-writer, set by the test
+// harness before any event loop runs)
 static bool fixtureConfigured = false;
 
 struct Widget

@@ -31,6 +31,50 @@ jitteredBackoff(Rng &rng, int base)
     return base + static_cast<int>(rng.next() % 7);
 }
 
+// Clock-domain accessors are model state, not host clocks.
+struct ClockDomain
+{
+    double frequencyHz() const;
+};
+
+struct Core
+{
+    const ClockDomain &clock() const { return clock_; }
+    ClockDomain clock_;
+};
+
+struct Cluster
+{
+    const ClockDomain &clock() const;
+    ClockDomain clock_;
+};
+
+const ClockDomain &
+Cluster::clock() const
+{
+    return clock_;
+}
+
+double
+cyclesFor(const Core *core_, const Cluster &cluster, double secs)
+{
+    return secs * core_->clock().frequencyHz() +
+           secs * cluster.clock().frequencyHz();
+}
+
+// Model-time members named like the C time() call.
+struct Window
+{
+    std::uint64_t time(int edge) const;
+    std::uint64_t lifetime(int edge) const;
+};
+
+std::uint64_t
+span(const Window &w)
+{
+    return w.lifetime(0) + w.time(0);
+}
+
 const char *
 helpText()
 {

@@ -1,0 +1,26 @@
+/**
+ * @file
+ * Analyzer fixture: R9 packet-alloc violations. Raw heap byte
+ * storage bypasses the slab pool's size-classed free lists.
+ */
+
+#include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+namespace mcnsim::fixture {
+
+void
+allocations(std::size_t n)
+{
+    auto *a = new std::uint8_t[n]; // expect: packet-alloc
+    auto b = std::make_unique<std::uint8_t[]>(n); // expect: packet-alloc
+    auto c = std::make_shared<std::vector<std::uint8_t>>(n); // expect: packet-alloc
+    auto *d = new std::vector<uint8_t>(n); // expect: packet-alloc
+    // analyze-ok: packet-alloc
+    auto e = std::make_unique<uint8_t[]>(n); // expect: packet-alloc
+    (void)a, (void)b, (void)c, (void)d, (void)e;
+}
+
+} // namespace mcnsim::fixture

@@ -232,6 +232,38 @@ TEST(FaultPlanUnit, ParseSpecRejectsMalformed)
     }
 }
 
+TEST(FaultPlanUnit, SpecPrefixesAndMutationsParseOrDiagnose)
+{
+    // Every prefix of a valid spec, and each prefix with one byte
+    // replaced, must parse or be rejected with a message -- never
+    // crash (the asan/ubsan stages run this).
+    const char steer[] = {':', ',', '=', '.', '*', '-', 'e', '9',
+                          'u', 's', '\0', '\xff'};
+    for (const std::string spec :
+         {"mcn1.iface.rx-irq-lost:n=7,max=3,from=10us,until=2ms,"
+          "param=50us",
+          "*.link*.drop:p=0.25", "mcn1.crash:at=1.5ms"}) {
+        FaultPlan::Spec sp;
+        std::string err;
+        ASSERT_TRUE(FaultPlan::parseSpec(spec, &sp, &err)) << err;
+        auto check = [&](const std::string &text) {
+            err.clear();
+            if (!FaultPlan::parseSpec(text, &sp, &err)) {
+                EXPECT_FALSE(err.empty()) << "no diagnostic: " << text;
+            }
+        };
+        for (std::size_t len = 0; len <= spec.size(); ++len) {
+            const std::string prefix = spec.substr(0, len);
+            check(prefix);
+            for (std::size_t pos = 0; pos < len; ++pos) {
+                std::string m = prefix;
+                m[pos] = steer[(len + pos) % sizeof(steer)];
+                check(m);
+            }
+        }
+    }
+}
+
 TEST(FaultPlanUnit, EveryNthFiresOnSchedule)
 {
     PlanGuard g;

@@ -118,3 +118,48 @@ TEST(JsonRoundTrip, WriterOutputParsesBack)
                      -0.25);
     EXPECT_EQ(v["empty"].size(), 0u);
 }
+
+namespace {
+
+/** Bytes that steer a hand-written parser into its error paths:
+ *  structural characters, escapes, sign/exponent, NUL and a
+ *  non-ASCII lead byte. */
+constexpr char mutationBytes[] = {'"', '\\', '{', '}', '[', ']', ',',
+                                  ':', '-', 'e', '.', 'u', '\0',
+                                  '\xff'};
+
+/** Parse @p text; it must either succeed or throw FatalError with a
+ *  message. Any other exception, or a crash, fails the test. */
+bool
+parsesOrDiagnoses(const std::string &text)
+{
+    try {
+        (void)json::parse(text);
+        return true;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()), "") << text;
+        return false;
+    }
+}
+
+} // namespace
+
+TEST(JsonParse, PrefixesAndMutationsParseOrDiagnose)
+{
+    const std::string doc =
+        "{\"bench\": \"fig8a\", \"n\": -12.5e-3, \"ok\": true,"
+        " \"none\": null, \"esc\": \"a\\\"b\\\\c\\n\\u00e9\","
+        " \"list\": [1, 2.0, false, [], {}], \"obj\": {\"k\": [0]}}";
+    ASSERT_TRUE(parsesOrDiagnoses(doc));
+    for (std::size_t len = 0; len <= doc.size(); ++len) {
+        const std::string prefix = doc.substr(0, len);
+        parsesOrDiagnoses(prefix);
+        // One single-byte mutation per position, rotating through
+        // the steering bytes so every byte meets every position.
+        for (std::size_t pos = 0; pos < len; ++pos) {
+            std::string m = prefix;
+            m[pos] = mutationBytes[(len + pos) % sizeof(mutationBytes)];
+            parsesOrDiagnoses(m);
+        }
+    }
+}

@@ -30,12 +30,6 @@ gate like that on every build (shared boxes are too noisy for wall
 clock bands), so the modeled metrics of every artifact are checked
 for bit-identity on every run.
 
-The modeled-metric bit-identity check doubles as the proof that the
-determinism-contract annotations (MCNSIM_SHARD_SAFE,
-sim/annotate.hh) compile to nothing: the shard-safety sweep that
-seeded tools/analyze_baseline.json left every modeled metric
-byte-for-byte unchanged, and this gate keeps it that way.
-
 Usage:
   tools/check_perf.py [--baseline FILE] [--artifacts-dir DIR]
                       [--update] [--modeled-only] [BENCH ...]

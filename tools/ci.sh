@@ -3,9 +3,9 @@
 #
 #   build    configure + build the default tree, warnings as errors
 #   test     tier-1 ctest suite
-#   lint     mcnsim_lint.py --check and mcnsim_analyze.py --check
-#            (the shard-safety analyzer: baseline drift + fixture
-#            self-test), plus clang-tidy when installed
+#   lint     mcnsim_analyze.py --check (the source checker: all
+#            eleven rules, baseline drift + fixture self-test), plus
+#            clang-tidy when installed
 #   benches  regenerate bench artifacts and gate their modeled
 #            metrics (tools/check_perf.py --modeled-only): every
 #            artifact must match the committed baseline bit for
@@ -82,7 +82,6 @@ fi
 if want lint; then
     echo
     echo "== stage: lint =="
-    python3 "$REPO_ROOT/tools/mcnsim_lint.py" --check
     python3 "$REPO_ROOT/tools/mcnsim_analyze.py" --check
     if command -v clang-tidy > /dev/null 2>&1; then
         cmake -B "$BUILD_DIR" -S "$REPO_ROOT" \
@@ -93,7 +92,7 @@ if want lint; then
     else
         echo "clang-tidy not installed; skipping (config-on-record" \
              "in .clang-tidy; gating comes from -Wconversion +" \
-             "mcnsim_lint.py)"
+             "mcnsim_analyze.py)"
     fi
 fi
 

@@ -1,91 +1,68 @@
 #!/usr/bin/env python3
-"""Shard-safety static analyzer for the mcnsim PDES engine.
+"""Source checker for mcnsim: the determinism contract and the hot-path rules.
 
-The parallel engine (DESIGN.md §9) promises byte-identical output
-for every --threads=N. That guarantee is a *property of the model
-code*, not of the engine: one mutable process-global, one
-pointer-ordered container iteration, one host-entropy read, and the
-promise silently dies. This analyzer machine-checks the determinism
-contract (DESIGN.md §11) across src/:
+Generic linters cannot see the simulator's own contracts, so this
+checker enforces them across src/ with a scope-tracking textual
+analysis (comment/string stripping, brace-scope classification,
+multi-line declaration joining): one rule table, one suppression
+syntax, one reviewed baseline.
 
-  R1 shard-static      No mutable namespace-scope or function-local
-                       static/thread_local state in model code
-                       unless the site carries an
-                       MCNSIM_SHARD_SAFE("reason") annotation
-                       (sim/annotate.hh) stating why it cannot leak
-                       thread scheduling into modeled behaviour.
+Determinism contract -- byte-identical output for every --threads=N
+(DESIGN.md §9, §11):
+  R1  shard-static          no mutable namespace-scope or function-
+                            local static/thread_local state
+  R2  ptr-unordered-iter    no iteration over pointer-keyed
+                            unordered containers
+  R3  host-entropy          no rand()/random_device and no host clock
+                            (std::chrono clocks, std::clock(), time(),
+                            rdtsc, ...) outside HOST_TIME_ALLOW
+  R4  cross-shard-schedule  no schedule() on a shardQueue() result or
+                            an alias of one (src/sim/ is exempt)
+  R5  atomic-memory-order   explicit std::memory_order on the engine's
+                            atomics (ATOMIC_ORDER_SCOPE)
 
-  R2 ptr-unordered-iter  No iteration over std::unordered_map/set
-                       keyed on pointers: iteration order is a
-                       function of allocator addresses, i.e. of
-                       thread scheduling. Use an ordered container
-                       or sort before use, and annotate with
-                       // analyze-ok: ptr-unordered-iter (<why>).
-
-  R3 host-entropy      No rand()/srand()/std::random_device and no
-                       host wall-clock reads in model code: modeled
-                       behaviour must depend only on the event queue
-                       and the seeded RNG (sim/random.hh). The
-                       run-metadata / event-profiler files that
-                       legitimately read host time live in
-                       HOST_TIME_ALLOW. (Subsumes the old
-                       mcnsim_lint.py `wall-clock` rule.)
-
-  R4 cross-shard-schedule  No direct schedule()/scheduleIn()/
-                       reschedule() on a queue obtained via
-                       shardQueue(): under --threads that queue may
-                       belong to another shard's worker. Cross-shard
-                       work goes through Simulation::postCrossShard
-                       (the mailbox, DESIGN.md §9). Also tracks
-                       local aliases of a shardQueue() result.
-                       (Subsumes the old mcnsim_lint.py
-                       `cross-shard` rule; the engine itself,
-                       src/sim/, owns its queues and is exempt.)
-
-  R5 atomic-memory-order  Atomics on the engine's synchronization
-                       paths (sim/shard.*, sim/barrier.hh, and the
-                       cross-thread buffer-pool refcounts) must pass
-                       an explicit std::memory_order -- seq-cst by
-                       default hides the intended ordering contract
-                       and costs fences the barrier protocol was
-                       designed to avoid. Operator forms (++, --,
-                       =, +=) on atomics are flagged for the same
-                       reason.
-
-Analysis modes
-  With the `clang` python bindings and a compile_commands.json
-  (CMAKE_EXPORT_COMPILE_COMMANDS=ON) present, declarations are
-  resolved through libclang's AST. Otherwise the analyzer announces
-  a loud skip -- exactly like ci.sh's clang-tidy step -- and falls
-  back to a scope-tracking textual analysis (comment/string
-  stripping, brace-scope classification, multi-line declaration
-  joining). The textual mode is the CI gate of record; AST mode
-  additionally prunes its known false-positive classes (constructor
-  -call globals, function pointers).
+Hot-path contracts (DESIGN.md §5, §7):
+  R6  packet-cdata          read-only packet access uses cdata(), not
+                            the CoW-detaching data()
+  R7  trace-gate            Trace::emit() behind an anyActive()/active()
+                            gate
+  R8  fault-site            FAULT_POINT() takes a "[a-z][a-z0-9-]*"
+                            literal
+  R9  packet-alloc          packet bytes come from the slab pool, not
+                            new uint8_t[] / a heap byte vector
+  R10 stat-name             stat names are literal dotted lowerCamel
+  R11 this-capture          a queue callback capturing this belongs to
+                            a SimObject (bases resolved transitively
+                            over src/ headers)
 
 Suppressions
-  R1 wants MCNSIM_SHARD_SAFE("reason") on the declaration line or
-  up to 5 lines above. Every rule also accepts
+  One syntax for every rule, on the finding's line or starting at
+  most the rule's window above it (RULES: 5 lines for R1-R5, 4 for
+  this-capture, 1 for the others):
+
       // analyze-ok: <rule> (<why this site is safe>)
-  in the same window. Both require a non-empty justification.
+
+  The reason is required: an annotation without one suppresses
+  nothing. It may continue over the following // lines until its
+  parenthesis closes.
 
 Baseline
   tools/analyze_baseline.json records every annotated site plus any
-  grandfathered (unfixed, unannotated) violations. --check fails on
-  any violation or annotation drift from the baseline, so new
-  findings fail CI while the tracked set stays reviewable.
-  --update-baseline rewrites it after a sweep.
+  grandfathered (unfixed, unannotated) violation, keyed
+  (file, rule, symbol). --check fails on any violation or annotation
+  drift from the baseline, so new findings fail CI while the tracked
+  set stays reviewable. --update-baseline rewrites it after a sweep.
 
 Usage
   tools/mcnsim_analyze.py                  # report findings, exit 0
   tools/mcnsim_analyze.py --check          # gate: baseline + fixtures
-  tools/mcnsim_analyze.py --json OUT.json  # schema'd findings artifact
   tools/mcnsim_analyze.py --update-baseline
   tools/mcnsim_analyze.py --self-test      # classify tests/analyze_fixtures
-  tools/mcnsim_analyze.py --mode textual|ast|auto
 """
 
 import argparse
+import collections
+import functools
 import json
 import pathlib
 import re
@@ -94,9 +71,6 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parent.parent
 BASELINE = REPO / "tools" / "analyze_baseline.json"
 FIXTURES = REPO / "tests" / "analyze_fixtures"
-
-RULES = ("shard-static", "ptr-unordered-iter", "host-entropy",
-         "cross-shard-schedule", "atomic-memory-order")
 
 # R3: files allowed to read host time (run-elapsed metadata, the
 # opt-in host-time event profiler and the shard set's opt-in
@@ -120,10 +94,13 @@ ATOMIC_ORDER_SCOPE = (
 HOST_ENTROPY_RE = re.compile(
     r"\brand\s*\(\s*\)|\bsrand\s*\(|\brandom_device\b"
 )
+# Member accessors (core_->clock(), Core::clock()) are not host
+# clocks: the free functions only match unqualified-by-an-object.
 HOST_CLOCK_RE = re.compile(
-    r"steady_clock|system_clock|high_resolution_clock"
-    r"|gettimeofday|clock_gettime|std::time\s*\(|\btime\s*\(\s*NULL"
-    r"|\btime\s*\(\s*nullptr"
+    r"\b(?:steady|system|high_resolution|utc|tai|gps|file)_clock\b"
+    r"|\bgettimeofday\b|\bclock_gettime\b|\b_{1,2}rdtsc"
+    r"|(?<![\w.>])(?:std)?::(?:clock|time)\s*\("
+    r"|(?<![\w.>:])time\s*\(\s*(?:0|NULL|nullptr|&)"
 )
 CROSS_SHARD_RE = re.compile(
     r"\bshardQueue\s*\([^)]*\)\s*\.\s*"
@@ -132,8 +109,7 @@ CROSS_SHARD_RE = re.compile(
 SHARD_ALIAS_RE = re.compile(
     r"(?:auto|EventQueue)\s*&\s*(\w+)\s*=\s*[^;]*\bshardQueue\s*\("
 )
-ANNOT_RE = re.compile(r'MCNSIM_SHARD_SAFE\s*\(\s*"(.*?)"')
-OK_RE = re.compile(r"//\s*analyze-ok:\s*([\w-]+)\s*\(([^)]+)\)")
+OK_RE = re.compile(r"//\s*analyze-ok:\s*([\w-]+)\s*\(")
 EXPECT_RE = re.compile(r"//\s*expect:\s*([\w\-, ]+)")
 
 ATOMIC_OPS = ("load", "store", "exchange", "fetch_add", "fetch_sub",
@@ -149,10 +125,55 @@ NON_DECL_KEYWORDS = re.compile(
     r"static_assert|MCNSIM_|FAULT_POINT)\b"
 )
 
+# R6: a packet-ish receiver calling the mutable data() overload...
+PACKET_DATA_RE = re.compile(
+    r"\b(\w*(?:pkt|packet|frame|seg|msg)\w*)\s*(?:->|\.)\s*data\s*\(\)",
+    re.IGNORECASE,
+)
+# ...unless something writes through the pointer.
+WRITE_THROUGH_RE = re.compile(
+    r"data\s*\(\)\s*(?:\[[^\]]*\])?\s*"
+    r"(?:=[^=]|\+=|-=|\^=|\|=|&=|\+\+|--)"
+)
 
-def strip_code(text):
-    """Comments and string/char literal bodies -> spaces, preserving
-    line structure, so rule regexes never match inside either."""
+TRACE_EMIT_RE = re.compile(r"\bTrace::emit\s*\(")
+TRACE_GATE_RE = re.compile(r"\banyActive\s*\(\)|\bactive\s*\(\)")
+
+FAULT_POINT_RE = re.compile(r"\bFAULT_POINT\s*\(\s*([^)]*)\)")
+FAULT_POINT_OK_RE = re.compile(r'^"[a-z][a-z0-9-]*"$')
+
+PACKET_ALLOC_RE = re.compile(
+    r"\bnew\s+(?:std::)?uint8_t\s*\["
+    r"|make_unique\s*<\s*(?:std::)?uint8_t\s*\[\]"
+    r"|make_shared\s*<\s*(?:std::)?vector\s*<\s*(?:std::)?uint8_t"
+    r"|\bnew\s+(?:std::)?vector\s*<\s*(?:std::)?uint8_t"
+)
+
+# A stat being constructed: type, member/variable name, then the
+# first constructor argument -- a literal (group 1) or whatever
+# non-literal expression sits there (group 2).
+STAT_CTOR_RE = re.compile(
+    r"\b(?:Scalar|Average|Histogram|LogHistogram|QueueStat)\s+"
+    r"\w+\s*[({]\s*(?:\"([^\"]*)\"|([^,)}]+))"
+)
+STAT_NAME_OK_RE = re.compile(
+    r"^[a-z][a-zA-Z0-9]*(\.[a-z][a-zA-Z0-9]*)*$")
+
+# R11: `this` as one element of a lambda capture list.
+THIS_CAPTURE_RE = re.compile(
+    r"\[(?:[^\[\]]*,)?\s*this\s*(?:,[^\[\]]*)?\]")
+QUEUE_SCHED_RE = re.compile(
+    r"(?:eventQueue\s*\(\)|queue_|\bq_|\bqueue\s*\(\))\s*\.\s*"
+    r"(?:schedule|scheduleIn|scheduleOrdered|reschedule)\s*\("
+)
+CLASS_HEAD_RE = re.compile(
+    r"\b(?:class|struct)\s+(\w+)\s*(?:final\s*)?:([^{;]*)\{")
+
+
+def strip_code(text, keep_literals=False):
+    """Comments -> spaces, preserving line structure, so rule regexes
+    never match inside them. String/char literal bodies are blanked
+    too unless @p keep_literals (for rules that read the literal)."""
     out = []
     i, n = 0, len(text)
     state = None  # None | 'line' | 'block' | '"' | "'"
@@ -172,9 +193,6 @@ def strip_code(text):
                 continue
             if c in "\"'":
                 state = c
-                out.append(c)
-                i += 1
-                continue
             out.append(c)
         elif state == "line":
             if c == "\n":
@@ -191,17 +209,14 @@ def strip_code(text):
             out.append(c if c == "\n" else " ")
         else:  # string or char literal
             if c == "\\":
-                out.append("  ")
+                out.append(c + nxt if keep_literals else "  ")
                 i += 2
                 continue
-            if c == state:
-                state = None
-                out.append(c)
-            elif c == "\n":  # unterminated (raw string etc.): bail
+            if c == state or c == "\n":  # closed (or unterminated)
                 state = None
                 out.append(c)
             else:
-                out.append(" ")
+                out.append(c if keep_literals else " ")
         i += 1
     return "".join(out).split("\n")
 
@@ -276,35 +291,80 @@ def balanced_args(code_lines, i, open_idx, max_join=4):
     return "".join(out)
 
 
-def suppression(raw_lines, i, rule, back=5):
-    """('shard-safe'|'analyze-ok', reason) when line i (0-based) or
-    one of the @p back lines above carries a valid annotation for
-    @p rule, else None. R1 accepts both forms; other rules only
-    analyze-ok."""
-    window = raw_lines[max(0, i - back):i + 1]
-    if rule == "shard-static":
-        joined = " ".join(window)
-        m = ANNOT_RE.search(joined)
-        if m and m.group(1).strip():
-            return ("shard-safe", m.group(1).strip())
-    for line in window:
-        m = OK_RE.search(line)
-        if m and m.group(1) == rule and m.group(2).strip():
-            return ("analyze-ok", m.group(2).strip())
+def annotation_reason(raw_lines, j, start):
+    """Reason of the analyze-ok annotation whose '(' ends at column
+    @p start of line j: the text up to the matching ')', continued
+    over following // lines. None when it never closes."""
+    depth, parts, text = 1, [], raw_lines[j][start:]
+    while True:
+        for k, ch in enumerate(text):
+            depth += {"(": 1, ")": -1}.get(ch, 0)
+            if depth == 0:
+                parts.append(text[:k])
+                return " ".join(p.strip() for p in parts).strip()
+        parts.append(text)
+        j += 1
+        nxt = raw_lines[j].lstrip() if j < len(raw_lines) else ""
+        if not nxt.startswith("//"):
+            return None
+        text = nxt[2:]
+
+
+def suppression(raw_lines, i, rule, window):
+    """Reason of a valid `// analyze-ok: <rule> (<why>)` that starts
+    on line i (0-based) or up to @p window lines above, else None."""
+    for j in range(max(0, i - window), i + 1):
+        m = OK_RE.search(raw_lines[j])
+        if m and m.group(1) == rule:
+            reason = annotation_reason(raw_lines, j, m.end())
+            if reason:
+                return reason
     return None
+
+
+def class_bases(code_lines):
+    """{class: [unqualified base names]} for the class heads in
+    stripped code."""
+    bases = {}
+    for m in CLASS_HEAD_RE.finditer(" ".join(code_lines)):
+        spec = m.group(2)
+        while re.search(r"<[^<>]*>", spec):  # drop template arguments
+            spec = re.sub(r"<[^<>]*>", "", spec)
+        bases[m.group(1)] = [re.findall(r"\w+", b)[-1]
+                             for b in spec.split(",")
+                             if re.search(r"\w", b)]
+    return bases
+
+
+@functools.lru_cache(maxsize=None)
+def src_class_bases():
+    bases = {}
+    for hh in sorted((REPO / "src").rglob("*.hh")):
+        bases.update(class_bases(strip_code(
+            hh.read_text(errors="replace"))))
+    return bases
+
+
+def is_simobject(name, bases, seen=frozenset()):
+    if name == "SimObject":
+        return True
+    return any(b not in seen and is_simobject(b, bases, seen | {name})
+               for b in bases.get(name, ()))
 
 
 class FileAnalysis:
     """Textual analysis of one translation unit (+ sibling header or
     source, for cross-file declarations like a header-declared
-    member iterated in the .cc)."""
+    member iterated in the .cc). Every rule check yields
+    (line index, symbol, message)."""
 
     def __init__(self, path, rel, fixture_mode=False):
-        self.path = path
         self.rel = rel
         self.fixture = fixture_mode
-        self.raw = path.read_text(errors="replace").split("\n")
-        self.code = strip_code("\n".join(self.raw))
+        text = path.read_text(errors="replace")
+        self.raw = text.split("\n")
+        self.code = strip_code(text)
+        self.lit = strip_code(text, keep_literals=True)
         self.scopes = scope_map(self.code)
         self.sibling_code = []
         sib = (path.with_suffix(".cc") if path.suffix == ".hh"
@@ -319,10 +379,9 @@ class FileAnalysis:
         r"(?P<quals>(?:(?:inline|static|thread_local|extern|const|"
         r"constexpr|constinit|mutable)\b\s*)+)")
 
-    def mutable_static_decls(self):
-        """Yield (line, symbol, kind) for mutable static-storage
-        declarations: static/thread_local anywhere, plus plain
-        variables at namespace scope."""
+    def shard_static(self):
+        """Mutable static-storage declarations: static/thread_local
+        anywhere, plus plain variables at namespace scope."""
         for i, line in enumerate(self.code):
             if not line.strip():
                 continue
@@ -347,14 +406,13 @@ class FileAnalysis:
             if "operator" in stmt:
                 continue
             body = stmt[m.end():] if m else stmt.lstrip()
-            if not explicit:
-                # Plain namespace-scope decl: require TYPE NAME shape
-                # so labels/macros/expressions don't match.
-                if not re.match(r"^\s*[\w:]+[\w:<>,\s*&]*\s+[*&]*"
-                                r"\w+\s*[;={]", body):
-                    continue
-                if quals & {"inline"}:
-                    pass  # header inline variable: still a global
+            # Plain namespace-scope decl: require TYPE NAME shape so
+            # labels/macros/expressions don't match. (A header inline
+            # variable is still a global.)
+            if not explicit and not re.match(
+                    r"^\s*[\w:]+[\w:<>,\s*&]*\s+[*&]*\w+\s*[;={]",
+                    body):
+                continue
             term = re.search(r"[;={(]", body)
             if not term or term.group() == "(":
                 continue  # function decl/def (or ctor-call global)
@@ -364,16 +422,11 @@ class FileAnalysis:
             sym = re.findall(r"[A-Za-z_]\w*", head)
             if not sym:
                 continue
-            yield i, sym[-1], "explicit" if explicit else "namespace"
-
-    def r1(self, findings):
-        for i, sym, _kind in self.mutable_static_decls():
-            findings.emit(
-                self, i, "shard-static", sym,
-                f"mutable static-storage state '{sym}' reachable "
-                "from model code; make it per-Simulation/per-shard "
-                "or annotate MCNSIM_SHARD_SAFE(reason) "
-                "(sim/annotate.hh)")
+            yield (i, sym[-1],
+                   f"mutable static-storage state '{sym[-1]}' "
+                   "reachable from model code; make it "
+                   "per-Simulation/per-shard or annotate why it is "
+                   "shard-safe")
 
     # -- R2 ----------------------------------------------------------
     UNORDERED_DECL_RE = re.compile(r"\bunordered_(map|set)\s*<")
@@ -416,7 +469,7 @@ class FileAnalysis:
                 names.append(nm.group(1))
         return names
 
-    def r2(self, findings):
+    def ptr_unordered_iter(self):
         names = set(self._ptr_keyed_names(self.code) +
                     self._ptr_keyed_names(self.sibling_code))
         if not names:
@@ -427,48 +480,40 @@ class FileAnalysis:
             r"|\b(" + alt + r")\s*\.\s*c?begin\s*\(")
         for i, line in enumerate(self.code):
             m = iter_re.search(line)
-            if not m:
-                continue
-            sym = m.group(1) or m.group(2)
-            findings.emit(
-                self, i, "ptr-unordered-iter", sym,
-                f"iteration over pointer-keyed unordered container "
-                f"'{sym}': order follows allocator addresses, i.e. "
-                "thread scheduling; use an ordered container or "
-                "sort before use")
+            if m:
+                sym = m.group(1) or m.group(2)
+                yield (i, sym,
+                       f"iteration over pointer-keyed unordered "
+                       f"container '{sym}': order follows allocator "
+                       "addresses, i.e. thread scheduling; use an "
+                       "ordered container or sort before use")
 
     # -- R3 ----------------------------------------------------------
-    def r3(self, findings):
+    def host_entropy(self):
         clock_ok = self.rel in HOST_TIME_ALLOW
         for i, line in enumerate(self.code):
             m = HOST_ENTROPY_RE.search(line)
             if m:
-                findings.emit(
-                    self, i, "host-entropy", m.group(0).strip("( )"),
-                    "host entropy in model code; draw from the "
-                    "seeded sim::Random (sim/random.hh) instead")
+                yield (i, m.group(0).strip("( )"),
+                       "host entropy in model code; draw from the "
+                       "seeded sim::Random (sim/random.hh) instead")
                 continue
-            if not clock_ok:
-                m = HOST_CLOCK_RE.search(line)
-                if m:
-                    findings.emit(
-                        self, i, "host-entropy", m.group(0).strip(),
-                        "host wall-clock read in model code (breaks "
-                        "determinism; allowlist: HOST_TIME_ALLOW in "
-                        "tools/mcnsim_analyze.py)")
+            m = None if clock_ok else HOST_CLOCK_RE.search(line)
+            if m:
+                yield (i, m.group(0).strip("( "),
+                       "host clock read in model code (breaks "
+                       "determinism; allowlist: HOST_TIME_ALLOW in "
+                       "tools/mcnsim_analyze.py)")
 
     # -- R4 ----------------------------------------------------------
-    def r4(self, findings):
-        if not self.fixture and self.rel.startswith("src/sim/"):
-            return  # the engine owns its queues and the mailbox
+    def cross_shard_schedule(self):
         aliases = {}  # name -> decl line
         for i, line in enumerate(self.code):
             if CROSS_SHARD_RE.search(line):
-                findings.emit(
-                    self, i, "cross-shard-schedule", "shardQueue",
-                    "direct schedule() on shardQueue(...) races "
-                    "with that shard's worker; use Simulation::"
-                    "postCrossShard (DESIGN.md §9)")
+                yield (i, "shardQueue",
+                       "direct schedule() on shardQueue(...) races "
+                       "with that shard's worker; use Simulation::"
+                       "postCrossShard (DESIGN.md §9)")
             m = SHARD_ALIAS_RE.search(line)
             if m:
                 aliases[m.group(1)] = i
@@ -478,18 +523,17 @@ class FileAnalysis:
                 if re.search(r"\b" + re.escape(name) +
                              r"\s*\.\s*(?:schedule|scheduleIn|"
                              r"reschedule)\s*\(", line):
-                    findings.emit(
-                        self, i, "cross-shard-schedule", name,
-                        f"'{name}' aliases a shardQueue() result; "
-                        "scheduling on it races with that shard's "
-                        "worker; use Simulation::postCrossShard "
-                        "(DESIGN.md §9)")
+                    yield (i, name,
+                           f"'{name}' aliases a shardQueue() result; "
+                           "scheduling on it races with that shard's "
+                           "worker; use Simulation::postCrossShard "
+                           "(DESIGN.md §9)")
 
     # -- R5 ----------------------------------------------------------
     ATOMIC_DECL_RE = re.compile(
         r"\batomic\s*<[^;>]*(?:<[^>]*>)?[^;>]*>\s*&?\s*(\w+)\s*[;{=(,)]")
 
-    def r5(self, findings):
+    def atomic_memory_order(self):
         if not self.fixture and self.rel not in ATOMIC_ORDER_SCOPE:
             return
         names = set()
@@ -514,28 +558,114 @@ class FileAnalysis:
                 args = balanced_args(self.code, i,
                                      line.index("(", m.start()))
                 if "memory_order" not in args:
-                    findings.emit(
-                        self, i, "atomic-memory-order",
-                        f"{m.group(1)}.{m.group(2)}",
-                        f"atomic {m.group(2)}() on '{m.group(1)}' "
-                        "without an explicit std::memory_order "
-                        "(seq-cst by default hides the ordering "
-                        "contract)")
+                    yield (i, f"{m.group(1)}.{m.group(2)}",
+                           f"atomic {m.group(2)}() on '{m.group(1)}' "
+                           "without an explicit std::memory_order "
+                           "(seq-cst by default hides the ordering "
+                           "contract)")
             m = raw_op_re.search(line)
             if m and not self.ATOMIC_DECL_RE.search(
                     statement_at(self.code, i, max_join=2)):
                 sym = m.group(1) or m.group(2)
-                findings.emit(
-                    self, i, "atomic-memory-order", sym,
-                    f"operator form on atomic '{sym}' is seq-cst; "
-                    "use the explicit memory-order member form")
+                yield (i, sym,
+                       f"operator form on atomic '{sym}' is seq-cst; "
+                       "use the explicit memory-order member form")
 
-    def run(self, findings):
-        self.r1(findings)
-        self.r2(findings)
-        self.r3(findings)
-        self.r4(findings)
-        self.r5(findings)
+    # -- R6 ----------------------------------------------------------
+    def packet_cdata(self):
+        for i, line in enumerate(self.code):
+            m = PACKET_DATA_RE.search(line)
+            if m and not WRITE_THROUGH_RE.search(
+                    " ".join(self.code[max(0, i - 1):i + 2])):
+                yield (i, m.group(1),
+                       f"read-only access via {m.group(1)}->data() "
+                       "detaches a shared CoW buffer; use cdata()")
+
+    # -- R7 ----------------------------------------------------------
+    def trace_gate(self):
+        for i, line in enumerate(self.code):
+            if TRACE_EMIT_RE.search(line) and not TRACE_GATE_RE.search(
+                    " ".join(self.code[max(0, i - 5):i + 1])):
+                yield (i, "Trace::emit",
+                       "Trace::emit() without a Trace::anyActive()/"
+                       "active() gate on the path")
+
+    # -- R8 ----------------------------------------------------------
+    def fault_site(self):
+        for i, line in enumerate(self.lit):
+            m = FAULT_POINT_RE.search(line)
+            if m and not FAULT_POINT_OK_RE.match(m.group(1).strip()):
+                arg = m.group(1).strip()
+                yield (i, arg,
+                       f"FAULT_POINT({arg}) must take a string literal "
+                       'matching "[a-z][a-z0-9-]*" so fault specs can '
+                       "address the site")
+
+    # -- R9 ----------------------------------------------------------
+    def packet_alloc(self):
+        for i, line in enumerate(self.code):
+            m = PACKET_ALLOC_RE.search(line)
+            if m:
+                yield (i, re.sub(r"\s+", "", m.group(0)),
+                       "raw heap allocation of packet byte storage; "
+                       "use BufferPool::acquire (net/buffer_pool.hh) "
+                       "or annotate a non-packet use")
+
+    # -- R10 ---------------------------------------------------------
+    def stat_name(self):
+        for i, line in enumerate(self.lit):
+            m = STAT_CTOR_RE.search(line)
+            if not m:
+                continue
+            literal, expr = m.group(1), m.group(2)
+            if literal is None:
+                yield (i, expr.strip(),
+                       f"stat name {expr.strip()!r} is not a string "
+                       "literal; computed names hide the stat from "
+                       "filters and report tools")
+            elif not STAT_NAME_OK_RE.match(literal):
+                yield (i, literal,
+                       f'stat name "{literal}" must match '
+                       "lowerCamel[.lowerCamel...] (e.g. "
+                       '"txBytes", "txRing.usedBytes")')
+
+    # -- R11 ---------------------------------------------------------
+    def this_capture(self):
+        local = class_bases(self.code + self.sibling_code)
+        known = {**src_class_bases(), **local}
+        if any(is_simobject(c, known) for c in local):
+            return
+        for i, line in enumerate(self.code):
+            if THIS_CAPTURE_RE.search(line) and QUEUE_SCHED_RE.search(
+                    " ".join(self.code[max(0, i - 3):i + 1])):
+                yield (i, "this",
+                       "event-queue callback captures this but the "
+                       "owner is not a SimObject; the object may die "
+                       "before the callback fires")
+
+
+# One row per rule: name, suppression window (lines above the
+# finding an annotation may start), path prefixes the rule does not
+# apply to, and the check.
+Rule = collections.namedtuple("Rule", "name window allow check")
+RULES = (
+    Rule("shard-static", 5, (), FileAnalysis.shard_static),
+    Rule("ptr-unordered-iter", 5, (), FileAnalysis.ptr_unordered_iter),
+    Rule("host-entropy", 5, (), FileAnalysis.host_entropy),
+    Rule("cross-shard-schedule", 5, ("src/sim/",),
+         FileAnalysis.cross_shard_schedule),
+    Rule("atomic-memory-order", 5, (),
+         FileAnalysis.atomic_memory_order),
+    Rule("packet-cdata", 1, (), FileAnalysis.packet_cdata),
+    Rule("trace-gate", 1, ("src/sim/logging.", "src/sim/trace_ring."),
+         FileAnalysis.trace_gate),
+    Rule("fault-site", 1, ("src/sim/fault.",), FileAnalysis.fault_site),
+    Rule("packet-alloc", 1, ("src/net/buffer_pool.",),
+         FileAnalysis.packet_alloc),
+    Rule("stat-name", 1, ("src/sim/stats.",), FileAnalysis.stat_name),
+    Rule("this-capture", 4, (), FileAnalysis.this_capture),
+)
+RULE_NAMES = {r.name for r in RULES}
 
 
 class Findings:
@@ -543,88 +673,20 @@ class Findings:
         self.violations = []  # dicts
         self.annotated = []   # dicts
 
-    def emit(self, fa, i, rule, symbol, message):
-        sup = suppression(fa.raw, i, rule)
-        entry = {"file": fa.rel, "line": i + 1, "rule": rule,
-                 "symbol": symbol}
-        if sup:
-            kind, reason = sup
-            entry["annotation"] = kind
-            entry["reason"] = reason
-            self.annotated.append(entry)
-        else:
-            entry["message"] = message
-            self.violations.append(entry)
-
-
-def ast_refine(findings, build_dir):
-    """AST mode: prune textual false positives through libclang.
-
-    Re-checks each R1 finding's location against the AST (must be a
-    VarDecl with static storage duration and a non-const type) and
-    each R2 site against a range-for/iterator call. Raises on any
-    environment problem; the caller falls back loudly."""
-    import clang.cindex as ci  # noqa -- optional dependency
-
-    index = ci.Index.create()
-    cdb = ci.CompilationDatabase.fromDirectory(str(build_dir))
-    tus = {}
-
-    def tu_for(rel):
-        src = rel
-        if rel.endswith(".hh"):  # headers ride their sibling TU
-            src = rel[:-3] + ".cc"
-        if src in tus:
-            return tus[src]
-        cmds = cdb.getCompileCommands(str(REPO / src))
-        if not cmds:
-            tus[src] = None
-            return None
-        args = [a for a in list(cmds[0].arguments)[1:-1]
-                if a not in ("-c", "-o")]
-        tus[src] = index.parse(str(REPO / src), args=args)
-        return tus[src]
-
-    def decl_at(tu, rel, line):
-        hits = []
-
-        def walk(c):
-            try:
-                loc = c.location
-                if (loc.file and loc.file.name.endswith(rel)
-                        and loc.line == line):
-                    hits.append(c)
-            except ValueError:
-                pass
-            for ch in c.get_children():
-                walk(ch)
-
-        walk(tu.cursor)
-        return hits
-
-    kept = []
-    for v in findings.violations:
-        if v["rule"] != "shard-static":
-            kept.append(v)
-            continue
-        tu = tu_for(v["file"])
-        if tu is None:
-            kept.append(v)
-            continue
-        cursors = decl_at(tu, v["file"], v["line"])
-        ok = False
-        for c in cursors:
-            if c.kind != ci.CursorKind.VAR_DECL:
+    def run(self, fa):
+        for rule in RULES:
+            if fa.rel.startswith(rule.allow):
                 continue
-            sc = c.storage_class
-            static_like = sc in (ci.StorageClass.STATIC,
-                                 ci.StorageClass.NONE)
-            if static_like and not c.type.is_const_qualified():
-                ok = True
-        if ok or not cursors:
-            kept.append(v)  # confirmed (or unresolvable: keep)
-    findings.violations = kept
-    return findings
+            for i, symbol, message in rule.check(fa):
+                entry = {"file": fa.rel, "line": i + 1,
+                         "rule": rule.name, "symbol": symbol}
+                reason = suppression(fa.raw, i, rule.name, rule.window)
+                if reason:
+                    entry["reason"] = reason
+                    self.annotated.append(entry)
+                else:
+                    entry["message"] = message
+                    self.violations.append(entry)
 
 
 def baseline_key(e):
@@ -644,16 +706,12 @@ def write_baseline(findings):
     doc = {
         "schema_version": 1,
         "kind": "mcnsim-analyze-baseline",
-        "grandfathered": sorted(
-            ({"file": v["file"], "rule": v["rule"],
-              "symbol": v["symbol"]} for v in findings.violations),
-            key=baseline_key),
-        "annotated": sorted(
-            ({"file": a["file"], "rule": a["rule"],
-              "symbol": a["symbol"],
-              "annotation": a["annotation"]}
-             for a in findings.annotated),
-            key=baseline_key),
+        "grandfathered": [dict(zip(("file", "rule", "symbol"), k))
+                          for k in sorted(map(baseline_key,
+                                              findings.violations))],
+        "annotated": [dict(zip(("file", "rule", "symbol"), k))
+                      for k in sorted(map(baseline_key,
+                                          findings.annotated))],
     }
     with open(BASELINE, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
@@ -663,26 +721,27 @@ def write_baseline(findings):
 
 def check_against_baseline(findings):
     """Error strings for violations/annotations drifting from the
-    committed baseline."""
+    committed baseline. Keys are counted, so a second site with an
+    already-tracked key is drift too."""
     base = load_baseline()
     errs = []
-    grand = {baseline_key(e) for e in base["grandfathered"]}
-    known_annot = {baseline_key(e) for e in base["annotated"]}
-    seen_viol = set()
+    grand = collections.Counter(map(baseline_key, base["grandfathered"]))
+    seen = collections.Counter()
     for v in findings.violations:
         k = baseline_key(v)
-        seen_viol.add(k)
-        if k not in grand:
+        seen[k] += 1
+        if seen[k] > grand[k]:
             errs.append(f"{v['file']}:{v['line']}: [{v['rule']}] "
                         f"NEW violation: {v['message']}")
-    for k in sorted(grand - seen_viol):
+    for k in sorted(grand - seen):
         errs.append(f"stale baseline entry (violation fixed?): "
                     f"{k[0]} [{k[1]}] {k[2]}; run --update-baseline")
-    seen_annot = {baseline_key(a) for a in findings.annotated}
-    for k in sorted(seen_annot - known_annot):
+    known = collections.Counter(map(baseline_key, base["annotated"]))
+    annot = collections.Counter(map(baseline_key, findings.annotated))
+    for k in sorted(annot - known):
         errs.append(f"untracked annotated site: {k[0]} [{k[1]}] "
                     f"{k[2]}; run --update-baseline")
-    for k in sorted(known_annot - seen_annot):
+    for k in sorted(known - annot):
         errs.append(f"stale annotated baseline entry: {k[0]} "
                     f"[{k[1]}] {k[2]}; run --update-baseline")
     return errs
@@ -691,11 +750,12 @@ def check_against_baseline(findings):
 def self_test():
     """Classify every fixture in tests/analyze_fixtures: each line
     carrying `// expect: <rule>[, <rule>]` must be flagged with
-    exactly those rules; every other line must be clean."""
+    exactly those rules; every other line must be clean. Every rule
+    must be expected somewhere."""
     if not FIXTURES.is_dir():
         print(f"analyze: no fixtures at {FIXTURES}", file=sys.stderr)
         return 1
-    failures = 0
+    failures, covered = 0, set()
     for path in sorted(FIXTURES.glob("*.cc")):
         rel = path.relative_to(REPO).as_posix()
         raw = path.read_text(errors="replace").split("\n")
@@ -705,10 +765,11 @@ def self_test():
             if m:
                 for rule in m.group(1).split(","):
                     rule = rule.strip()
-                    assert rule in RULES, (rel, rule)
+                    assert rule in RULE_NAMES, (rel, rule)
                     expected.add((i + 1, rule))
+        covered |= {rule for _, rule in expected}
         findings = Findings()
-        FileAnalysis(path, rel, fixture_mode=True).run(findings)
+        findings.run(FileAnalysis(path, rel, fixture_mode=True))
         got = {(v["line"], v["rule"]) for v in findings.violations}
         missing = expected - got
         spurious = got - expected
@@ -724,20 +785,23 @@ def self_test():
             print(f"PASS {rel} ({n} expected finding"
                   f"{'' if n == 1 else 's'}, "
                   f"{len(findings.annotated)} annotated)")
+    for rule in sorted(RULE_NAMES - covered):
+        failures += 1
+        print(f"FAIL no fixture expects [{rule}]")
     return 1 if failures else 0
 
 
 def gather_files(paths):
-    roots = [REPO / p for p in paths] or [REPO / "src"]
+    """Model-code files under the given roots (default: src/)."""
     files = []
-    for r in roots:
+    for r in [REPO / p for p in paths] or [REPO / "src"]:
         if r.is_file():
             files.append(r)
         elif r.is_dir():
             files.extend(sorted(r.rglob("*.hh")))
             files.extend(sorted(r.rglob("*.cc")))
     return [f for f in files
-            if FIXTURES not in f.parents]
+            if f.relative_to(REPO).as_posix().startswith("src/")]
 
 
 def main():
@@ -748,16 +812,10 @@ def main():
     ap.add_argument("--check", action="store_true",
                     help="gate mode: fail on baseline drift, run "
                          "the fixture self-test")
-    ap.add_argument("--json", metavar="PATH",
-                    help="write the schema'd findings artifact")
     ap.add_argument("--update-baseline", action="store_true",
                     help="rewrite tools/analyze_baseline.json")
     ap.add_argument("--self-test", action="store_true",
                     help="classify tests/analyze_fixtures only")
-    ap.add_argument("--mode", choices=("auto", "ast", "textual"),
-                    default="auto")
-    ap.add_argument("--build-dir", default=str(REPO / "build"),
-                    help="compile_commands.json location (AST mode)")
     args = ap.parse_args()
 
     if args.self_test:
@@ -766,46 +824,11 @@ def main():
     findings = Findings()
     files = gather_files(args.paths)
     for f in files:
-        rel = f.relative_to(REPO).as_posix()
-        if not rel.startswith("src/"):
-            continue  # the determinism contract binds model code
-        FileAnalysis(f, rel).run(findings)
-
-    mode = "textual"
-    if args.mode in ("auto", "ast"):
-        try:
-            cc = pathlib.Path(args.build_dir) / "compile_commands.json"
-            if not cc.exists():
-                raise RuntimeError(f"no {cc}")
-            ast_refine(findings, args.build_dir)
-            mode = "ast"
-        except Exception as e:  # ImportError, parse errors, ...
-            msg = (f"mcnsim_analyze: libclang AST mode unavailable "
-                   f"({e.__class__.__name__}: {e}); falling back to "
-                   "textual analysis (install the `clang` python "
-                   "bindings and configure with "
-                   "-DCMAKE_EXPORT_COMPILE_COMMANDS=ON for AST mode)")
-            if args.mode == "ast":
-                print(msg, file=sys.stderr)
-                return 2
-            print(msg, file=sys.stderr)
+        findings.run(FileAnalysis(f, f.relative_to(REPO).as_posix()))
 
     for v in findings.violations:
         print(f"{v['file']}:{v['line']}: [{v['rule']}] "
               f"{v['message']}")
-
-    if args.json:
-        doc = {
-            "schema_version": 1,
-            "kind": "mcnsim-analyze",
-            "mode": mode,
-            "files_scanned": len(files),
-            "violations": findings.violations,
-            "annotated": findings.annotated,
-        }
-        with open(args.json, "w") as f:
-            json.dump(doc, f, indent=1, sort_keys=True)
-            f.write("\n")
 
     if args.update_baseline:
         doc = write_baseline(findings)
@@ -814,18 +837,16 @@ def main():
               f"{len(doc['annotated'])} annotated)")
         return 0
 
-    print(f"mcnsim_analyze [{mode}]: {len(files)} files, "
-          f"{len(findings.violations)} violation"
-          f"{'' if len(findings.violations) == 1 else 's'}, "
-          f"{len(findings.annotated)} annotated site"
-          f"{'' if len(findings.annotated) == 1 else 's'}")
+    nv, na = len(findings.violations), len(findings.annotated)
+    print(f"mcnsim_analyze: {len(files)} files, {nv} violation"
+          f"{'' if nv == 1 else 's'}, {na} annotated site"
+          f"{'' if na == 1 else 's'}")
 
     if args.check:
         errs = check_against_baseline(findings)
         for e in errs:
             print(e)
-        rc = self_test()
-        if errs or rc:
+        if self_test() or errs:
             return 1
     return 0
 
