@@ -29,7 +29,7 @@
 #include "sim/event_queue.hh"
 #include "sim/shard.hh"
 #include "sim/simulation.hh"
-#include "sim/timer_wheel.hh"
+#include "sim/timer.hh"
 
 using namespace mcnsim;
 
@@ -173,37 +173,15 @@ BM_SwitchForward(benchmark::State &state)
 BENCHMARK(BM_SwitchForward)->Arg(2)->Arg(16)->Arg(64);
 
 static void
-BM_LinkBurst(benchmark::State &state)
-{
-    // 64 back-to-back frames pile onto one busy direction, then the
-    // pump drains them: the heap holds one entry for the direction
-    // instead of 64.
-    sim::Simulation s;
-    netdev::EthernetLink link(s, "l", 10e9, sim::oneUs);
-    NullEndpoint a, b;
-    link.attachA(&a);
-    link.attachB(&b);
-    auto pkt = net::Packet::makePattern(1500);
-    for (auto _ : state) {
-        for (int i = 0; i < 64; ++i)
-            link.sendFrom(&a, pkt->clone());
-        s.run();
-    }
-    state.SetBytesProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 64 * 1500);
-}
-BENCHMARK(BM_LinkBurst);
-
-static void
 BM_TcpTimerChurn(benchmark::State &state)
 {
-    // The RTO lifecycle: every node is armed, re-armed (each ACK
+    // The RTO lifecycle: every timer is armed, re-armed (each ACK
     // moves the deadline), and half are canceled before firing --
-    // the arm/cancel-heavy mix the wheel exists for.
+    // the arm/cancel-heavy mix TCP puts on its timers.
     sim::EventQueue q;
-    sim::TimerWheel w(q, "bench.timer");
+    sim::TimerList w(q, "bench.timer");
     constexpr int n = 64;
-    sim::TimerNode nodes[n];
+    sim::Timer nodes[n];
     std::uint64_t sink = 0;
     for (auto _ : state) {
         for (int i = 0; i < n; ++i)

@@ -355,10 +355,10 @@ TcpSocket::TcpSocket(TcpLayer &layer, std::string name)
 
 TcpSocket::~TcpSocket()
 {
-    // Timers disarm via their embedded TimerNode destructors. When
-    // a socket held alive by a suspended task frame is reaped after
-    // the owning TcpLayer (and its wheel) are gone, the wheel has
-    // already detached the nodes, so those cancels are no-ops.
+    // Timers disarm via their embedded Timer destructors. When a
+    // socket held alive by a suspended task frame is reaped after
+    // the owning TcpLayer (and its TimerList) are gone, the list has
+    // already disarmed them, so those cancels are no-ops.
 }
 
 std::uint32_t

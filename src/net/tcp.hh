@@ -26,7 +26,7 @@
 #include "net/packet.hh"
 #include "sim/sim_object.hh"
 #include "sim/task.hh"
-#include "sim/timer_wheel.hh"
+#include "sim/timer.hh"
 
 namespace mcnsim::net {
 
@@ -145,9 +145,9 @@ class TcpLayer : public sim::SimObject
 
     NetStack &stack() { return stack_; }
 
-    /** Per-layer timing wheel carrying every socket's RTO, delayed
-     *  ACK, and zero-window persist timer (DESIGN.md §10). */
-    sim::TimerWheel &timers() { return timers_; }
+    /** Every socket's armed RTO, delayed-ACK and zero-window
+     *  persist timers, each one "tcp.timer" event. */
+    sim::TimerList &timers() { return timers_; }
 
     std::uint16_t allocEphemeralPort();
 
@@ -200,7 +200,7 @@ class TcpLayer : public sim::SimObject
     friend class TcpSocket;
 
     NetStack &stack_;
-    sim::TimerWheel timers_;
+    sim::TimerList timers_;
     std::map<TcpTuple, TcpSocketPtr> connections_;
     std::map<std::uint16_t, TcpSocketPtr> listeners_;
     std::uint16_t nextPort_ = 32768;
@@ -405,17 +405,16 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     sim::Tick rto_ = 0;
     sim::Tick rttSampleSentAt_ = 0;
     std::uint32_t rttSampleSeq_ = 0;
-    /// Timers live on the owning layer's wheel; the nodes disarm
-    /// themselves on destruction, and the armed callback's
-    /// shared_ptr capture keeps this socket alive exactly as the
-    /// old per-timer managed events did.
-    sim::TimerNode rtoTimer_;
-    sim::TimerNode delAckTimer_;
+    /// Timers arm on the owning layer's list and disarm themselves
+    /// on destruction; the armed callback's shared_ptr capture keeps
+    /// this socket alive until the timer fires or is canceled.
+    sim::Timer rtoTimer_;
+    sim::Timer delAckTimer_;
     std::uint32_t unackedSegs_ = 0; ///< segments since last ACK sent
 
     // Resilience: abort-on-timeout and zero-window persist.
     unsigned backoffCount_ = 0; ///< consecutive RTOs without progress
-    sim::TimerNode persistTimer_;
+    sim::Timer persistTimer_;
     sim::Tick persistTimeout_ = 0;
     TcpError error_ = TcpError::None;
 

@@ -16,8 +16,7 @@ namespace mcnsim::netdev {
 EthernetLink::EthernetLink(sim::Simulation &s, std::string name,
                            double bandwidth_bps, sim::Tick latency)
     : sim::SimObject(s, std::move(name)),
-      bandwidthBps_(bandwidth_bps), latency_(latency),
-      burst_(burstDefault_)
+      bandwidthBps_(bandwidth_bps), latency_(latency)
 {
     if (bandwidth_bps <= 0.0)
         sim::fatal(this->name(), ": bandwidth must be > 0");
@@ -124,23 +123,13 @@ EthernetLink::sendFrom(EtherEndpoint *src, net::PacketPtr pkt)
     sim::Tick arrive = dir.busyUntil + latency_;
 
     if (!split_) {
-        // Same-queue path: eager Scalars, then either the burst
-        // pump (one heap entry per busy direction) or the legacy
-        // one-event-per-frame delivery. Arrival ticks and per-link
-        // ordering are identical either way.
+        // Same-queue path: eager Scalars and one delivery event per
+        // frame.
         statFrames_ += 1;
         statBytes_ += static_cast<double>(bytes);
         dir.inFlightBytes += bytes;
-        if (burst_) {
-            dir.burstQ.push_back(
-                Direction::BurstEntry{arrive, bytes,
-                                      std::move(pkt),
-                                      srcQ.reserveOrder()});
-            armPump(src == a_);
-            return;
-        }
         srcQ.schedule(
-            [this, dst_ep, pkt, bytes, src] {
+            [this, dst_ep, pkt = std::move(pkt), bytes, src] {
                 Direction &d = dirFor(src);
                 d.inFlightBytes -= bytes;
                 deliver(dst_ep, pkt, *aQueue_, d, false);
@@ -237,67 +226,20 @@ EthernetLink::sendControl(EtherEndpoint *src, net::PacketPtr pkt)
 }
 
 void
-EthernetLink::armPump(bool from_a)
-{
-    Direction &d = from_a ? ab_ : ba_;
-    if (d.pumpArmed || d.burstQ.empty())
-        return;
-    d.pumpArmed = true;
-    // Classic path only: both ends share one queue. The pump event
-    // occupies the front frame's reserved within-tick slot, so it
-    // fires exactly where that frame's own delivery event would
-    // have -- same tick, same order against unrelated events.
-    eventQueue().scheduleOrdered([this, from_a] { pump(from_a); },
-                                 d.burstQ.front().arrive,
-                                 d.burstQ.front().order,
-                                 "link.deliver");
-}
-
-void
-EthernetLink::pump(bool from_a)
-{
-    Direction &d = from_a ? ab_ : ba_;
-    EtherEndpoint *dst_ep = from_a ? b_ : a_;
-    sim::EventQueue &q = eventQueue();
-    d.pumpArmed = false;
-    sim::Tick now = q.curTick();
-    // Deliver the due burst in FIFO order. Per-direction arrivals
-    // are strictly increasing, so this is normally one frame; the
-    // loop is the burst-vector contract (everything due fires now,
-    // in order) and costs nothing when the burst is a singleton.
-    while (!d.burstQ.empty() && d.burstQ.front().arrive <= now) {
-        Direction::BurstEntry e = std::move(d.burstQ.front());
-        d.burstQ.pop_front();
-        d.inFlightBytes -= e.bytes;
-        burstDelivered_ += 1;
-        deliver(dst_ep, std::move(e.pkt), q, d, false);
-    }
-    armPump(from_a);
-}
-
-void
 EthernetLink::deliver(EtherEndpoint *dst_ep, net::PacketPtr pkt,
                       sim::EventQueue &q, Direction &dir, bool split)
 {
     // Fault injection: transient loss and bit errors, the
     // physical-link hazards the paper contrasts with the
-    // ECC/CRC-protected memory channel (Sec. IV-A). The legacy
-    // rate knobs draw from the simulation RNG (single-shard test
-    // tools; see the file comment); the FaultPlan sites use
-    // per-site streams so an armed-but-silent plan cannot perturb
-    // modeled timing. On the split path the stat increment lands in
-    // the receiver shard's plain counter instead of the Scalar.
+    // ECC/CRC-protected memory channel (Sec. IV-A). The FaultPlan
+    // sites use per-site streams, so an armed-but-silent plan cannot
+    // perturb modeled timing. On the split path the stat increment
+    // lands in the receiver shard's plain counter instead of the
+    // Scalar.
     if (downAt(q.curTick())) [[unlikely]] {
         // Scheduled outage window: the cable is unplugged, so
         // everything in flight -- data and fabric hellos alike --
         // is lost until the window closes.
-        if (split)
-            dir.rxDropped += 1;
-        else
-            statDropped_ += 1;
-        return;
-    }
-    if (lossRate_ > 0.0 && simulation().rng().chance(lossRate_)) {
         if (split)
             dir.rxDropped += 1;
         else
@@ -311,18 +253,12 @@ EthernetLink::deliver(EtherEndpoint *dst_ep, net::PacketPtr pkt,
             statDropped_ += 1;
         return;
     }
-    const bool legacy_corrupt =
-        corruptRate_ > 0.0 &&
-        simulation().rng().chance(corruptRate_) &&
-        pkt->size() > 60;
-    if (legacy_corrupt ||
-        (pkt->size() > 60 && faultCorrupt_.fires())) {
+    if (pkt->size() > 60 && faultCorrupt_.fires()) {
         // Flip one payload byte past the L2-L4 headers so the
         // frame stays parseable; checksums (when enabled) must
         // catch this.
-        sim::Rng &rng = legacy_corrupt ? simulation().rng()
-                                       : faultCorrupt_.rng();
-        std::size_t idx = rng.uniformInt(54, pkt->size() - 1);
+        std::size_t idx =
+            faultCorrupt_.rng().uniformInt(54, pkt->size() - 1);
         pkt->data()[idx] ^= 0x40;
         if (split)
             dir.rxCorrupted += 1;

@@ -12,11 +12,10 @@
  * stay shard-local (folded into the registered stats by
  * syncStats()), and the propagation latency is what the builders
  * register as the shard edge bounding the conservative lookahead.
- * The legacy setLossRate()/setCorruptRate() knobs draw from the
- * shared simulation RNG and are single-shard test tools only; the
- * FaultPlan sites are the sharded-safe path (the ShardSet runs
- * windows serially while a plan is armed, keeping per-site RNG draw
- * order deterministic).
+ * Faults come only from the FaultPlan sites ("<link>.drop",
+ * ".corrupt", ".dup", ".reorder", ".down"), which are sharded-safe:
+ * the ShardSet runs windows serially while a plan is armed, keeping
+ * per-site RNG draw order deterministic.
  */
 
 #ifndef MCNSIM_NETDEV_ETHERNET_LINK_HH
@@ -84,18 +83,6 @@ class EthernetLink : public sim::SimObject
     double bandwidthBps() const { return bandwidthBps_; }
     sim::Tick latency() const { return latency_; }
 
-    // --- Fault injection -------------------------------------------
-    /** Drop each frame with probability @p p (transient loss). */
-    void setLossRate(double p) { lossRate_ = p; }
-
-    /**
-     * Flip one payload byte with probability @p p per frame: the
-     * BER the paper contrasts against ECC-protected memory
-     * channels (Sec. IV-A). Corruption targets bytes beyond the
-     * L2/L3/L4 headers so connections stay parseable.
-     */
-    void setCorruptRate(double p) { corruptRate_ = p; }
-
     std::uint64_t framesDropped() const
     {
         return static_cast<std::uint64_t>(statDropped_.value()) +
@@ -113,29 +100,6 @@ class EthernetLink : public sim::SimObject
 
     /** True when the two ends live on different event queues. */
     bool crossShard() const { return split_; }
-
-    // --- Burst coalescing ------------------------------------------
-    /**
-     * Same-queue deliveries normally coalesce behind one pump event
-     * per direction: pending frames wait in a burst deque and the
-     * pump re-arms itself at the next arrival tick, so the event
-     * heap holds one entry per busy link direction instead of one
-     * per in-flight frame (an 8 MB switch egress backlog is ~5400
-     * frames). Arrival ticks and per-link ordering are exactly the
-     * per-frame path's. The singleton path is kept for the
-     * byte-identity regression tests.
-     */
-    void setBurstCoalescing(bool on) { burst_ = on; }
-    bool burstCoalescing() const { return burst_; }
-
-    /** Default for new links (tests flip it to compare paths). */
-    static void setBurstCoalescingDefault(bool on)
-    {
-        burstDefault_ = on;
-    }
-
-    /** Frames delivered by pump events (introspection). */
-    std::uint64_t burstDelivered() const { return burstDelivered_; }
 
     /** Cache scheduled "<name>.down" outage windows from the armed
      *  FaultPlan (spec: `at=` start, `param=` duration). */
@@ -172,32 +136,10 @@ class EthernetLink : public sim::SimObject
         std::uint64_t rxCorrupted = 0;
         std::uint64_t rxDuplicated = 0;
         std::uint64_t rxReordered = 0;
-
-        /** Same-queue burst path: frames awaiting delivery. Arrival
-         *  ticks are strictly increasing (busyUntil advances by the
-         *  serialization time, >= 1 tick, per frame), so the front
-         *  is always the next due. `order` is the within-tick slot
-         *  reserved at sendFrom() time (EventQueue::reserveOrder),
-         *  which is what keeps pump deliveries bit-identical to the
-         *  schedule-per-frame path against other same-tick events. */
-        struct BurstEntry
-        {
-            sim::Tick arrive;
-            std::uint64_t bytes;
-            net::PacketPtr pkt;
-            std::uint64_t order;
-        };
-        std::deque<BurstEntry> burstQ;
-        bool pumpArmed = false;
     };
 
-    /** Deliver every due frame in @p src-side direction, then re-arm
-     *  the pump at the next arrival tick. */
-    void pump(bool from_a);
-    void armPump(bool from_a);
-
-    /** Arrival-side delivery: legacy loss/corrupt knobs plus the
-     *  FaultPlan drop/corrupt/dup/reorder sites. Runs on @p q (the
+    /** Arrival-side delivery through the FaultPlan
+     *  down/drop/corrupt/dup/reorder sites. Runs on @p q (the
      *  receiver's queue); @p dir is the direction of travel. */
     void deliver(EtherEndpoint *dst_ep, net::PacketPtr pkt,
                  sim::EventQueue &q, Direction &dir, bool split);
@@ -217,14 +159,6 @@ class EthernetLink : public sim::SimObject
     bool split_ = false;
     double bandwidthBps_;
     sim::Tick latency_;
-    double lossRate_ = 0.0;
-    double corruptRate_ = 0.0;
-    bool burst_ = true;
-    // analyze-ok: shard-static (construction-time default: written only
-    // by tests/CLI before a system is built, read once per link
-    // constructor; never mutated while an event loop runs)
-    static inline bool burstDefault_ = true;
-    std::uint64_t burstDelivered_ = 0;
     /** Scheduled outage windows [start, end), cached at startup()
      *  from the plan's "<name>.down" hits. Empty in clean runs, so
      *  the deliver() check is one branch. */

@@ -190,17 +190,6 @@ EventQueue::recycle(CallbackEvent *ev)
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
-    schedule(ev, when, nextSeq_++);
-}
-
-void
-EventQueue::schedule(Event *ev, Tick when, std::uint64_t order)
-{
-    MCNSIM_CHECK(order < nextSeq_,
-                 "schedule() of event '", ev->name(),
-                 "' with an unreserved order slot (order ", order,
-                 " >= next sequence ", nextSeq_,
-                 "): call reserveOrder() first");
     MCNSIM_CHECK(!MCNSIM_IF_CHECKED(ev->poisoned_),
                  "schedule() of a dead pooled Event* (last live "
                  "name '", ev->lastLiveName(), "', generation ",
@@ -234,9 +223,9 @@ EventQueue::schedule(Event *ev, Tick when, std::uint64_t order)
     }
     ev->queue_ = this;
     ev->when_ = when;
-    ev->seq_ = order;
+    assert(nextSeq_ <= seqMask && "sequence numbers exhausted");
+    ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
-    assert(ev->seq_ <= seqMask && "sequence numbers exhausted");
     heap_.push_back(Entry{when, entryKey(ev), ev});
     std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
 }

@@ -241,29 +241,6 @@ class EventQueue
     void schedule(Event *ev, Tick when);
 
     /**
-     * Reserve a same-tick ordering slot *now* for an event scheduled
-     * *later* via the ordered overloads. Within a tick (and
-     * priority) events run in the order their sequence numbers were
-     * drawn, so a coalescing component (the link burst pump, the TCP
-     * timer wheel) that holds work aside and schedules its dispatch
-     * event lazily can still occupy exactly the within-tick position
-     * a schedule-at-submit-time design would have: reserve at submit
-     * time, schedule with the reserved order at dispatch time. Each
-     * reserved order must be used at most once (uniqueness is what
-     * the lazy-deletion staleness checks rest on).
-     */
-    std::uint64_t
-    reserveOrder()
-    {
-        assert(nextSeq_ < seqMask && "sequence numbers exhausted");
-        return nextSeq_++;
-    }
-
-    /** Schedule @p ev at @p when occupying the previously reserved
-     *  within-tick position @p order. */
-    void schedule(Event *ev, Tick when, std::uint64_t order);
-
-    /**
      * Remove a pending event; no-op if not scheduled. Lazy: the heap
      * entry is left behind and skipped when popped (or reclaimed by
      * compaction). For a managed event the pointer is dead after
@@ -309,24 +286,6 @@ class EventQueue
     {
         return schedule(std::forward<F>(fn), when,
                         internEventName(name), prio);
-    }
-
-    /** Managed callback at a reserved within-tick position (see
-     *  reserveOrder()). */
-    template <typename F,
-              typename = std::enable_if_t<std::is_invocable_v<F &>>>
-    Event *
-    scheduleOrdered(F &&fn, Tick when, std::uint64_t order,
-                    const char *name = "lambda",
-                    EventPriority prio = EventPriority::Default)
-    {
-        CallbackEvent *ev = acquireSlot();
-        ev->name_ = name;
-        ev->priority_ = prio;
-        ev->fn_ = std::forward<F>(fn);
-        ev->managed_ = true;
-        schedule(ev, when, order);
-        return ev;
     }
 
     /** Schedule a managed callback @p delta ticks from now. */

@@ -3,7 +3,7 @@
  * Analyzer fixture: R11 this-capture violations. A queue callback
  * that captures this on an object the Simulation does not own can
  * fire after the object is gone. Lines tagged "widened" need the
- * full capture-list match or the scheduleOrdered entry point.
+ * full capture-list match.
  */
 
 #include <cstdint>
@@ -14,8 +14,6 @@ struct EventQueue
 {
     template <typename F> void *schedule(F fn, std::uint64_t when);
     template <typename F> void *scheduleIn(F fn, std::uint64_t delta);
-    template <typename F>
-    void *scheduleOrdered(F fn, std::uint64_t when, std::uint64_t order);
 };
 
 class FixtureTimer
@@ -31,12 +29,6 @@ class FixtureTimer
     armWith(int pkt)
     {
         queue_.scheduleIn([this, pkt] { fire(); }, 10); // expect: this-capture (widened)
-    }
-
-    void
-    armOrdered(std::uint64_t order)
-    {
-        queue_.scheduleOrdered([=, this] { fire(); }, 10, order); // expect: this-capture (widened)
     }
 
     void

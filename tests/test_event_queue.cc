@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -19,7 +20,7 @@
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
-#include "sim/timer_wheel.hh"
+#include "sim/timer.hh"
 
 using namespace mcnsim::sim;
 
@@ -304,14 +305,14 @@ TEST(EventQueue, RandomizedStressKeepsDispatchOrderAndPool)
 }
 
 // ---------------------------------------------------------------------
-// TimerWheel: O(1) protocol timers with event-queue determinism
+// Timer: one managed event per armed timer
 // ---------------------------------------------------------------------
 
-TEST(TimerWheel, FiresAtExactDeadlines)
+TEST(Timer, FiresAtExactDeadlines)
 {
     EventQueue q;
-    TimerWheel w(q, "test.timer");
-    TimerNode t1, t2, t3;
+    TimerList w(q, "test.timer");
+    Timer t1, t2, t3;
     std::vector<std::pair<int, Tick>> fired;
     w.arm(t2, 500, [&] { fired.emplace_back(2, q.curTick()); });
     w.arm(t1, 100, [&] { fired.emplace_back(1, q.curTick()); });
@@ -325,15 +326,13 @@ TEST(TimerWheel, FiresAtExactDeadlines)
     EXPECT_EQ(fired[2], (std::pair<int, Tick>{3, 90'000}));
     EXPECT_EQ(w.armedCount(), 0u);
     EXPECT_EQ(w.fires(), 3u);
-    // 90'000 files above level 0, so reaching it cascaded.
-    EXPECT_GT(w.cascades(), 0u);
 }
 
-TEST(TimerWheel, SameTickTimersFireInArmOrder)
+TEST(Timer, SameTickTimersFireInArmOrder)
 {
     EventQueue q;
-    TimerWheel w(q, "test.timer");
-    TimerNode a, b, c;
+    TimerList w(q, "test.timer");
+    Timer a, b, c;
     std::vector<char> order;
     // Arm out of alphabetical order; firing must follow *arm* order.
     w.arm(b, 200, [&] { order.push_back('b'); });
@@ -343,14 +342,13 @@ TEST(TimerWheel, SameTickTimersFireInArmOrder)
     EXPECT_EQ(order, (std::vector<char>{'b', 'c', 'a'}));
 }
 
-TEST(TimerWheel, InterleavesWithPlainEventsByScheduleOrder)
+TEST(Timer, InterleavesWithPlainEventsByScheduleOrder)
 {
-    // The wheel's determinism contract: a timer armed between two
-    // plain schedule() calls fires between them at a shared tick,
-    // exactly as a per-timer event would have.
+    // The ordering contract: a timer armed between two plain
+    // schedule() calls fires between them at a shared tick.
     EventQueue q;
-    TimerWheel w(q, "test.timer");
-    TimerNode t;
+    TimerList w(q, "test.timer");
+    Timer t;
     std::vector<int> order;
     q.schedule([&] { order.push_back(1); }, 300);
     w.arm(t, 300, [&] { order.push_back(2); });
@@ -359,11 +357,11 @@ TEST(TimerWheel, InterleavesWithPlainEventsByScheduleOrder)
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(TimerWheel, CancelAndRearm)
+TEST(Timer, CancelAndRearm)
 {
     EventQueue q;
-    TimerWheel w(q, "test.timer");
-    TimerNode t, u;
+    TimerList w(q, "test.timer");
+    Timer t, u;
     int tFired = 0, uFired = 0;
     Tick uAt = 0;
     w.arm(t, 100, [&] { tFired++; });
@@ -385,13 +383,12 @@ TEST(TimerWheel, CancelAndRearm)
     EXPECT_EQ(q.curTick(), 700u); // canceled deadlines leave no event
 }
 
-TEST(TimerWheel, RearmFromInsideCallbackChains)
+TEST(Timer, RearmFromInsideCallbackChains)
 {
-    // The RTO pattern: each fire re-arms the same node. Crossing
-    // many 64-tick slot boundaries exercises the cascade path.
+    // The RTO pattern: each fire re-arms the same timer.
     EventQueue q;
-    TimerWheel w(q, "test.timer");
-    TimerNode t;
+    TimerList w(q, "test.timer");
+    Timer t;
     std::vector<Tick> at;
     std::function<void()> tick = [&] {
         at.push_back(q.curTick());
@@ -404,13 +401,13 @@ TEST(TimerWheel, RearmFromInsideCallbackChains)
     EXPECT_EQ(w.armedCount(), 0u);
 }
 
-TEST(TimerWheel, CancelFromInsideAnotherCallback)
+TEST(Timer, CancelFromInsideAnotherCallback)
 {
     // A firing timer may cancel a same-tick sibling; the sibling
     // must not run even though it was already due.
     EventQueue q;
-    TimerWheel w(q, "test.timer");
-    TimerNode killer, victim, bystander;
+    TimerList w(q, "test.timer");
+    Timer killer, victim, bystander;
     std::vector<char> order;
     w.arm(killer, 50, [&] {
         order.push_back('k');
@@ -422,37 +419,39 @@ TEST(TimerWheel, CancelFromInsideAnotherCallback)
     EXPECT_EQ(order, (std::vector<char>{'k', 'b'}));
 }
 
-TEST(TimerWheel, WheelTeardownDropsArmedTimers)
+TEST(Timer, ListTeardownDropsArmedTimers)
 {
     // A layer dying with protocol timers outstanding (node removal,
     // end of run) must not fire them or leak their captures.
     EventQueue q;
-    TimerNode t1, t2;
+    Timer t1, t2;
     int fired = 0;
+    auto keepAlive = std::make_shared<int>(0);
     {
-        TimerWheel w(q, "test.timer");
-        w.arm(t1, 100, [&] { fired++; });
+        TimerList w(q, "test.timer");
+        w.arm(t1, 100, [&fired, keepAlive] { fired++; });
         w.arm(t2, 99'999, [&] { fired++; });
+        EXPECT_EQ(keepAlive.use_count(), 2);
     }
     EXPECT_FALSE(t1.armed());
     EXPECT_FALSE(t2.armed());
+    EXPECT_EQ(keepAlive.use_count(), 1) << "capture outlived teardown";
     q.run();
     EXPECT_EQ(fired, 0);
-    // Canceling against the dead wheel is a safe no-op.
+    // Canceling against the dead list is a safe no-op.
     t1.cancel();
+    EXPECT_EQ(q.poolOutstanding(), 0u);
 }
 
-TEST(TimerWheel, FarDeadlinesSurviveManyCascades)
+TEST(Timer, FarDeadlinesFireInDeadlineOrder)
 {
-    // Deadlines spread across several wheel levels all land exactly,
-    // including ones re-filed multiple times on the way down.
+    // Deadlines spread over seven decades of ticks all land exactly.
     EventQueue q;
-    TimerWheel w(q, "test.timer");
+    TimerList w(q, "test.timer");
     constexpr int n = 32;
-    TimerNode nodes[n];
+    Timer nodes[n];
     std::vector<Tick> want, got;
     for (int i = 0; i < n; ++i) {
-        // Spread: 3^i mod a big range, covering levels 0..4.
         Tick d = 1 + (static_cast<Tick>(i) * 2'654'435'761u) %
                          10'000'000u;
         want.push_back(d);
@@ -462,6 +461,29 @@ TEST(TimerWheel, FarDeadlinesSurviveManyCascades)
     q.run();
     EXPECT_EQ(got, want);
     EXPECT_EQ(w.fires(), static_cast<std::uint64_t>(n));
+}
+
+TEST(Timer, RearmChurnStaysBoundedByCompaction)
+{
+    // Every re-arm leaves the old event behind as a stale heap entry
+    // (deschedule is lazy). Stale-entry compaction must keep the
+    // heap and the event pool small through 100 000 moves.
+    EventQueue q;
+    TimerList w(q, "test.timer");
+    Timer t;
+    int fired = 0;
+    std::size_t peak = 0;
+    constexpr Tick n = 100'000;
+    for (Tick i = 0; i < n; ++i) {
+        w.arm(t, 1000 + i, [&fired] { fired++; });
+        peak = std::max(peak, q.internalEntries());
+    }
+    EXPECT_LE(peak, 128u);
+    EXPECT_LE(q.poolCarved(), 128u);
+    q.run();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(q.curTick(), 1000 + n - 1);
+    EXPECT_EQ(q.poolOutstanding(), 0u);
 }
 
 TEST(ClockDomain, PeriodAndConversions)

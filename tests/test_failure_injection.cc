@@ -1,12 +1,13 @@
 /**
  * @file
  * Failure injection: transient loss and bit errors on Ethernet
- * links. Verifies TCP's loss recovery, verifies software checksums
- * catch wire corruption, and verifies the paper's Sec. IV-A
- * argument is enforced per hop: checksum bypass (mcn2) is honored
- * only across trusted hops (the ECC/CRC-protected memory channel);
- * on an untrusted lossy wire the stack keeps verifying, so
- * corruption is retransmitted instead of reaching the application.
+ * links, armed as FaultPlan drop/corrupt specs. Verifies TCP's loss
+ * recovery, verifies software checksums catch wire corruption, and
+ * verifies the paper's Sec. IV-A argument is enforced per hop:
+ * checksum bypass (mcn2) is honored only across trusted hops (the
+ * ECC/CRC-protected memory channel); on an untrusted lossy wire the
+ * stack keeps verifying, so corruption is retransmitted instead of
+ * reaching the application.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "net/socket.hh"
 #include "net/tcp.hh"
 #include "netdev/ethernet_link.hh"
+#include "sim/fault.hh"
 #include "sim/simulation.hh"
 
 using namespace mcnsim;
@@ -23,6 +25,34 @@ using namespace mcnsim::net;
 using namespace mcnsim::sim;
 
 namespace {
+
+/** Scopes FaultPlan specs to one test: the plan is process-wide, so
+ *  it is cleared on both ends and reseeded for a fixed schedule. */
+struct PlanGuard
+{
+    FaultPlan &plan = FaultPlan::instance();
+
+    PlanGuard()
+    {
+        plan.clear();
+        plan.setSeed(1);
+    }
+    ~PlanGuard() { plan.clear(); }
+
+    /** Arm "<site>:p=<p>" unless @p p is zero. */
+    void
+    armRate(const std::string &site, double p)
+    {
+        if (p <= 0.0)
+            return;
+        FaultPlan::Spec sp;
+        std::string err;
+        const std::string text = site + ":p=" + std::to_string(p);
+        ASSERT_TRUE(FaultPlan::parseSpec(text, &sp, &err))
+            << text << ": " << err;
+        plan.arm(sp);
+    }
+};
 
 struct TransferResult
 {
@@ -46,8 +76,9 @@ lossyTransfer(double loss, double corrupt, bool checksum_bypass)
 
     // Faults on the sender-side link: data segments are exposed on
     // their way toward the switch.
-    sys.link(0).setLossRate(loss);
-    sys.link(0).setCorruptRate(corrupt);
+    PlanGuard g;
+    g.armRate(sys.link(0).name() + ".drop", loss);
+    g.armRate(sys.link(0).name() + ".corrupt", corrupt);
 
     TransferResult r;
     if (checksum_bypass) {
@@ -126,7 +157,8 @@ TEST(FaultInjection, LossDropsApproximatelyTheConfiguredFraction)
     CountingSink a, b;
     link.attachA(&a);
     link.attachB(&b);
-    link.setLossRate(0.2);
+    PlanGuard g;
+    g.armRate("l.drop", 0.2);
 
     constexpr int n = 2000;
     for (int i = 0; i < n; ++i)
@@ -146,7 +178,8 @@ TEST(FaultInjection, CorruptionFlipsExactlyOneByte)
     CountingSink a, b;
     link.attachA(&a);
     link.attachB(&b);
-    link.setCorruptRate(1.0);
+    PlanGuard g;
+    g.armRate("l.corrupt", 1.0);
 
     auto original = Packet::makePattern(500, 9);
     auto reference = original->bytes();

@@ -404,6 +404,7 @@ runUntil(Simulation &s, Pred done, Tick deadline, Tick step = oneMs)
 
 TEST(TcpCorners, RtoBackoffAbortsWithExplicitTimeout)
 {
+    PlanGuard g;
     Simulation s;
     ClusterSystemParams p;
     p.numNodes = 2;
@@ -442,8 +443,9 @@ TEST(TcpCorners, RtoBackoffAbortsWithExplicitTimeout)
     ASSERT_LT(got, bytes) << "transfer finished before the cut";
     ASSERT_TRUE(client);
     ASSERT_EQ(client->state(), TcpState::Established);
-    sys.link(0).setLossRate(1.0);
     const Tick cut = s.curTick();
+    g.arm(sys.link(0).name() + ".drop:p=1,from=" +
+          std::to_string(cut));
 
     // The sender must not hang: maxRetransmits consecutive backoffs
     // end in an explicit per-socket error.

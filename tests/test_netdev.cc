@@ -144,66 +144,6 @@ TEST(LinkTest, DirectionsAreIndependent)
     EXPECT_EQ(b.when[0], oneUs);
 }
 
-TEST(LinkTest, BurstPathMatchesSingletonDeliveries)
-{
-    // The burst pump must be an invisible optimisation: same
-    // arrival ticks, same order, same bytes as the one-event-per-
-    // frame path, across idle starts and busy pile-ups.
-    struct Arrival
-    {
-        Tick when;
-        std::size_t size;
-        std::uint8_t first;
-
-        bool
-        operator==(const Arrival &o) const
-        {
-            return when == o.when && size == o.size &&
-                   first == o.first;
-        }
-    };
-    auto runOnce = [](bool burst) {
-        Simulation s;
-        EthernetLink link(s, "link", 10e9, oneUs);
-        link.setBurstCoalescing(burst);
-        SinkEndpoint a, b;
-        b.sim = &s;
-        link.attachA(&a);
-        link.attachB(&b);
-        // Staggered sends: bursts of 4 back-to-back frames (the
-        // link is busy, arrivals queue) separated by idle gaps (the
-        // pump has to re-arm from scratch).
-        for (int g = 0; g < 5; ++g) {
-            s.eventQueue().schedule(
-                [&link, &a, g] {
-                    for (int i = 0; i < 4; ++i)
-                        link.sendFrom(
-                            &a, Packet::makePattern(
-                                    200 + 190 * i,
-                                    static_cast<std::uint8_t>(g)));
-                },
-                static_cast<Tick>(g) * 3 * oneUs);
-        }
-        s.run();
-        std::vector<Arrival> out;
-        for (std::size_t i = 0; i < b.got.size(); ++i)
-            out.push_back({b.when[i], b.got[i]->size(),
-                           b.got[i]->cdata()[0]});
-        return std::pair(out, link.burstDelivered());
-    };
-
-    auto [single, singlePumped] = runOnce(false);
-    auto [burst, burstPumped] = runOnce(true);
-    ASSERT_EQ(single.size(), 20u);
-    EXPECT_EQ(singlePumped, 0u);
-    EXPECT_EQ(burstPumped, 20u);
-    ASSERT_EQ(burst.size(), single.size());
-    for (std::size_t i = 0; i < single.size(); ++i)
-        EXPECT_TRUE(burst[i] == single[i])
-            << "delivery " << i << " diverged: tick "
-            << burst[i].when << " vs " << single[i].when;
-}
-
 TEST(FibTest, LearnsLooksUpAndUpdates)
 {
     MacFib fib(16);

@@ -12,6 +12,7 @@
 #include "net/socket.hh"
 #include "net/tcp.hh"
 #include "os/kernel.hh"
+#include "sim/fault.hh"
 #include "sim/simulation.hh"
 
 using namespace mcnsim;
@@ -294,7 +295,18 @@ TEST(TcpPayload, FramedPatternBytesSurviveLossyLink)
     Simulation s;
     ClusterSystemParams p;
     ClusterSystem sys(s, p);
-    sys.link(0).setLossRate(0.02);
+    // The plan is process-wide: clear it on both ends of the test.
+    struct PlanScope
+    {
+        FaultPlan &plan = FaultPlan::instance();
+        PlanScope() { plan.clear(); }
+        ~PlanScope() { plan.clear(); }
+    } scope;
+    FaultPlan::Spec sp;
+    ASSERT_TRUE(FaultPlan::parseSpec(
+        sys.link(0).name() + ".drop:p=0.02", &sp, nullptr));
+    scope.plan.setSeed(1);
+    scope.plan.arm(sp);
     auto fs = runFramedStream(s, *sys.node(0).stack,
                               *sys.node(1).stack, sys.addrOf(1));
     expectSameStream(fs);

@@ -164,7 +164,7 @@ THIS_CAPTURE_RE = re.compile(
     r"\[(?:[^\[\]]*,)?\s*this\s*(?:,[^\[\]]*)?\]")
 QUEUE_SCHED_RE = re.compile(
     r"(?:eventQueue\s*\(\)|queue_|\bq_|\bqueue\s*\(\))\s*\.\s*"
-    r"(?:schedule|scheduleIn|scheduleOrdered|reschedule)\s*\("
+    r"(?:schedule|scheduleIn|reschedule)\s*\("
 )
 CLASS_HEAD_RE = re.compile(
     r"\b(?:class|struct)\s+(\w+)\s*(?:final\s*)?:([^{;]*)\{")
