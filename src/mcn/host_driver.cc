@@ -364,7 +364,7 @@ McnHostDriver::drainLoop(std::size_t idx)
 
     // R2/R3: the first cache line gives length + dst-mac; then the
     // message body is copied out of the SRAM window.
-    auto msg = ring.dequeue();
+    auto msg = ring.dequeuePacket();
     MCNSIM_ASSERT(msg, "non-empty TX ring without front message");
     b.dimm->iface().recordRingLevels();
     if (!msg->crcOk) {
@@ -377,10 +377,9 @@ McnHostDriver::drainLoop(std::size_t idx)
         drainLoop(idx);
         return;
     }
-    std::uint64_t bytes = msg->bytes.size();
+    net::PacketPtr pkt = std::move(msg->pkt);
+    std::uint64_t bytes = pkt->size();
     trace("MCNDriver", "drain dimm ", idx, ": ", bytes, "B from TX ring");
-    auto pkt = net::Packet::make(std::move(msg->bytes));
-    pkt->path = std::move(msg->path);
 
     const auto &costs = kernel_.costs();
     const sim::Tick t0 = curTick();
@@ -446,8 +445,7 @@ McnHostDriver::xmitToDimm(std::size_t idx, net::PacketPtr pkt)
         tlSpan("hostTxCopy", t0, now);
         pkt->stamp(net::Stage::DriverTx, name().c_str(), now);
         Binding &bb = *dimms_[idx];
-        bool ok = bb.dimm->iface().sram().rx().enqueue(
-            pkt->cdata(), pkt->size(), std::move(pkt->path));
+        bool ok = bb.dimm->iface().sram().rx().enqueue(*pkt);
         MCNSIM_ASSERT(ok, "RX ring enqueue failed after reserve");
         if (faultTxCorrupt_.fires())
             bb.dimm->iface().sram().rx().corruptNewest();

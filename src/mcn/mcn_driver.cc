@@ -114,8 +114,7 @@ McnDriver::xmit(net::PacketPtr pkt)
     auto finish = [this, pkt, need, t0](sim::Tick now) {
         tlSpan("mcnTxCopy", t0, now);
         pkt->stamp(net::Stage::DriverTx, name().c_str(), now);
-        bool ok = iface_.sram().tx().enqueue(
-            pkt->cdata(), pkt->size(), std::move(pkt->path));
+        bool ok = iface_.sram().tx().enqueue(*pkt);
         MCNSIM_ASSERT(ok, "TX ring enqueue failed after reserve");
         if (faultTxCorrupt_.fires())
             iface_.sram().tx().corruptNewest();
@@ -163,7 +162,7 @@ McnDriver::drainRx()
         return;
     }
 
-    auto msg = ring.dequeue();
+    auto msg = ring.dequeuePacket();
     MCNSIM_ASSERT(msg, "non-empty ring without front message");
     iface_.recordRingLevels();
     if (!msg->crcOk) {
@@ -175,10 +174,9 @@ McnDriver::drainRx()
         return;
     }
     statRxMsgs_ += 1;
-    std::uint64_t bytes = msg->bytes.size();
+    net::PacketPtr pkt = std::move(msg->pkt);
+    std::uint64_t bytes = pkt->size();
     trace("MCNDriver", "drain RX ring: ", bytes, "B");
-    auto pkt = net::Packet::make(std::move(msg->bytes));
-    pkt->path = std::move(msg->path);
 
     const auto &costs = kernel_.costs();
     const sim::Tick t0 = curTick();

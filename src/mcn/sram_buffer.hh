@@ -12,9 +12,14 @@
  *  - the RX ring carries host -> MCN-node messages with rx-start /
  *    rx-end / rx-poll playing the mirrored roles.
  *
- * The buffer holds real bytes and enforces real ring invariants;
- * timing (memory-channel transactions, memcpy bandwidth) is charged
- * by the drivers around these functional operations.
+ * A ring enforces the real ring invariants -- each message's
+ * footprint and the start/end/used pointers -- but holds each
+ * frame as a copy-on-write view of the producer's pooled packet
+ * block, not as a copy of its bytes: no model decision reads the
+ * bytes in SRAM, and the drivers charge the modelled copies
+ * (memory-channel transactions, memcpy or DMA time) around these
+ * functional operations. A crossing therefore makes no host-side
+ * byte copy (DESIGN.md "Hot paths & buffer ownership").
  */
 
 #ifndef MCNSIM_MCN_SRAM_BUFFER_HH
@@ -30,18 +35,24 @@
 
 namespace mcnsim::mcn {
 
-/** A dequeued MCN message: the frame bytes plus the simulation-side
- *  metadata that rode along (not modelled bytes). */
-struct McnMessage
+/** A dequeued MCN frame: a fresh packet over the block the producer
+ *  enqueued, with default metadata and the producer's timing record
+ *  (null unless flow telemetry or the timeline was active). */
+struct McnFrame
 {
-    std::vector<std::uint8_t> bytes;
-    /** The packet's timing record, moved across the crossing (null
-     *  unless flow telemetry or the timeline was active). */
-    std::unique_ptr<net::PathTrace> path;
+    net::PacketPtr pkt;
     /** Ring-entry CRC verdict: false when the payload read back
      *  does not match the checksum computed at enqueue (in-SRAM
      *  corruption). The drivers drop such messages and count them
      *  as ringCrcDrops. */
+    bool crcOk = true;
+};
+
+/** A dequeued message as bytes (the byte adapter dequeue()). */
+struct McnMessage
+{
+    std::vector<std::uint8_t> bytes;
+    std::unique_ptr<net::PathTrace> path;
     bool crcOk = true;
 };
 
@@ -59,15 +70,20 @@ class MessageRing
     }
 
     /**
-     * Enqueue one message; returns false when it does not fit
-     * (the driver then returns NETDEV_TX_BUSY). @p path is the
-     * packet's timing record, carried alongside the bytes so path
-     * stamps survive the ring crossing.
+     * Enqueue @p pkt's bytes; returns false when they do not fit
+     * (the driver then returns NETDEV_TX_BUSY) or are empty. The
+     * ring keeps a view of the packet's block (no byte copy) and
+     * takes its timing record, so path stamps survive the crossing.
      */
+    bool enqueue(net::Packet &pkt);
+
+    /** Dequeue the oldest frame, if any. */
+    std::optional<McnFrame> dequeuePacket();
+
+    /** Byte adapters over enqueue(Packet &) / dequeuePacket(): copy
+     *  the message in, and out into a vector. */
     bool enqueue(const std::uint8_t *data, std::size_t len,
                  std::unique_ptr<net::PathTrace> path = nullptr);
-
-    /** Dequeue the oldest message, if any. */
     std::optional<McnMessage> dequeue();
 
     /** Peek the oldest message's length without consuming. */
@@ -75,8 +91,8 @@ class MessageRing
 
     bool empty() const { return used_ == 0; }
     std::size_t usedBytes() const { return used_; }
-    std::size_t freeBytes() const { return buf_.size() - used_; }
-    std::size_t capacityBytes() const { return buf_.size(); }
+    std::size_t freeBytes() const { return capacity_ - used_; }
+    std::size_t capacityBytes() const { return capacity_; }
 
     /** Ring pointers, exposed for tests / pointer-read modelling. */
     std::size_t startPtr() const { return start_; }
@@ -87,10 +103,11 @@ class MessageRing
 
     /**
      * Fault-injection hook: flip one byte of the newest message's
-     * payload in place, leaving the CRC recorded at enqueue time
-     * untouched -- models a bit error inside the SRAM (or a racy
-     * producer). dequeue() of that message reports crcOk == false.
-     * Returns false when the ring is empty.
+     * payload, leaving the CRC recorded at enqueue time untouched
+     * -- models a bit error inside the SRAM (or a racy producer).
+     * The flip goes through copy-on-write, so the producer's packet
+     * keeps its bytes. Dequeuing that message reports crcOk ==
+     * false. Returns false when the ring is empty.
      */
     bool corruptNewest();
 
@@ -106,29 +123,22 @@ class MessageRing
 
 #ifdef MCNSIM_CHECKED
     /** Checked build: audit start/end/used consistency, pointer
-     *  bounds and side-channel sync; runs on every ring operation. */
+     *  bounds and frame-queue sync; runs on every ring operation. */
     void auditInvariants() const;
 #endif
 
-    void writeBytes(std::size_t pos, const std::uint8_t *src,
-                    std::size_t n);
-    void readBytes(std::size_t pos, std::uint8_t *dst,
-                   std::size_t n) const;
-
-    /** Per-message metadata, one entry per message in flight. Kept
-     *  in a side channel -- not in the ring bytes -- so the modelled
-     *  ring footprint (and therefore timing) is unchanged. */
-    struct Meta
+    /** One message in flight. */
+    struct Entry
     {
+        net::PacketPtr frame;
         /** Payload CRC record: bit 32 = computed, low 32 = FNV-1a;
          *  0 = skipped because no fault plan was armed at enqueue,
          *  so disarmed runs pay no per-byte hash. */
         std::uint64_t crc;
-        std::unique_ptr<net::PathTrace> path;
     };
 
-    std::vector<std::uint8_t> buf_;
-    std::deque<Meta> meta_;
+    std::size_t capacity_;
+    std::deque<Entry> frames_;
     std::size_t start_ = 0; ///< first byte of the oldest message
     std::size_t end_ = 0;   ///< one past the newest message
     std::size_t used_ = 0;

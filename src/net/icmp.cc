@@ -5,6 +5,8 @@
 
 #include "net/icmp.hh"
 
+#include <cstring>
+
 #include "net/checksum.hh"
 #include "net/net_stack.hh"
 #include "net/tcp.hh"
@@ -145,7 +147,9 @@ IcmpLayer::rx(Ipv4Addr src, Ipv4Addr dst, PacketPtr pkt,
     if (h->type == icmpEchoRequest) {
         statEchoReq_ += 1;
         // Reflect the payload back to the sender.
-        auto reply = Packet::make(pkt->bytes());
+        auto reply = Packet::makeFilled(pkt->size(), [&](std::uint8_t *p) {
+            std::memcpy(p, pkt->cdata(), pkt->size());
+        });
         IcmpHeader rh = *h;
         rh.type = icmpEchoReply;
         rh.push(*reply, !(stack_.checksumBypass() &&

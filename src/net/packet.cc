@@ -157,20 +157,27 @@ Packet::trim(std::size_t n)
 }
 
 PacketPtr
-Packet::clone() const
+Packet::view() const
 {
     MCNSIM_IF_CHECKED(BufferPool::auditLive(buf_.get());
                       auditSeal();)
-    PacketPtr copy = wrap(buf_, head_, tail_);
+    PacketPtr v = wrap(buf_, head_, tail_);
+    // The block is shared from here on: seal both views so any write
+    // that bypasses copy-on-write is caught at the next audit.
+    MCNSIM_IF_CHECKED(sealNow(); v->sealHash_ = sealHash_;
+                      v->sealed_ = true;)
+    return v;
+}
+
+PacketPtr
+Packet::clone() const
+{
+    PacketPtr copy = view();
     if (path) [[unlikely]]
         copy->path = std::make_unique<PathTrace>(*path);
     copy->srcNode = srcNode;
     copy->dstNode = dstNode;
     copy->tsoMss = tsoMss;
-    // The block is shared from here on: seal both views so any write
-    // that bypasses copy-on-write is caught at the next audit.
-    MCNSIM_IF_CHECKED(sealNow(); copy->sealHash_ = sealHash_;
-                      copy->sealed_ = true;)
     return copy;
 }
 

@@ -217,6 +217,15 @@ class Packet
      */
     PacketPtr clone() const;
 
+    /**
+     * A fresh packet over this packet's live bytes: O(1) and
+     * copy-on-write like clone(), but with default metadata (no
+     * timing record, node ids or TSO state) -- what make(bytes())
+     * would return, without the copy. An MCN ring crossing hands
+     * the consumer such a view of the producer's frame.
+     */
+    PacketPtr view() const;
+
     /** True when this packet and @p o alias one byte block (tests,
      *  diagnostics). */
     bool

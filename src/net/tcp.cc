@@ -516,6 +516,20 @@ TcpSocket::sendPattern(std::size_t n)
 sim::Task<std::vector<std::uint8_t>>
 TcpSocket::recv(std::size_t max)
 {
+    std::vector<std::uint8_t> out;
+    co_await receive(max, &out);
+    co_return out;
+}
+
+sim::Task<std::size_t>
+TcpSocket::recvDiscard(std::size_t max)
+{
+    return receive(max, nullptr);
+}
+
+sim::Task<std::size_t>
+TcpSocket::receive(std::size_t max, std::vector<std::uint8_t> *out)
+{
     auto self = shared_from_this();
     const auto &costs = stack_.kernel().costs();
     while (rcvBuf_.empty() && !peerFin_ &&
@@ -525,7 +539,10 @@ TcpSocket::recv(std::size_t max)
     std::size_t n = std::min(max, rcvBuf_.size());
     bool was_starved =
         advertisedWindow() * TcpHeader::windowScale < effectiveMss();
-    std::vector<std::uint8_t> out = rcvBuf_.take(n);
+    if (out)
+        *out = rcvBuf_.take(n);
+    else
+        rcvBuf_.popFront(n);
     if (n > 0) {
         co_await stack_.kernel().cpus().leastLoaded().run(
             costs.syscallEntry + costs.copy(n));
@@ -533,7 +550,7 @@ TcpSocket::recv(std::size_t max)
         if (was_starved)
             sendAckNow(); // window update
     }
-    co_return out;
+    co_return n;
 }
 
 sim::Task<std::size_t>

@@ -286,6 +286,14 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     sim::Task<std::vector<std::uint8_t>> recv(std::size_t max);
 
     /**
+     * recv() with MSG_TRUNC semantics: consume up to @p max
+     * in-order bytes and discard them. Same wait, window update and
+     * syscall + copy charge as recv(); returns the byte count (0
+     * once the peer closed).
+     */
+    sim::Task<std::size_t> recvDiscard(std::size_t max);
+
+    /**
      * Drain exactly @p n bytes, discarding the data (bulk sink).
      * Returns bytes actually drained (< n iff the peer closed).
      */
@@ -340,6 +348,11 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
 
   private:
     friend class TcpLayer;
+
+    /** recv() / recvDiscard()'s body: moves the consumed bytes into
+     *  @p out, or drops them when it is null. */
+    sim::Task<std::size_t> receive(std::size_t max,
+                                   std::vector<std::uint8_t> *out);
 
     // Protocol engine.
     void trySend();

@@ -6,6 +6,7 @@
 #include "netdev/nic.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "net/checksum.hh"
 #include "net/tcp.hh"
@@ -146,8 +147,9 @@ Nic::segmentTso(const net::PacketPtr &pkt)
     std::uint16_t ip_id = ip->id;
     while (off < total) {
         std::size_t chunk = std::min<std::size_t>(mss, total - off);
-        auto seg = Packet::make(std::vector<std::uint8_t>(
-            payload + off, payload + off + chunk));
+        auto seg = Packet::makeFilled(chunk, [&](std::uint8_t *p) {
+            std::memcpy(p, payload + off, chunk);
+        });
         if (pkt->path) [[unlikely]]
             seg->path = std::make_unique<net::PathTrace>(*pkt->path);
         seg->srcNode = pkt->srcNode;

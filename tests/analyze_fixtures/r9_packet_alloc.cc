@@ -1,7 +1,8 @@
 /**
  * @file
  * Analyzer fixture: R9 packet-alloc violations. Raw heap byte
- * storage bypasses the slab pool's size-classed free lists.
+ * storage bypasses the slab pool's size-classed free lists; a
+ * temporary vector fed to Packet::make() copies the bytes twice.
  */
 
 #include <cstddef>
@@ -10,6 +11,22 @@
 #include <vector>
 
 namespace mcnsim::fixture {
+
+struct Packet
+{
+    static Packet *make(std::vector<std::uint8_t> payload);
+    std::vector<std::uint8_t> bytes() const;
+};
+
+void
+copies(const std::uint8_t *p, std::size_t n, const Packet *src)
+{
+    auto *a = Packet::make(std::vector<std::uint8_t>(p, p + n)); // expect: packet-alloc
+    auto *b = Packet::make( // expect: packet-alloc
+        std::vector<std::uint8_t>(p, p + n));
+    auto *c = Packet::make(src->bytes()); // expect: packet-alloc
+    (void)a, (void)b, (void)c;
+}
 
 void
 allocations(std::size_t n)

@@ -13,6 +13,7 @@
 #include "mcn/alert_signal.hh"
 #include "mcn/mcn_interface.hh"
 #include "mcn/sram_buffer.hh"
+#include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
 #include "sim/simulation.hh"
@@ -136,6 +137,74 @@ TEST(MessageRingTest, FrontLengthMatchesWithoutConsuming)
     auto out = ring.dequeue();
     ASSERT_TRUE(out);
     EXPECT_EQ(out->bytes.size(), 777u);
+}
+
+TEST(MessageRingTest, DequeuedFrameSharesTheEnqueuedBlock)
+{
+    MessageRing ring(16 * 1024);
+    auto sent = net::Packet::makePattern(1500, 3);
+    sent->srcNode = 4;
+    sent->tsoMss = 1460;
+    sent->path = std::make_unique<net::PathTrace>();
+    sent->path->record(net::Stage::DriverTx, "tx", 7);
+    const auto expect = sent->bytes();
+
+    ASSERT_TRUE(ring.enqueue(*sent));
+    EXPECT_FALSE(sent->path); // the timing record rides the ring
+    EXPECT_EQ(ring.usedBytes(), MessageRing::footprint(1500));
+    auto got = ring.dequeuePacket();
+    ASSERT_TRUE(got);
+    EXPECT_TRUE(got->crcOk);
+    // Zero byte copies: the consumer reads the producer's block.
+    EXPECT_TRUE(got->pkt->sharesBufferWith(*sent));
+    EXPECT_EQ(got->pkt->bytes(), expect);
+    // Metadata starts fresh, as for a newly made packet.
+    EXPECT_EQ(got->pkt->srcNode, -1);
+    EXPECT_EQ(got->pkt->tsoMss, 0u);
+    ASSERT_TRUE(got->pkt->path);
+    EXPECT_EQ(got->pkt->path->last(net::Stage::DriverTx), 7u);
+    EXPECT_TRUE(ring.empty());
+}
+
+TEST(MessageRingTest, CorruptNewestCopiesOnWriteAndFailsTheCrc)
+{
+    // The ring-entry CRC is computed only while a fault plan is
+    // armed; arm one that matches no site.
+    struct PlanScope
+    {
+        sim::FaultPlan &plan = sim::FaultPlan::instance();
+        PlanScope()
+        {
+            sim::FaultPlan::Spec sp;
+            sp.siteGlob = "no-such-site";
+            plan.arm(sp);
+        }
+        ~PlanScope() { plan.clear(); }
+    } scope;
+
+    MessageRing ring(16 * 1024);
+    EXPECT_FALSE(ring.corruptNewest());
+    auto clean = net::Packet::makePattern(64, 1);
+    auto sent = net::Packet::makePattern(1500, 3);
+    auto held = sent->clone(); // e.g. a retransmit copy
+    const auto expect = sent->bytes();
+    ASSERT_TRUE(ring.enqueue(*clean));
+    ASSERT_TRUE(ring.enqueue(*sent));
+    ASSERT_TRUE(ring.corruptNewest());
+    // The flip copied the ring's view; the producer keeps its bytes.
+    EXPECT_EQ(sent->bytes(), expect);
+    EXPECT_EQ(held->bytes(), expect);
+
+    auto first = ring.dequeuePacket();
+    ASSERT_TRUE(first);
+    EXPECT_TRUE(first->crcOk);
+    auto bad = ring.dequeue();
+    ASSERT_TRUE(bad);
+    EXPECT_FALSE(bad->crcOk);
+    ASSERT_EQ(bad->bytes.size(), expect.size());
+    EXPECT_EQ(bad->bytes.back(), expect.back() ^ 0x20);
+    bad->bytes.back() = expect.back();
+    EXPECT_EQ(bad->bytes, expect);
 }
 
 TEST(SramBufferTest, LayoutAndPollFlags)

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "core/system_builder.hh"
 #include "net/net_stack.hh"
 #include "net/socket.hh"
@@ -336,6 +338,94 @@ TEST(TcpPayload, FramedPatternBytesOverMcnBypassAndDma)
     expectSameStream(runFramedStream(s, sys.hostStack(),
                                      sys.dimm(0).stack(),
                                      sys.dimmAddr(0)));
+}
+
+namespace {
+
+/** What a host server saw while draining one bulk stream. */
+struct DrainRun
+{
+    Tick closedAt = 0; ///< tick the server read end-of-stream
+    std::uint64_t bytesReceived = 0;
+    std::string stats; ///< stats JSON without its host wall clock
+};
+
+/**
+ * A DIMM sends 2 MiB to the host over MCN and closes. The host's
+ * server first lets the 1 MiB receive buffer fill, so the window
+ * closes and the first read must send a window update; then it
+ * drains the stream with recv(), or with recvDiscard() when
+ * @p discard is set, and does nothing else with the bytes.
+ */
+DrainRun
+drainFromDimm(bool discard)
+{
+    Simulation s;
+    McnSystemParams p;
+    p.numDimms = 2;
+    p.config = McnConfig::level(5);
+    McnSystem sys(s, p);
+    constexpr std::size_t bytes = 2 * TcpSocket::rcvBufCap;
+
+    DrainRun r;
+    bool up = false, closed = false;
+    auto server = [&]() -> Task<void> {
+        auto lst = tcpListen(sys.hostStack(), 8011);
+        up = true;
+        auto conn = co_await lst->accept();
+        co_await delayFor(s.eventQueue(), 5 * oneMs);
+        while (true) {
+            std::size_t n = 0;
+            if (discard)
+                n = co_await conn->recvDiscard(65536);
+            else
+                n = (co_await conn->recv(65536)).size();
+            if (n == 0)
+                break;
+        }
+        r.closedAt = s.curTick();
+        r.bytesReceived = conn->bytesReceived();
+        closed = true;
+    };
+    auto client = [&]() -> Task<void> {
+        while (!up)
+            co_await delayFor(s.eventQueue(), oneUs);
+        auto sock = co_await tcpConnect(sys.dimm(0).stack(),
+                                        {sys.hostAddr(), 8011});
+        if (!sock)
+            co_return;
+        co_await sock->sendPattern(bytes);
+        co_await sock->close();
+    };
+    spawnDetached(s.eventQueue(), server());
+    spawnDetached(s.eventQueue(), client());
+    // MCN polling keeps the queue busy forever: run in slices.
+    Tick deadline = s.curTick() + secondsToTicks(5.0);
+    while (!closed && s.curTick() < deadline)
+        s.run(std::min(s.curTick() + oneMs, deadline));
+
+    std::ostringstream os;
+    s.dumpStatsJson(os);
+    r.stats = os.str();
+    auto at = r.stats.find("\"wall_seconds\"");
+    if (at != std::string::npos)
+        r.stats.erase(at, r.stats.find(',', at) - at);
+    return r;
+}
+
+} // namespace
+
+TEST(TcpRecv, DiscardingReceiveMatchesRecv)
+{
+    // recvDiscard() is recv() without the vector: the same waits,
+    // window updates and syscall + copy charges, so the modeled run
+    // is identical to the last tick and the last stat.
+    const DrainRun kept = drainFromDimm(false);
+    ASSERT_EQ(kept.bytesReceived, 2 * TcpSocket::rcvBufCap);
+    const DrainRun dropped = drainFromDimm(true);
+    EXPECT_EQ(dropped.closedAt, kept.closedAt);
+    EXPECT_EQ(dropped.bytesReceived, kept.bytesReceived);
+    EXPECT_EQ(dropped.stats, kept.stats);
 }
 
 TEST(TcpClose, OrderlyFinHandshake)

@@ -29,7 +29,8 @@ Hot-path contracts (DESIGN.md §5, §7):
   R8  fault-site            FAULT_POINT() takes a "[a-z][a-z0-9-]*"
                             literal
   R9  packet-alloc          packet bytes come from the slab pool, not
-                            new uint8_t[] / a heap byte vector
+                            new uint8_t[] / a heap byte vector / a
+                            temporary vector fed to Packet::make()
   R10 stat-name             stat names are literal dotted lowerCamel
   R11 this-capture          a queue callback capturing this belongs to
                             a SimObject (bases resolved transitively
@@ -147,6 +148,12 @@ PACKET_ALLOC_RE = re.compile(
     r"|make_unique\s*<\s*(?:std::)?uint8_t\s*\[\]"
     r"|make_shared\s*<\s*(?:std::)?vector\s*<\s*(?:std::)?uint8_t"
     r"|\bnew\s+(?:std::)?vector\s*<\s*(?:std::)?uint8_t"
+)
+# ...and a temporary byte vector built only to feed Packet::make():
+# a vector constructed in the call, or another packet's bytes() copy.
+PACKET_MAKE_TEMP_RE = re.compile(
+    r"\bPacket::make\s*\(\s*(?:(?:std::)?vector\s*<[^<>]*>\s*[({]"
+    r"|[\w.>-]+(?:->|\.)\s*bytes\s*\(\s*\))"
 )
 
 # A stat being constructed: type, member/variable name, then the
@@ -610,6 +617,13 @@ class FileAnalysis:
                        "raw heap allocation of packet byte storage; "
                        "use BufferPool::acquire (net/buffer_pool.hh) "
                        "or annotate a non-packet use")
+            nxt = self.code[i + 1] if i + 1 < len(self.code) else ""
+            m = PACKET_MAKE_TEMP_RE.search(line + " " + nxt)
+            if m and m.start() < len(line):
+                yield (i, "Packet::make",
+                       "temporary byte vector built only to feed "
+                       "Packet::make(); write the payload in place "
+                       "with Packet::makeFilled()")
 
     # -- R10 ---------------------------------------------------------
     def stat_name(self):
