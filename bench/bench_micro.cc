@@ -1,11 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot paths:
- * event queue churn, internet checksum, SRAM message rings,
- * interleave address math, hardware TSO segmentation, and the
- * sharded engine's per-window cost. These guard the simulator's own
- * performance (a full Fig. 8(a) sweep pushes tens of millions of
- * events).
+ * event queue churn, internet checksum, SRAM message rings, the TCP
+ * receive queue, condition wakeups, interleave address math,
+ * hardware TSO segmentation, and the sharded engine's per-window
+ * cost. These guard the simulator's own performance (a full
+ * Fig. 8(a) sweep pushes tens of millions of events).
  */
 
 #include <benchmark/benchmark.h>
@@ -22,6 +22,7 @@
 #include "net/checksum.hh"
 #include "net/ethernet.hh"
 #include "net/ipv4.hh"
+#include "net/recv_queue.hh"
 #include "net/tcp.hh"
 #include "netdev/ethernet_link.hh"
 #include "netdev/ethernet_switch.hh"
@@ -29,6 +30,7 @@
 #include "sim/event_queue.hh"
 #include "sim/shard.hh"
 #include "sim/simulation.hh"
+#include "sim/task.hh"
 #include "sim/timer.hh"
 
 using namespace mcnsim;
@@ -216,6 +218,65 @@ BM_MessageRingRoundTrip(benchmark::State &state)
         state.range(0));
 }
 BENCHMARK(BM_MessageRingRoundTrip)->Arg(1500)->Arg(9000);
+
+static void
+BM_TcpRecvQueue(benchmark::State &state)
+{
+    // The receive side of a bulk stream: eight 9000 B segments are
+    // queued and drained unread (recvDrain), as the MPI pump does.
+    // Arg 0 times the slice queue; arg 1 the ByteRing it replaced,
+    // which copied every segment in.
+    std::vector<net::PacketPtr> segs;
+    for (std::uint8_t i = 0; i < 8; ++i)
+        segs.push_back(net::Packet::makePattern(9000, i));
+    const bool ring = state.range(0) == 1;
+    net::RecvQueue q;
+    net::ByteRing r;
+    for (auto _ : state) {
+        for (const auto &seg : segs) {
+            if (ring)
+                r.append(seg->cdata(), seg->size());
+            else
+                q.append(seg->view());
+        }
+        benchmark::ClobberMemory(); // the ring's copies are the work
+        if (ring)
+            r.popFront(r.size());
+        else
+            q.popFront(q.size());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(
+        state.iterations() * segs.size() * 9000));
+}
+BENCHMARK(BM_TcpRecvQueue)->Arg(0)->Arg(1);
+
+static void
+BM_ConditionNotifyAll(benchmark::State &state)
+{
+    // Every delivered segment and ACK notifies a socket condition.
+    // Arg 0: nobody waits (notifyAll must be a no-op); arg 1: one
+    // waiter is woken and re-waits each round.
+    sim::EventQueue q;
+    sim::Condition cv(q);
+    std::uint64_t wakes = 0;
+    if (state.range(0) == 1) {
+        auto waiter = [](sim::Condition &c,
+                         std::uint64_t &n) -> sim::Task<void> {
+            for (;;) {
+                co_await c.wait();
+                ++n;
+            }
+        };
+        sim::spawnDetached(q, waiter(cv, wakes));
+        q.run();
+    }
+    for (auto _ : state) {
+        cv.notifyAll();
+        q.run();
+    }
+    benchmark::DoNotOptimize(wakes);
+}
+BENCHMARK(BM_ConditionNotifyAll)->Arg(0)->Arg(1);
 
 static void
 BM_InterleaveMath(benchmark::State &state)

@@ -5,6 +5,8 @@
 
 #include "dist/mpi.hh"
 
+#include <array>
+
 #include "net/net_stack.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -17,31 +19,6 @@ using sim::Tick;
 namespace {
 
 constexpr std::size_t headerBytes = 12;
-
-/**
- * Receive exactly @p n bytes from @p sock.
- *
- * The socket is taken by reference, not as a TcpSocketPtr by value:
- * GCC 12 at -O2 miscompiles the by-value form when pump() passes its
- * local TcpSocketPtr inside its loop, and TcpSocket::recv's frame
- * then crashes when a core slot resumes it (reproduced by
- * Task.SharedSourceReadInALoop in tests/test_task.cc). Both callers
- * hold their TcpSocketPtr across the await, which keeps the socket
- * alive.
- */
-Task<std::vector<std::uint8_t>>
-recvExactly(net::TcpSocket &sock, std::size_t n)
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(n);
-    while (out.size() < n) {
-        auto chunk = co_await sock.recv(n - out.size());
-        if (chunk.empty())
-            co_return out; // EOF
-        out.insert(out.end(), chunk.begin(), chunk.end());
-    }
-    co_return out;
-}
 
 /** Await several tasks concurrently. */
 Task<void>
@@ -317,8 +294,9 @@ MpiWorld::establishMesh(MpiRank &r)
                        int my_rank, int count) -> Task<void> {
         for (int k = 0; k < count; ++k) {
             auto conn = co_await lst->accept();
-            auto hello = co_await recvExactly(*conn, 4);
-            if (hello.size() < 4)
+            std::array<std::uint8_t, 4> hello{};
+            if (co_await conn->recvInto(hello.data(), hello.size()) <
+                hello.size())
                 continue;
             int who = (hello[0] << 24) | (hello[1] << 16) |
                       (hello[2] << 8) | hello[3];
@@ -368,9 +346,10 @@ MpiWorld::pump(MpiRank &r, int peer)
 {
     int me = r.rank();
     auto sock = sockOf(me, peer);
+    std::array<std::uint8_t, headerBytes> hdr{};
     while (true) {
-        auto hdr = co_await recvExactly(*sock, headerBytes);
-        if (hdr.size() < headerBytes)
+        if (co_await sock->recvInto(hdr.data(), hdr.size()) <
+            hdr.size())
             co_return; // connection closed
         std::uint32_t src = (std::uint32_t(hdr[0]) << 24) |
                             (std::uint32_t(hdr[1]) << 16) |

@@ -1,8 +1,9 @@
 /**
  * @file
- * ByteRing: a growable circular byte buffer (the TCP receive queue
- * and the literal bytes of the send queue); SendQueue: the TCP send
- * queue, which keeps pattern payload as descriptors.
+ * ByteRing: a growable circular byte buffer (the literal bytes of
+ * the send queue); SendQueue: the TCP send queue, which keeps
+ * pattern payload as descriptors. The receive queue holds packet
+ * slices instead (net/recv_queue.hh).
  *
  * The queues used to be std::deque<uint8_t>: every appended byte
  * paid a deque emplace, and at iperf rates the per-byte bookkeeping
@@ -12,7 +13,7 @@
  *
  *  - append()/appendPattern(): bulk fill at the tail
  *  - copyOut(): random-access read (segment payload extraction)
- *  - popFront(): O(1) consume (ACKed bytes, recv drain)
+ *  - popFront(): O(1) consume (ACKed bytes)
  *
  * Capacity grows by doubling up to the caller's cap (the TCP buffer
  * caps are 1 MiB; eager allocation would cost ~4 MiB per connection
@@ -143,8 +144,10 @@ class ByteRing
         std::size_t cap = cap_ ? cap_ : 1024;
         while (cap < need)
             cap *= 2;
-        // analyze-ok: packet-alloc (socket stream ring, not packets)
-        auto fresh = std::make_unique<std::uint8_t[]>(cap);
+        // Default-initialised: the live bytes are copied in below and
+        // the rest is written before it is read.
+        // analyze-ok: packet-alloc (send-queue literal bytes, not packets)
+        auto fresh = std::make_unique_for_overwrite<std::uint8_t[]>(cap);
         if (size_)
             copyOut(0, size_, fresh.get());
         buf_ = std::move(fresh);

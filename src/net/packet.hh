@@ -242,6 +242,14 @@ class Packet
      *  pre-pool vector's size() was (tests). */
     std::size_t bufferLen() const { return buf_->len; }
 
+    /** Bytes put() can append in place: the block's capacity past
+     *  the view, or 0 when the block is shared (put() would copy). */
+    std::size_t
+    tailroom() const
+    {
+        return buf_.shared() ? 0 : buf_->cap - tail_;
+    }
+
     /**
      * Timing record; null unless flow telemetry or the timeline is
      * active, so default runs carry no timing metadata. Deep-copied

@@ -233,8 +233,7 @@ TcpLayer::createSocket()
     // Per-layer id: a process-global counter would be a data race
     // between shards and would make names depend on cross-shard
     // execution order.
-    return std::make_shared<TcpSocket>(
-        *this, name() + ".sock" + std::to_string(nextSockId_++));
+    return std::make_shared<TcpSocket>(*this, nextSockId_++);
 }
 
 std::uint16_t
@@ -345,9 +344,9 @@ TcpLayer::rx(Ipv4Addr src, Ipv4Addr dst, PacketPtr pkt,
 // TcpSocket
 // ---------------------------------------------------------------------
 
-TcpSocket::TcpSocket(TcpLayer &layer, std::string name)
+TcpSocket::TcpSocket(TcpLayer &layer, std::uint64_t id)
     : layer_(layer), stack_(layer.stack()),
-      queue_(layer.eventQueue()), name_(std::move(name)),
+      queue_(layer.eventQueue()), id_(id),
       connectCv_(layer.eventQueue()), acceptCv_(layer.eventQueue()),
       sendCv_(layer.eventQueue()), recvCv_(layer.eventQueue()),
       closeCv_(layer.eventQueue())
@@ -387,8 +386,8 @@ std::uint16_t
 TcpSocket::advertisedWindow() const
 {
     std::uint32_t free_bytes =
-        rcvBufCap > rcvBuf_.size()
-            ? rcvBufCap - static_cast<std::uint32_t>(rcvBuf_.size())
+        rcvBufCap > rcvQueue_.size()
+            ? rcvBufCap - static_cast<std::uint32_t>(rcvQueue_.size())
             : 0;
     std::uint32_t scaled = free_bytes / TcpHeader::windowScale;
     return static_cast<std::uint16_t>(std::min<std::uint32_t>(
@@ -411,7 +410,7 @@ TcpSocket::accept()
     while (acceptQueue_.empty())
         co_await acceptCv_.wait();
     TcpSocketPtr child = std::move(acceptQueue_.front());
-    acceptQueue_.pop_front();
+    acceptQueue_.erase(acceptQueue_.begin());
     co_return child;
 }
 
@@ -532,17 +531,19 @@ TcpSocket::receive(std::size_t max, std::vector<std::uint8_t> *out)
 {
     auto self = shared_from_this();
     const auto &costs = stack_.kernel().costs();
-    while (rcvBuf_.empty() && !peerFin_ &&
+    while (rcvQueue_.empty() && !peerFin_ &&
            state_ != TcpState::Closed)
         co_await recvCv_.wait();
 
-    std::size_t n = std::min(max, rcvBuf_.size());
+    std::size_t n = std::min(max, rcvQueue_.size());
     bool was_starved =
         advertisedWindow() * TcpHeader::windowScale < effectiveMss();
-    if (out)
-        *out = rcvBuf_.take(n);
-    else
-        rcvBuf_.popFront(n);
+    if (out) {
+        out->resize(n);
+        rcvQueue_.take(n, out->data());
+    } else {
+        rcvQueue_.popFront(n);
+    }
     if (n > 0) {
         co_await stack_.kernel().cpus().leastLoaded().run(
             costs.syscallEntry + costs.copy(n));
@@ -554,30 +555,39 @@ TcpSocket::receive(std::size_t max, std::vector<std::uint8_t> *out)
 }
 
 sim::Task<std::size_t>
-TcpSocket::recvDrain(std::size_t n)
+TcpSocket::recvInto(std::uint8_t *dst, std::size_t n)
 {
     auto self = shared_from_this();
     const auto &costs = stack_.kernel().costs();
-    std::size_t drained = 0;
-    while (drained < n) {
-        while (rcvBuf_.empty() && !peerFin_ &&
+    std::size_t got = 0;
+    while (got < n) {
+        while (rcvQueue_.empty() && !peerFin_ &&
                state_ != TcpState::Closed)
             co_await recvCv_.wait();
-        if (rcvBuf_.empty())
+        if (rcvQueue_.empty())
             break; // EOF
-        std::size_t take = std::min(n - drained, rcvBuf_.size());
+        std::size_t take = std::min(n - got, rcvQueue_.size());
         bool was_starved = advertisedWindow() *
                                TcpHeader::windowScale <
                            effectiveMss();
-        rcvBuf_.popFront(take);
+        if (dst)
+            rcvQueue_.take(take, dst + got);
+        else
+            rcvQueue_.popFront(take);
         co_await stack_.kernel().cpus().leastLoaded().run(
             costs.syscallEntry + costs.copy(take));
-        drained += take;
+        got += take;
         bytesReceived_ += take;
         if (was_starved)
             sendAckNow();
     }
-    co_return drained;
+    co_return got;
+}
+
+sim::Task<std::size_t>
+TcpSocket::recvDrain(std::size_t n)
+{
+    return recvInto(nullptr, n);
 }
 
 sim::Task<void>
@@ -681,8 +691,7 @@ TcpSocket::persistFired()
     std::uint32_t sent_off = sndNxt_ - sndUna_;
     persistProbes_++;
     if (sndBuf_.size() > sent_off) {
-        sim::dprintf(layer_.curTick(), "TCP", name_,
-                     ": zero-window probe at seq ", sndNxt_);
+        trace("zero-window probe at seq ", sndNxt_);
         emitSegment(sndNxt_, 1, tcpAck, 0);
         sndNxt_ += 1;
     } else {
@@ -696,9 +705,8 @@ TcpSocket::abortConnection(TcpError why)
 {
     if (state_ == TcpState::Closed)
         return;
-    sim::dprintf(layer_.curTick(), "TCP", name_,
-                 ": aborting connection (", to_string(why),
-                 ") in state ", to_string(state_));
+    trace("aborting connection (", to_string(why), ") in state ",
+          to_string(state_));
     error_ = why;
     state_ = TcpState::Closed;
     rtoTimer_.cancel();
@@ -973,9 +981,8 @@ TcpSocket::processAck(const TcpHeader &h)
             if (sim::FlowTelemetry::active()) [[unlikely]]
                 sim::FlowTelemetry::instance().recordRetransmit(
                     layer_.shardId(), flowKey(tuple_, true));
-            sim::dprintf(layer_.curTick(), "TCP", name_,
-                         ": fast retransmit at seq ", sndUna_,
-                         ", ssthresh=", ssthresh_);
+            trace("fast retransmit at seq ", sndUna_, ", ssthresh=",
+                  ssthresh_);
             std::uint32_t len = std::min<std::uint32_t>(
                 mss,
                 static_cast<std::uint32_t>(sndBuf_.size()));
@@ -996,11 +1003,10 @@ TcpSocket::deliverData(const TcpHeader &h, PacketPtr pkt)
 {
     std::uint32_t seq = h.seq;
     std::size_t len = pkt->size();
-    const std::uint8_t *data = pkt->cdata();
 
     // Discard segments ending beyond the receive window: a corrupt
-    // or hostile sequence number must not grow rcvBuf_/ooo_ without
-    // bound. Re-ack so a confused-but-honest sender resyncs.
+    // or hostile sequence number must not grow rcvQueue_/ooo_
+    // without bound. Re-ack so a confused-but-honest sender resyncs.
     if (seqLt(rcvNxt_ + rcvBufCap,
               seq + static_cast<std::uint32_t>(len))) {
         layer_.countOutOfWindow();
@@ -1009,19 +1015,22 @@ TcpSocket::deliverData(const TcpHeader &h, PacketPtr pkt)
     }
 
     // Trim any part we already have.
+    std::uint32_t overlap = 0;
     if (seqLt(seq, rcvNxt_)) {
-        std::uint32_t overlap = rcvNxt_ - seq;
+        overlap = rcvNxt_ - seq;
         if (overlap >= len) {
             sendAckNow(); // pure duplicate: re-ack
             return;
         }
-        data += overlap;
         len -= overlap;
         seq = rcvNxt_;
     }
 
     if (seq == rcvNxt_) {
-        rcvBuf_.append(data, len);
+        // Queue a view of the segment's bytes; no payload copy.
+        PacketPtr slice = pkt->view();
+        slice->pull(overlap);
+        rcvQueue_.append(std::move(slice));
         rcvNxt_ += static_cast<std::uint32_t>(len);
 
         // Merge any now-contiguous out-of-order segments.
@@ -1029,21 +1038,12 @@ TcpSocket::deliverData(const TcpHeader &h, PacketPtr pkt)
         while (it != ooo_.end()) {
             if (seqLt(rcvNxt_, it->first))
                 break;
-            std::uint32_t s = it->first;
-            auto &seg = it->second;
-            if (seqLt(s, rcvNxt_)) {
-                std::uint32_t skip = rcvNxt_ - s;
-                if (skip < seg.size()) {
-                    // analyze-ok: packet-cdata (seg is a byte vector)
-                    rcvBuf_.append(seg.data() + skip,
-                                   seg.size() - skip);
-                    rcvNxt_ += static_cast<std::uint32_t>(
-                        seg.size() - skip);
-                }
-            } else {
-                // analyze-ok: packet-cdata (seg is a byte vector)
-                rcvBuf_.append(seg.data(), seg.size());
-                rcvNxt_ += static_cast<std::uint32_t>(seg.size());
+            PacketPtr &seg = it->second;
+            std::uint32_t skip = rcvNxt_ - it->first;
+            if (skip < seg->size()) {
+                seg->pull(skip);
+                rcvNxt_ += static_cast<std::uint32_t>(seg->size());
+                rcvQueue_.append(std::move(seg));
             }
             it = ooo_.erase(it);
         }
@@ -1059,8 +1059,7 @@ TcpSocket::deliverData(const TcpHeader &h, PacketPtr pkt)
         // immediately. Over budget the segment is dropped -- the
         // sender's retransmission recovers it later.
         if (ooo_.size() < oooMaxSegs)
-            ooo_.emplace(
-                seq, std::vector<std::uint8_t>(data, data + len));
+            ooo_.try_emplace(seq, pkt->view());
         else
             layer_.countOutOfWindow();
         sendAckNow();
@@ -1127,9 +1126,8 @@ TcpSocket::rtoFired()
         sim::FlowTelemetry::instance().recordRetransmit(
             layer_.shardId(), flowKey(tuple_, true));
     std::uint32_t mss = effectiveMss();
-    sim::dprintf(layer_.curTick(), "TCP", name_,
-                 ": RTO fired, state=", static_cast<int>(state_),
-                 ", flight=", flightSize());
+    trace("RTO fired, state=", static_cast<int>(state_), ", flight=",
+          flightSize());
 
     if (state_ == TcpState::SynSent) {
         sendControl(tcpSyn); // re-SYN (seq already consumed)

@@ -15,7 +15,6 @@
 #define MCNSIM_NET_TCP_HH
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -24,6 +23,7 @@
 #include "net/byte_ring.hh"
 #include "net/ipv4.hh"
 #include "net/packet.hh"
+#include "net/recv_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/task.hh"
 #include "sim/timer.hh"
@@ -255,7 +255,9 @@ const char *to_string(TcpError e);
 class TcpSocket : public std::enable_shared_from_this<TcpSocket>
 {
   public:
-    TcpSocket(TcpLayer &layer, std::string name);
+    /** @p id is unique within @p layer and names the socket in
+     *  traces. */
+    TcpSocket(TcpLayer &layer, std::uint64_t id);
     ~TcpSocket();
 
     // --- Client/server setup ---------------------------------------
@@ -294,8 +296,17 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     sim::Task<std::size_t> recvDiscard(std::size_t max);
 
     /**
-     * Drain exactly @p n bytes, discarding the data (bulk sink).
-     * Returns bytes actually drained (< n iff the peer closed).
+     * Read exactly @p n bytes into @p dst, or drop them unread when
+     * @p dst is null. Each pass charges what one recv() of the bytes
+     * then queued would. Returns the bytes read (< n iff the peer
+     * closed).
+     */
+    sim::Task<std::size_t> recvInto(std::uint8_t *dst, std::size_t n);
+
+    /**
+     * Drain exactly @p n bytes, discarding the data (bulk sink):
+     * recvInto(nullptr, n). Returns bytes actually drained (< n iff
+     * the peer closed).
      */
     sim::Task<std::size_t> recvDrain(std::size_t n);
 
@@ -321,7 +332,6 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     TcpError error() const { return error_; }
     sim::Tick srtt() const { return srtt_; }
     const TcpTuple &tuple() const { return tuple_; }
-    const std::string &name() const { return name_; }
 
     /** Receive buffer capacity (advertised window ceiling). */
     static constexpr std::uint32_t rcvBufCap = 1u << 20;
@@ -354,6 +364,16 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     sim::Task<std::size_t> receive(std::size_t max,
                                    std::vector<std::uint8_t> *out);
 
+    /** Trace line prefixed with this socket's name; the name is
+     *  formatted only when the TCP flag is on. */
+    template <typename... Args>
+    void
+    trace(const Args &...args) const
+    {
+        sim::dprintf(queue_.curTick(), "TCP", layer_.name(), ".sock",
+                     id_, ": ", args...);
+    }
+
     // Protocol engine.
     void trySend();
     void emitSegment(std::uint32_t seq, std::uint32_t len,
@@ -383,7 +403,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     /// dead when a leaked socket is reaped with suspended coroutine
     /// frames at ~EventQueue time.
     sim::EventQueue &queue_;
-    std::string name_;
+    std::uint64_t id_;
     TcpTuple tuple_;
     TcpState state_ = TcpState::Closed;
     bool boundAsListener_ = false;
@@ -398,9 +418,10 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     bool finSent_ = false;
 
     // Receive side.
-    ByteRing rcvBuf_; ///< in-order, undelivered
+    RecvQueue rcvQueue_; ///< in-order, undelivered
     std::uint32_t rcvNxt_ = 0;
-    std::map<std::uint32_t, std::vector<std::uint8_t>> ooo_;
+    /// Out-of-order segments by first sequence number, as slices.
+    std::map<std::uint32_t, PacketPtr> ooo_;
     bool peerFin_ = false;
     std::uint32_t peerFinSeq_ = 0;
 
@@ -437,7 +458,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     sim::Condition sendCv_;
     sim::Condition recvCv_;
     sim::Condition closeCv_;
-    std::deque<TcpSocketPtr> acceptQueue_;
+    std::vector<TcpSocketPtr> acceptQueue_;
 
     // Stats.
     std::uint64_t bytesSent_ = 0;

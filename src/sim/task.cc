@@ -22,26 +22,36 @@ spawnDetached(EventQueue &q, Task<void> task)
 }
 
 void
+Condition::wake(std::coroutine_handle<> h)
+{
+    q_.scheduleIn([h] { h.resume(); }, 0, "cv-notify",
+                  EventPriority::Process);
+}
+
+void
 Condition::notifyAll()
 {
-    // Move the list out first: a resumed waiter may wait() again and
-    // must land in the *next* notification round.
-    std::deque<std::coroutine_handle<>> ready;
-    ready.swap(waiters_);
-    for (auto h : ready)
-        q_.scheduleIn([h] { h.resume(); }, 0, "cv-notify",
-                      EventPriority::Process);
+    // Waiters resume from the queue, never inline, so none can
+    // wait() again before the list is cleared: a re-wait lands in
+    // the next round.
+    if (!first_)
+        return;
+    wake(std::exchange(first_, nullptr));
+    for (auto h : spill_)
+        wake(h);
+    spill_.clear(); // keeps the capacity
 }
 
 void
 Condition::notifyOne()
 {
-    if (waiters_.empty())
+    if (!first_)
         return;
-    auto h = waiters_.front();
-    waiters_.pop_front();
-    q_.scheduleIn([h] { h.resume(); }, 0, "cv-notify",
-                  EventPriority::Process);
+    wake(std::exchange(first_, nullptr));
+    if (!spill_.empty()) {
+        first_ = spill_.front();
+        spill_.erase(spill_.begin());
+    }
 }
 
 void

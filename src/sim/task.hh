@@ -311,6 +311,12 @@ delayFor(EventQueue &q, Tick delta)
  * A broadcast condition variable for coroutines. Waiters suspend;
  * notifyAll() schedules every waiter for resumption at the current
  * tick. Predicate re-checking is the caller's job, as with any CV.
+ *
+ * The first waiter is kept inline and later ones spill to a vector
+ * that keeps its capacity, so constructing a Condition, notifying
+ * one with no waiters, and a round with a single waiter allocate
+ * nothing (every socket owns five, and each delivered segment and
+ * ACK notifies some).
  */
 class Condition
 {
@@ -330,7 +336,10 @@ class Condition
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                cv.waiters_.push_back(h);
+                if (cv.first_)
+                    cv.spill_.push_back(h);
+                else
+                    cv.first_ = h;
             }
 
             void await_resume() {}
@@ -344,11 +353,20 @@ class Condition
     /** Wake one waiter in FIFO order. */
     void notifyOne();
 
-    std::size_t waiterCount() const { return waiters_.size(); }
+    std::size_t
+    waiterCount() const
+    {
+        return (first_ ? 1 : 0) + spill_.size();
+    }
 
   private:
+    void wake(std::coroutine_handle<> h);
+
     EventQueue &q_;
-    std::deque<std::coroutine_handle<>> waiters_;
+    /// Waiters in FIFO order: first_, then spill_. first_ is null
+    /// only when there are none.
+    std::coroutine_handle<> first_;
+    std::vector<std::coroutine_handle<>> spill_;
 };
 
 /** Counting semaphore for coroutines (e.g. bounded socket buffers). */

@@ -37,7 +37,8 @@ allocations(std::size_t n)
     auto *d = new std::vector<uint8_t>(n); // expect: packet-alloc
     // analyze-ok: packet-alloc
     auto e = std::make_unique<uint8_t[]>(n); // expect: packet-alloc
-    (void)a, (void)b, (void)c, (void)d, (void)e;
+    auto f = std::make_unique_for_overwrite<std::uint8_t[]>(n); // expect: packet-alloc
+    (void)a, (void)b, (void)c, (void)d, (void)e, (void)f;
 }
 
 } // namespace mcnsim::fixture

@@ -40,6 +40,56 @@ TEST(MpiBasics, SendRecvOnCluster)
     EXPECT_EQ(got, 10'000u);
 }
 
+TEST(MpiBasics, HeaderSplitAcrossSegmentsIsReadWhole)
+{
+    // Rank 0 streams messages of uneven sizes to rank 1 back to
+    // back, so the 12-byte headers land at every offset of the TCP
+    // segments and some straddle two of them. Every size must come
+    // out as sent: a header read short or misaligned would yield a
+    // wrong length and desynchronise the rest of the stream.
+    Simulation s;
+    ClusterSystemParams p;
+    p.numNodes = 2;
+    ClusterSystem sys(s, p);
+
+    constexpr std::size_t msgs = 64;
+    std::vector<std::uint64_t> sizes(msgs);
+    for (std::size_t k = 0; k < msgs; ++k)
+        sizes[k] = 1 + (k * 997) % 5000;
+    std::vector<std::size_t> segEnds; // stream offsets at rank 1
+    std::size_t streamed = 0;
+    sys.node(1).stack->tcp().setDeliveryHook(
+        [&](const net::Packet &pkt) {
+            streamed += pkt.size();
+            segEnds.push_back(streamed);
+        });
+
+    MpiWorld world(s, {sys.node(0), sys.node(1)});
+    std::vector<std::uint64_t> got;
+    world.launch([&](MpiRank &r) -> Task<void> {
+        for (std::size_t k = 0; k < msgs; ++k) {
+            if (r.rank() == 0)
+                co_await r.send(1, sizes[k]);
+            else
+                got.push_back(co_await r.recv(0));
+        }
+    });
+    world.runToCompletion(s, secondsToTicks(5.0));
+    sys.node(1).stack->tcp().setDeliveryHook(nullptr);
+    ASSERT_TRUE(world.done());
+    EXPECT_EQ(got, sizes);
+
+    // At least one header crossed a segment boundary.
+    std::size_t split = 0, hdr = 0;
+    for (std::size_t k = 0; k < msgs; ++k) {
+        for (std::size_t end : segEnds)
+            if (hdr < end && end < hdr + 12)
+                ++split;
+        hdr += 12 + sizes[k];
+    }
+    EXPECT_GT(split, 0u);
+}
+
 TEST(MpiBasics, SendRecvWithinOneNodeUsesLoopback)
 {
     Simulation s;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the TCP send queue, packet buffers, checksums,
- * Ethernet/IPv4/ICMP/UDP wire formats, and interface-table routing
- * semantics.
+ * Unit tests for the TCP send and receive queues, packet buffers,
+ * checksums, Ethernet/IPv4/ICMP/UDP wire formats, and
+ * interface-table routing semantics.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +18,7 @@
 #include "net/icmp.hh"
 #include "net/ipv4.hh"
 #include "net/packet.hh"
+#include "net/recv_queue.hh"
 #include "net/tcp.hh"
 #include "net/udp.hh"
 #include "sim/random.hh"
@@ -161,6 +162,139 @@ TEST(SendQueueTest, SegmentReadsOfManyTinyMessagesStayLinear)
     }
     EXPECT_GT(segments, 1000u);
     EXPECT_LE(q.runVisits(), 2 * runs + 2 * segments);
+}
+
+TEST(RecvQueueTest, MatchesByteRingReferenceUnderRandomOps)
+{
+    // Drive the slice queue and a ByteRing with the same random mix
+    // of segments and reads. Segments come in every size class, some
+    // with a leading overlap trimmed off (pull), some whose arriving
+    // packet stays alive (a shared block the queue must not write
+    // into), some that are small enough to coalesce. Reads copy out
+    // spans that cross slices, or drop bytes unread.
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed);
+        RecvQueue q;
+        ByteRing ref;
+        std::vector<PacketPtr> held; // arriving packets kept alive
+        std::uint8_t next = 0;
+        std::vector<std::uint8_t> a, b;
+        for (int step = 0; step < 4000; ++step) {
+            switch (rng.uniformInt(0, 4)) {
+            case 0:
+            case 1: {
+                std::size_t n;
+                switch (rng.uniformInt(0, 3)) {
+                case 0: n = rng.uniformInt(1, 16); break;
+                case 1: n = rng.uniformInt(17, 600); break;
+                case 2: n = rng.uniformInt(601, 9000); break;
+                default: n = rng.uniformInt(9001, 40000); break;
+                }
+                auto pkt = Packet::makeFilled(n, [&](std::uint8_t *p) {
+                    for (std::size_t i = 0; i < n; ++i)
+                        p[i] = static_cast<std::uint8_t>(
+                            rng.uniformInt(0, 255));
+                });
+                std::size_t skip =
+                    rng.uniformInt(0, 3) == 0 ? rng.uniformInt(0, n - 1)
+                                              : 0;
+                ref.append(pkt->cdata() + skip, n - skip);
+                PacketPtr slice = pkt->view();
+                slice->pull(skip);
+                q.append(std::move(slice));
+                if (rng.uniformInt(0, 3) == 0)
+                    held.push_back(pkt);
+                if (held.size() > 8)
+                    held.erase(held.begin());
+                break;
+            }
+            case 2: {
+                std::size_t n = rng.uniformInt(0, ref.size() / 2);
+                q.popFront(n);
+                ref.popFront(n);
+                break;
+            }
+            default: {
+                std::size_t n = rng.uniformInt(
+                    0, std::min<std::size_t>(ref.size(), 20000));
+                a.assign(n, next);
+                b.assign(n, static_cast<std::uint8_t>(next + 1));
+                ++next;
+                q.take(n, a.data());
+                if (n > 0) // an empty ring has no storage to read
+                    ref.copyOut(0, n, b.data());
+                ref.popFront(n);
+                ASSERT_EQ(a, b) << "seed " << seed << " step " << step
+                                << " n " << n;
+                break;
+            }
+            }
+            ASSERT_EQ(q.size(), ref.size());
+        }
+        std::vector<std::uint8_t> rest(ref.size());
+        q.take(rest.size(), rest.data());
+        EXPECT_EQ(rest, ref.take(ref.size())) << "seed " << seed;
+        EXPECT_TRUE(q.empty());
+        EXPECT_EQ(q.sliceCount(), 0u);
+    }
+}
+
+TEST(RecvQueueTest, SmallSegmentFloodPinsBoundedPoolMemory)
+{
+    // A peer filling the whole receive window with small segments:
+    // queued as slices, each 1-byte segment would pin a 256 B block
+    // plus a pooled Packet. Coalescing keeps the pool bytes the
+    // queue pins within a fixed multiple of the queued payload. The
+    // sizes include both sides of the rule's threshold for the
+    // 256 B and 2048 B classes (128 and 576 B with the default
+    // headroom), where a kept slice pins the most per byte.
+    auto live = [] {
+        std::uint64_t bytes = 0;
+        for (const auto &c : BufferPool::stats())
+            bytes += (c.acquires - c.recycles) * c.blockBytes;
+        return bytes;
+    };
+    for (std::size_t seg_len :
+         {1, 64, 127, 128, 129, 512, 575, 576, 1448}) {
+        const std::uint64_t before = live();
+        RecvQueue q;
+        std::size_t i = 0;
+        while (q.size() + seg_len <= TcpSocket::rcvBufCap) {
+            auto seg = Packet::makeFilled(seg_len, [&](std::uint8_t *p) {
+                for (std::size_t k = 0; k < seg_len; ++k, ++i)
+                    p[k] = static_cast<std::uint8_t>(i * 7);
+            });
+            q.append(seg->view());
+        }
+        const std::uint64_t pinned = live() - before;
+        EXPECT_LE(pinned, RecvQueue::collapseRatio * q.size() + 65536)
+            << "pinned " << pinned << " B for " << q.size() << " B of "
+            << seg_len << " B segments";
+
+        // The bytes still come out in order.
+        std::vector<std::uint8_t> out(q.size());
+        q.take(out.size(), out.data());
+        for (std::size_t k = 0; k < out.size(); ++k)
+            ASSERT_EQ(out[k], static_cast<std::uint8_t>(k * 7))
+                << seg_len << " B segments, byte " << k;
+    }
+}
+
+TEST(RecvQueueTest, MtuSlicesAreQueuedWithoutCopy)
+{
+    // A full-size segment is kept as a view of its own block.
+    RecvQueue q;
+    auto seg = Packet::makePattern(1448, 3);
+    q.append(seg->view());
+    auto seg2 = Packet::makePattern(1448, 5);
+    q.append(seg2->view());
+    EXPECT_EQ(q.sliceCount(), 2u);
+    std::vector<std::uint8_t> out(2 * 1448);
+    q.take(out.size(), out.data());
+    EXPECT_TRUE(std::equal(out.begin(), out.begin() + 1448,
+                           seg->cdata()));
+    EXPECT_TRUE(std::equal(out.begin() + 1448, out.end(),
+                           seg2->cdata()));
 }
 
 TEST(PacketBuf, PushPullRoundTrip)

@@ -54,14 +54,16 @@ struct ByteSource
 };
 
 /**
- * The shape of dist/mpi.cc's recvExactly. GCC 12 at -O2 miscompiles
- * it when the source is a std::shared_ptr taken by value and the
- * caller passes a local copy inside a loop: the second read()'s
- * frame crashes when the queue resumes it. Taking the source by
- * reference compiles correctly. These helpers have external linkage
- * on purpose: in the anonymous namespace GCC inlines the ramps and
- * the by-value form no longer crashes, so the test would guard
- * nothing.
+ * The shape of the helper dist/mpi.cc once used to read its message
+ * headers. GCC 12 at -O2 miscompiles it when the source is a
+ * std::shared_ptr taken by value and the caller passes a local copy
+ * inside a loop: the second read()'s frame crashes when the queue
+ * resumes it. Taking the source by reference compiles correctly;
+ * the headers are now read by a socket member (TcpSocket::recvInto)
+ * that never takes the shared_ptr at all. These helpers have
+ * external linkage on purpose: in the anonymous namespace GCC
+ * inlines the ramps and the by-value form no longer crashes, so the
+ * test would guard nothing.
  */
 Task<std::vector<std::uint8_t>>
 readVia(ByteSource &src, std::size_t n)
@@ -226,6 +228,70 @@ TEST(Condition, ReWaitLandsInNextRound)
     cv.notifyAll();
     q.run();
     EXPECT_EQ(wakes, 2);
+}
+
+TEST(Condition, NotifyAllKeepsFifoAcrossInlineAndSpilledWaiters)
+{
+    // The first waiter sits inline, the rest spill to a vector; one
+    // notifyAll() must resume them in arrival order, and waiters
+    // that re-wait (inline or spilled) land in the next round in
+    // their new arrival order.
+    EventQueue q;
+    Condition cv(q);
+    std::vector<int> order;
+    auto waiter = [&](int id, int rounds) -> Task<void> {
+        for (int r = 0; r < rounds; ++r) {
+            co_await cv.wait();
+            order.push_back(id);
+        }
+    };
+    for (int id = 1; id <= 5; ++id)
+        spawnDetached(q, waiter(id, id % 2 ? 2 : 1));
+    q.run();
+    EXPECT_EQ(cv.waiterCount(), 5u);
+    cv.notifyAll();
+    EXPECT_EQ(cv.waiterCount(), 0u);
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+    EXPECT_EQ(cv.waiterCount(), 3u); // 1, 3 and 5 waited again
+    cv.notifyAll();
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 1, 3, 5}));
+    EXPECT_EQ(cv.waiterCount(), 0u);
+}
+
+TEST(Condition, NotifyOneWalksInlineThenSpilledInOrder)
+{
+    // notifyOne() wakes the inline waiter and promotes the oldest
+    // spilled one; a waiter arriving mid-way queues behind those
+    // already waiting, and notifyAll() takes whatever is left.
+    EventQueue q;
+    Condition cv(q);
+    std::vector<int> order;
+    auto waiter = [&](int id) -> Task<void> {
+        co_await cv.wait();
+        order.push_back(id);
+    };
+    for (int id = 1; id <= 3; ++id)
+        spawnDetached(q, waiter(id));
+    q.run();
+    cv.notifyOne();
+    q.run();
+    spawnDetached(q, waiter(4));
+    q.run();
+    EXPECT_EQ(cv.waiterCount(), 3u);
+    cv.notifyOne();
+    cv.notifyOne();
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+    spawnDetached(q, waiter(5));
+    q.run();
+    cv.notifyAll();
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+    cv.notifyOne(); // no waiters: a no-op
+    q.run();
+    EXPECT_EQ(order.size(), 5u);
 }
 
 TEST(Semaphore, BlocksUntilRelease)

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 
 #include "core/system_builder.hh"
@@ -426,6 +427,231 @@ TEST(TcpRecv, DiscardingReceiveMatchesRecv)
     EXPECT_EQ(dropped.closedAt, kept.closedAt);
     EXPECT_EQ(dropped.bytesReceived, kept.bytesReceived);
     EXPECT_EQ(dropped.stats, kept.stats);
+}
+
+namespace {
+
+/**
+ * A DIMM sends MPI-style messages (a 12-byte header carrying the
+ * payload length, then the payload) to the host, which reads each
+ * header with recvInto(), or, when @p into is false, with a loop of
+ * recv() calls that appends until 12 bytes arrived, and drains the
+ * payload. Returns the end tick, the bytes received and the stats
+ * JSON; @p lengths collects the decoded payload lengths.
+ */
+DrainRun
+readHeadersFromDimm(bool into, std::vector<std::uint32_t> &lengths)
+{
+    Simulation s;
+    McnSystemParams p;
+    p.numDimms = 1;
+    p.config = McnConfig::level(5);
+    McnSystem sys(s, p);
+    constexpr std::size_t msgs = 40;
+
+    DrainRun r;
+    bool up = false, closed = false;
+    auto server = [&]() -> Task<void> {
+        auto lst = tcpListen(sys.hostStack(), 8012);
+        up = true;
+        auto conn = co_await lst->accept();
+        for (std::size_t k = 0; k < msgs; ++k) {
+            std::array<std::uint8_t, 12> hdr{};
+            std::size_t got = 0;
+            if (into) {
+                got = co_await conn->recvInto(hdr.data(), hdr.size());
+            } else {
+                while (got < hdr.size()) {
+                    auto chunk = co_await conn->recv(hdr.size() - got);
+                    if (chunk.empty())
+                        break;
+                    std::copy(chunk.begin(), chunk.end(),
+                              hdr.begin() +
+                                  static_cast<std::ptrdiff_t>(got));
+                    got += chunk.size();
+                }
+            }
+            if (got < hdr.size())
+                break;
+            std::uint32_t len = (std::uint32_t(hdr[8]) << 24) |
+                                (std::uint32_t(hdr[9]) << 16) |
+                                (std::uint32_t(hdr[10]) << 8) | hdr[11];
+            lengths.push_back(len);
+            co_await conn->recvDrain(len);
+        }
+        r.closedAt = s.curTick();
+        r.bytesReceived = conn->bytesReceived();
+        closed = true;
+    };
+    auto client = [&]() -> Task<void> {
+        while (!up)
+            co_await delayFor(s.eventQueue(), oneUs);
+        auto sock = co_await tcpConnect(sys.dimm(0).stack(),
+                                        {sys.hostAddr(), 8012});
+        if (!sock)
+            co_return;
+        for (std::size_t k = 0; k < msgs; ++k) {
+            const auto len = static_cast<std::uint32_t>(
+                1 + (k * 2777) % 20000);
+            std::vector<std::uint8_t> hdr(12);
+            for (int b = 0; b < 4; ++b)
+                hdr[8 + b] = static_cast<std::uint8_t>(
+                    len >> (24 - 8 * b));
+            co_await sock->send(std::move(hdr));
+            co_await sock->sendPattern(len);
+        }
+    };
+    spawnDetached(s.eventQueue(), server());
+    spawnDetached(s.eventQueue(), client());
+    Tick deadline = s.curTick() + secondsToTicks(5.0);
+    while (!closed && s.curTick() < deadline)
+        s.run(std::min(s.curTick() + oneMs, deadline));
+
+    std::ostringstream os;
+    s.dumpStatsJson(os);
+    r.stats = os.str();
+    auto at = r.stats.find("\"wall_seconds\"");
+    if (at != std::string::npos)
+        r.stats.erase(at, r.stats.find(',', at) - at);
+    return r;
+}
+
+} // namespace
+
+TEST(TcpRecv, RecvIntoMatchesARecvLoop)
+{
+    // recvInto() is the recv() loop a message reader would write,
+    // minus the vectors: the same reads, waits and charges, so the
+    // modeled run is identical, and the headers decode the same.
+    std::vector<std::uint32_t> viaLoop, viaInto;
+    const DrainRun loop = readHeadersFromDimm(false, viaLoop);
+    const DrainRun into = readHeadersFromDimm(true, viaInto);
+    ASSERT_EQ(viaLoop.size(), 40u);
+    for (std::size_t k = 0; k < viaLoop.size(); ++k)
+        EXPECT_EQ(viaLoop[k], 1 + (k * 2777) % 20000) << k;
+    EXPECT_EQ(viaInto, viaLoop);
+    EXPECT_EQ(into.closedAt, loop.closedAt);
+    EXPECT_EQ(into.bytesReceived, loop.bytesReceived);
+    EXPECT_EQ(into.stats, loop.stats);
+}
+
+namespace {
+
+/** Byte @p i of the crafted stream; not 256-periodic, so a slice
+ *  read at an offset off by a multiple of 256 still shows. */
+std::uint8_t
+craftedByte(std::size_t i)
+{
+    return static_cast<std::uint8_t>(i * 131 + i / 256);
+}
+
+/** FNV-1a of @p s: pins a stats dump without storing it. */
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s)
+        h = (h ^ c) * 0x100000001b3ull;
+    return h;
+}
+
+} // namespace
+
+TEST(TcpRecv, ReorderedAndOverlappingSegmentsReassemble)
+{
+    // Crafted segments reach an established loopback socket out of
+    // order, overlapping in-order data, queued out-of-order data and
+    // each other, as retransmissions with other boundaries do; some
+    // are pure duplicates, one reuses a queued segment's sequence
+    // number, and a run of 1-byte segments lands on the in-order
+    // tail. A reader takes the stream with recv() sizes that span
+    // segments. The bytes must arrive in order, and the final tick
+    // and the stats dump are pinned: the receive queue is host-side
+    // storage and must not move the model.
+    Simulation s;
+    LoneNode node(s);
+    auto listener = tcpListen(node.stack, 8021);
+    TcpSocketPtr client, served;
+    auto server = [&]() -> Task<void> {
+        served = co_await listener->accept();
+    };
+    auto connect = [&]() -> Task<void> {
+        client = node.stack.tcpSocket();
+        co_await client->connect(Ipv4Addr(10, 9, 9, 9), 8021);
+    };
+    spawnDetached(s.eventQueue(), server());
+    spawnDetached(s.eventQueue(), connect());
+    s.run(s.curTick() + secondsToTicks(0.01));
+    ASSERT_TRUE(served);
+    ASSERT_EQ(served->state(), TcpState::Established);
+
+    struct Seg
+    {
+        std::size_t off, len;
+    };
+    // Groups are injected 20 us apart so reads interleave.
+    const std::vector<std::vector<Seg>> groups = {
+        {{3000, 1000}, {3500, 1500}, {3000, 200}, {6000, 100}},
+        {{0, 1000}, {500, 1500}, {100, 800}},
+        {{2000, 1100}, {4900, 1150}},
+        {{6100, 1}, {6101, 1}, {6102, 1}, {6103, 1}, {6104, 1},
+         {6106, 1}, {6105, 1}, {6107, 3}},
+        {{7000, 2000}, {6110, 1500}, {8500, 600}, {9100, 9000}},
+    };
+    constexpr std::size_t total = 18'100;
+    const std::uint32_t base = served->rcvNxt();
+    auto inject = [&]() -> Task<void> {
+        for (const auto &g : groups) {
+            for (const Seg &sg : g) {
+                TcpHeader h;
+                h.srcPort = served->tuple().remotePort;
+                h.dstPort = served->tuple().localPort;
+                h.seq = base + static_cast<std::uint32_t>(sg.off);
+                h.ack = 0; // stale: processAck ignores it
+                h.flags = tcpAck;
+                h.window = 500;
+                auto pkt = Packet::makeFilled(
+                    sg.len, [&](std::uint8_t *p) {
+                        for (std::size_t i = 0; i < sg.len; ++i)
+                            p[i] = craftedByte(sg.off + i);
+                    });
+                served->segmentArrived(h, served->tuple().remoteIp,
+                                       served->tuple().localIp,
+                                       std::move(pkt));
+            }
+            co_await delayFor(s.eventQueue(), 20 * oneUs);
+        }
+    };
+    std::vector<std::uint8_t> rx;
+    Tick doneAt = 0;
+    auto reader = [&]() -> Task<void> {
+        const std::size_t sizes[] = {37, 1000, 3, 5000, 1, 777};
+        for (std::size_t k = 0; rx.size() < total; ++k) {
+            auto chunk = co_await served->recv(sizes[k % 6]);
+            if (chunk.empty())
+                break;
+            rx.insert(rx.end(), chunk.begin(), chunk.end());
+        }
+        doneAt = s.curTick();
+    };
+    spawnDetached(s.eventQueue(), reader());
+    spawnDetached(s.eventQueue(), inject());
+    s.run(s.curTick() + secondsToTicks(0.01));
+
+    ASSERT_EQ(rx.size(), total);
+    for (std::size_t i = 0; i < total; ++i)
+        ASSERT_EQ(rx[i], craftedByte(i)) << "offset " << i;
+    EXPECT_EQ(served->bytesReceived(), total);
+    EXPECT_EQ(served->rcvNxt(), base + total);
+
+    std::ostringstream os;
+    s.dumpStatsJson(os);
+    std::string stats = os.str();
+    auto at = stats.find("\"wall_seconds\"");
+    if (at != std::string::npos)
+        stats.erase(at, stats.find(',', at) - at);
+    EXPECT_EQ(doneAt, 10'082'756'448u);
+    EXPECT_EQ(fnv1a(stats), 0x256ceb8e41116086ull);
 }
 
 TEST(TcpClose, OrderlyFinHandshake)

@@ -145,7 +145,7 @@ FAULT_POINT_OK_RE = re.compile(r'^"[a-z][a-z0-9-]*"$')
 
 PACKET_ALLOC_RE = re.compile(
     r"\bnew\s+(?:std::)?uint8_t\s*\["
-    r"|make_unique\s*<\s*(?:std::)?uint8_t\s*\[\]"
+    r"|make_unique(?:_for_overwrite)?\s*<\s*(?:std::)?uint8_t\s*\[\]"
     r"|make_shared\s*<\s*(?:std::)?vector\s*<\s*(?:std::)?uint8_t"
     r"|\bnew\s+(?:std::)?vector\s*<\s*(?:std::)?uint8_t"
 )
