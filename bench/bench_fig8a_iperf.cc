@@ -91,7 +91,7 @@ main(int argc, char **argv)
         // with flow telemetry: the artifact then carries per-flow
         // delivery percentiles and the per-hop path breakdown next
         // to the bandwidth number. Telemetry only observes, so the
-        // modeled Gbps is unchanged (the perf gate checks this).
+        // modeled Gbps is unchanged (the modeled gate checks this).
         if (level == 5)
             sim::FlowTelemetry::instance().enable();
         double hm = mcnRun(level, true, duration);

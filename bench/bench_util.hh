@@ -122,8 +122,8 @@ inline unsigned benchThreads = 0;
 
 /** Parse `--threads` (0 when absent) and remember it for
  *  applyThreads(). Record the result in the report's config block
- *  (`rep.config("threads", ...)`) so tools/check_perf.py can refuse
- *  to compare host-time metrics across differing worker counts. */
+ *  (`rep.config("threads", ...)`): host-time metrics compare only
+ *  between runs with the same worker count. */
 inline unsigned
 threadsArg(int argc, char **argv)
 {
@@ -245,9 +245,8 @@ class BenchReport
         w.kv("generator", "mcnsim");
         w.kv("mode", quick_ ? "quick" : "full");
         writeMap(w, "config", config_);
-        // How the binary was built and where it ran: host-time
-        // metrics compare only between like builds
-        // (tools/check_perf.py).
+        // How the binary was built and where it ran: recorded so
+        // host-time metrics are compared only between like builds.
         w.key("build");
         w.beginObject();
         w.kv("compiler", MCNSIM_BENCH_COMPILER);

@@ -15,10 +15,6 @@ namespace mcnsim::mcn {
 namespace {
 /** Channel-local base of the first SRAM window (1 GB in). */
 constexpr mem::Addr windowRegionBase = 1ull << 30;
-
-/** Below this size the CPU copy beats DMA setup + completion
- *  interrupt (driver copybreak, as in production NICs). */
-constexpr std::uint64_t dmaCopybreak = 1024;
 } // namespace
 
 // ---------------------------------------------------------------------

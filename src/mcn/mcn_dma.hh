@@ -21,6 +21,16 @@
 
 namespace mcnsim::mcn {
 
+/**
+ * Driver copybreak: packets of at most this many bytes stay on the
+ * CPU copy path even when an MCN-DMA engine exists, in the host and
+ * the MCN driver alike. A non-paper extension (DESIGN.md §3) taken
+ * from production NIC drivers, whose premise (a CPU copy beats DMA
+ * setup for small packets) does not hold in this model; ROADMAP
+ * item 2 may delete it.
+ */
+constexpr std::uint64_t dmaCopybreak = 1024;
+
 /** One MCN-DMA engine. */
 class McnDmaEngine : public sim::SimObject
 {

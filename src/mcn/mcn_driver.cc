@@ -11,13 +11,6 @@
 
 namespace mcnsim::mcn {
 
-namespace {
-/** Packets at or below this size stay on the CPU copy path even
- *  when an MCN-DMA engine exists (descriptor setup + completion
- *  interrupt cost more than the copy). */
-constexpr std::uint64_t dmaCopybreak = 1024;
-} // namespace
-
 McnDriver::McnDriver(sim::Simulation &s, std::string name,
                      net::MacAddr mac, os::Kernel &kernel,
                      McnInterface &iface, core::McnConfig config)

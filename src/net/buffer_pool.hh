@@ -24,7 +24,8 @@
  *    packets owned by several shards, and the last release can race
  *    across worker threads.
  *  - The pool manages *host* memory only; nothing here can affect
- *    modeled metrics. The perf gate (tools/check_perf.py) pins that.
+ *    modeled metrics. The modeled gate (tools/check_perf.py) pins
+ *    that against the committed BENCH_*.json.
  *
  * Checked build: recycled blocks are poisoned (0xA5 fill + a magic
  * flip), and every packet access re-verifies the magic, so a

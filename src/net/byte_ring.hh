@@ -19,7 +19,8 @@
  * caps are 1 MiB; eager allocation would cost ~4 MiB per connection
  * pair, so the ring starts small). Byte values and sizes are
  * exactly what the deque held -- host-side container choice only,
- * so modeled metrics are untouched (tools/check_perf.py pins that).
+ * so modeled metrics are untouched (tools/check_perf.py holds them
+ * to the committed BENCH_*.json).
  *
  * The send side writes each payload byte once (DESIGN.md "Hot paths
  * & buffer ownership"): SendQueue records sendPattern() bulk data as

@@ -25,8 +25,9 @@
  * the checkers add fields to Event and Packet (every consumer must
  * agree on the layout). When the option is off, MCNSIM_CHECK()
  * compiles to nothing and the extra fields vanish, so release
- * builds pay zero bytes and zero branches -- the perf gate
- * (tools/check_perf.py) enforces that.
+ * builds pay zero bytes and zero branches; a leak would show as a
+ * host-time regression in the paired perf runs
+ * (tools/perf_pairs.py).
  *
  * See README.md and DESIGN.md "Correctness tooling".
  */

@@ -9,8 +9,8 @@
  * tests run, otherwise they GTEST_SKIP so the suite documents which
  * configuration it verified. The "free when off" direction is
  * covered two ways: the WhenOff tests pin the tolerate-don't-crash
- * behaviour, and the release perf gate (tools/check_perf.py) pins
- * the zero-cost claim.
+ * behaviour, and the paired perf runs (tools/perf_pairs.py) would
+ * show a release-build cost as a host-time regression.
  */
 
 #include <gtest/gtest.h>

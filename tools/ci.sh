@@ -6,16 +6,18 @@
 #   lint     mcnsim_analyze.py --check (the source checker: all
 #            eleven rules, baseline drift + fixture self-test), plus
 #            clang-tidy when installed
-#   benches  regenerate bench artifacts and gate their modeled
-#            metrics (tools/check_perf.py --modeled-only): every
-#            artifact must match the committed baseline bit for
-#            bit. Host-time bands are skipped -- CI boxes are too
-#            noisy; the perf stage runs them
-#   perf     regenerate bench artifacts AND run the
-#            tools/check_perf.py gate: host-time bands plus
-#            bit-identical modeled metrics. Off by default for the
-#            same noise reason; opt in with --stages ...,perf (or
-#            --with-perf) on a quiet box before merging perf work
+#   benches  regenerate bench artifacts into a scratch dir and gate
+#            their modeled metrics (tools/check_perf.py): every
+#            artifact must match the committed BENCH_*.json bit for
+#            bit. Host time is not gated here; the committed
+#            artifacts are never rewritten
+#   perf     tools/perf_pairs.py: the parent commit and this tree
+#            run every BENCHMARK.json workload in 10 alternating
+#            pairs; fails on an incorrect run, more failed
+#            operations, or an end-to-end median worse than its
+#            bound. Off by default (about 40 min); opt in with
+#            --stages ...,perf (or --with-perf) before merging perf
+#            work
 #   obs      validate observability artifacts from an instrumented
 #            iperf run (timeline trace, stats series, profile)
 #   chaos    fault-injection soak: chaos selfcheck (determinism
@@ -56,12 +58,18 @@ while [ $# -gt 0 ]; do
         --with-perf) STAGES="$STAGES,perf" ;;
         --stages) STAGES="$2"; shift ;;
         -h|--help)
-            sed -n '2,44p' "$0" | sed 's/^# \{0,1\}//'
+            awk 'NR > 1 && !/^#/ { exit }
+                 NR > 1 { sub(/^# ?/, ""); print }' "$0"
             exit 0 ;;
         *) echo "unknown option: $1" >&2; exit 2 ;;
     esac
     shift
 done
+
+# Every stage's scratch files live under one directory, removed on
+# every exit path.
+SCRATCH="$(mktemp -d)"
+trap 'rm -rf "$SCRATCH"' EXIT
 
 want() { case ",$STAGES," in *",$1,"*) return 0 ;; *) return 1 ;; esac; }
 
@@ -100,26 +108,20 @@ if want benches; then
     echo
     echo "== stage: benches (modeled metrics gated) =="
     "$REPO_ROOT/tools/run_benches.sh" --quick \
-        --build-dir "$BUILD_DIR" --modeled-only
+        --build-dir "$BUILD_DIR" --out-dir "$SCRATCH/benches"
 fi
 
 if want perf; then
     echo
     echo "== stage: perf =="
-    # Full perf gate: fresh artifacts (the benches stage's --quick
-    # artifacts are fine for the gate; host-time bands are wide and
-    # modeled metrics are mode-matched) checked against the
-    # committed baseline. A modeled-metric diff here means simulator
-    # behavior changed and must be reviewed before --update.
-    "$REPO_ROOT/tools/run_benches.sh" --quick \
-        --build-dir "$BUILD_DIR"
+    python3 "$REPO_ROOT/tools/perf_pairs.py"
 fi
 
 if want obs; then
     echo
     echo "== stage: obs =="
-    OBS_DIR="$(mktemp -d)"
-    trap 'rm -rf "$OBS_DIR"' EXIT
+    OBS_DIR="$SCRATCH/obs"
+    mkdir "$OBS_DIR"
     "$BUILD_DIR/tools/mcnsim_cli" iperf --duration-ms=1 \
         --timeline="$OBS_DIR/timeline.json" \
         --stats-series="$OBS_DIR/series.json" \
@@ -199,7 +201,8 @@ if want rack-chaos; then
     done
     # Cross-worker-count byte-identity of the full stat JSON on a
     # faulted fabric (meta.wall_seconds is host time and exempt).
-    RACK_DIR="$(mktemp -d)"
+    RACK_DIR="$SCRATCH/rack-chaos"
+    mkdir "$RACK_DIR"
     for t in 1 2 4; do
         "$BUILD_DIR/tools/mcnsim_cli" chaos --topology=fattree \
             --nodes-per-rack=4 --schedule=rack-partition \
@@ -227,7 +230,6 @@ EOF
         > /dev/null
     python3 "$REPO_ROOT/tools/flow_report.py" \
         "$RACK_DIR/flow.json" --validate --max-path-hops 12
-    rm -rf "$RACK_DIR"
     # The SLO gates themselves run in bench_chaos (chaos stage).
 fi
 
@@ -253,7 +255,8 @@ if want pdes; then
     # ...and the full stat JSON -- including the meta block's window
     # count -- must byte-match across worker counts for the same
     # seed (meta.wall_seconds is host time and exempt).
-    PDES_DIR="$(mktemp -d)"
+    PDES_DIR="$SCRATCH/pdes"
+    mkdir "$PDES_DIR"
     for t in 1 2 4; do
         "$BUILD_DIR/tools/mcnsim_cli" iperf --system=multi \
             --servers=4 --threads="$t" --duration-ms=2 --seed=42 \
@@ -278,7 +281,6 @@ for run in ("multi", "fattree"):
         f"{run}: stat JSON differs across --threads=1/2/4"
     print(f"pdes: {run} stat JSON identical across threads 1/2/4")
 EOF
-    rm -rf "$PDES_DIR"
 fi
 
 if want checked; then
