@@ -9,6 +9,7 @@
 #include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/sim_object.hh"
+#include "sim/timeline.hh"
 
 namespace mcnsim::sim {
 
@@ -71,6 +72,70 @@ Simulation::prepareStatsDump()
 {
     for (std::size_t i = 0; i < objects_.size(); ++i)
         objects_[i]->syncStats();
+}
+
+namespace {
+
+/** One stat sampled onto the timeline: exactly one of scalar and
+ *  average is set. */
+struct SampledStat
+{
+    Timeline::TrackId track;
+    const char *name; ///< interned once, at setup
+    const Scalar *scalar;
+    const Average *average;
+};
+
+using SampledStats = std::shared_ptr<const std::vector<SampledStat>>;
+
+void
+sampleAndRearm(Simulation &sim, Tick period, SampledStats stats)
+{
+    if (!Timeline::active())
+        return;
+    // Fold shard-local counters (split-link deltas, see DESIGN.md
+    // §9) into the registry before reading it. Reading every shard's
+    // objects mid-run is race-free because ShardSet::run runs one
+    // worker while the timeline records.
+    sim.prepareStatsDump();
+    auto &tl = Timeline::instance();
+    const Tick now = sim.curTick();
+    for (const SampledStat &s : *stats)
+        tl.counter(s.track, s.name, now,
+                   s.scalar ? s.scalar->value() : s.average->mean());
+    sim.eventQueue().scheduleIn(
+        [&sim, period, stats] { sampleAndRearm(sim, period, stats); },
+        period, "stat-sample", EventPriority::StatsDump);
+}
+
+} // namespace
+
+std::size_t
+Simulation::sampleStatsToTimeline(Tick period, const std::string &filter)
+{
+    MCNSIM_ASSERT(period > 0, "sampling period must be nonzero");
+    if (!Timeline::active())
+        return 0;
+    auto stats = std::make_shared<std::vector<SampledStat>>();
+    for (const StatGroup *g : statRegistry_.groups()) {
+        for (const StatBase *s : g->stats()) {
+            if (!filter.empty() &&
+                (g->name() + "." + s->name()).find(filter) ==
+                    std::string::npos)
+                continue;
+            auto *sc = dynamic_cast<const Scalar *>(s);
+            auto *av = dynamic_cast<const Average *>(s);
+            if (!sc && !av)
+                continue;
+            auto track = Timeline::instance().trackFor(g->name());
+            stats->push_back(SampledStat{
+                track, internEventName(s->name()), sc, av});
+        }
+    }
+    const std::size_t count = stats->size();
+    if (count)
+        sampleAndRearm(*this, period, std::move(stats));
+    return count;
 }
 
 Tick

@@ -232,9 +232,25 @@ class Simulation
     /**
      * Fold per-shard counters into the registered stats (calls every
      * object's syncStats()). dumpStats/dumpStatsJson call this;
-     * external snapshots (the stats time-series sampler) should too.
+     * mid-run snapshots (sampleStatsToTimeline) do too.
      */
     void prepareStatsDump();
+
+    /**
+     * Record every registry Scalar (its value) and Average (its
+     * mean) whose qualified "group.stat" name contains @p filter
+     * (empty = all; histograms are skipped -- a distribution is not
+     * one number) as a timeline counter on its group's track: now,
+     * then every @p period while Timeline::active(). Sampling is one
+     * managed event at StatsDump priority, so a sample sees
+     * everything else scheduled for its tick applied; a run of
+     * length T yields floor(T/period)+1 samples per stat. Returns
+     * how many stats are sampled; schedules nothing while the
+     * timeline is off or no stat matches. Call after the system is
+     * built.
+     */
+    std::size_t sampleStatsToTimeline(Tick period,
+                                      const std::string &filter);
 
     /** The shard set, for tests; null when unsharded. */
     ShardSet *shardSet() { return shards_.get(); }

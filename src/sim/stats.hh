@@ -353,7 +353,8 @@ class StatRegistry
 
     void resetAll();
 
-    /** Registered groups, for walkers like StatSampler. */
+    /** Registered groups, for walkers like
+     *  Simulation::sampleStatsToTimeline. */
     const std::vector<StatGroup *> &groups() const { return groups_; }
 
   private:

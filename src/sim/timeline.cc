@@ -186,7 +186,13 @@ Timeline::exportJson(
         const Record &r = records_[idx];
         const Track &t = tracks_[r.track];
         w.beginObject();
-        w.kv("name", r.name);
+        // Trace-event counters are keyed by (pid, name), never tid:
+        // qualify a counter with its thread so two components of one
+        // process never merge into one Perfetto track.
+        if (r.phase == Phase::Counter)
+            w.kv("name", t.thread + "." + r.name);
+        else
+            w.kv("name", r.name);
         w.kv("pid", std::uint64_t{t.pid});
         w.kv("tid", std::uint64_t{t.tid});
         w.kv("ts", ticksToUs(r.start));

@@ -16,6 +16,7 @@
  * Usage:
  *
  *   sim::Timeline::instance().enable(true);
+ *   sim.sampleStatsToTimeline(50 * oneUs, "txBytes"); // optional
  *   ... run the simulation; instrumented components record ...
  *   std::ofstream f("trace.json");
  *   sim::Timeline::instance().exportJson(f);   // open in Perfetto
@@ -168,6 +169,9 @@ class Timeline
      * key/value pairs land in "otherData" so the artifact is
      * self-describing. Ticks (ps) are emitted as fractional
      * microseconds, the unit the trace-event format expects.
+     * Counters export as "<thread>.<name>" (the format keys a
+     * counter by process and name only), so a sampled stat reads as
+     * its qualified "group.stat" name.
      */
     void exportJson(std::ostream &os,
                     const std::vector<std::pair<std::string,

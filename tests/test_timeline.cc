@@ -1,17 +1,19 @@
 /**
  * @file
  * Tests for the timeline observability layer: the Perfetto/Chrome
- * trace-event recorder (sim/timeline.hh), the periodic stats
- * sampler (sim/stat_sampler.hh), the host-time event profiler in
- * EventQueue, and the self-describing Simulation::dumpStatsJson
- * metadata header.
+ * trace-event recorder (sim/timeline.hh), stats sampled onto it as
+ * counter tracks (Simulation::sampleStatsToTimeline), the host-time
+ * event profiler in EventQueue, and the self-describing
+ * Simulation::dumpStatsJson metadata header.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/system_builder.hh"
@@ -19,7 +21,6 @@
 #include "sim/json.hh"
 #include "sim/sim_object.hh"
 #include "sim/simulation.hh"
-#include "sim/stat_sampler.hh"
 #include "sim/stats.hh"
 #include "sim/timeline.hh"
 
@@ -215,135 +216,176 @@ TEST(Timeline, SimObjectHelpersRecordOnOwnTrack)
 }
 
 // ---------------------------------------------------------------------
-// Stats sampler
+// Sampled stats on the timeline
 // ---------------------------------------------------------------------
 
-TEST(StatSampler, EmitsFloorRuntimeOverPeriodPlusOneSnapshots)
-{
-    // Exact divisor and a ragged remainder: floor(T/P)+1 both ways.
-    for (Tick runtime : {100 * oneUs, 95 * oneUs, 9 * oneUs}) {
-        Simulation s;
-        StatSampler sampler(s, 10 * oneUs);
-        sampler.addProbe("tick", [&s] {
-            return static_cast<double>(s.curTick());
-        });
-        sampler.start();
-        s.run(runtime);
-        sampler.stop();
+namespace {
 
-        std::size_t expect =
-            static_cast<std::size_t>(runtime / (10 * oneUs)) + 1;
-        EXPECT_EQ(sampler.snapshotCount(), expect)
-            << "runtime " << runtime;
-        ASSERT_EQ(sampler.ticks().size(), expect);
-        EXPECT_EQ(sampler.ticks().front(), 0u);
-        EXPECT_EQ(sampler.ticks().back(),
-                  (runtime / (10 * oneUs)) * 10 * oneUs);
-        // The probe saw the snapshot-time tick.
-        EXPECT_DOUBLE_EQ(sampler.values(0).back(),
-                         static_cast<double>(sampler.ticks().back()));
+/** The timeline's counter records, in recording order. */
+std::vector<Timeline::Record>
+counterRecords()
+{
+    std::vector<Timeline::Record> out;
+    for (const auto &r : Timeline::instance().records())
+        if (r.phase == Timeline::Phase::Counter)
+            out.push_back(r);
+    return out;
+}
+
+} // namespace
+
+TEST(Timeline, CounterNamesQualifiedByThread)
+{
+    // Trace-event counters are keyed by (pid, name): two components
+    // of one process recording the same counter name must export
+    // two distinct names, or Perfetto merges them into one track.
+    Timeline tl;
+    tl.enable(true);
+    tl.counter(tl.trackFor("srv1.mcn0.iface"), "txRingBytes", 0, 1.0);
+    tl.counter(tl.trackFor("srv1.mcn1.iface"), "txRingBytes", 0, 2.0);
+    std::ostringstream os;
+    tl.exportJson(os);
+    json::Value doc = json::parse(os.str());
+
+    std::map<std::string, double> byName;
+    std::set<double> pids;
+    for (const auto &e : doc["traceEvents"].asArray()) {
+        if (e["ph"].asString() != "C")
+            continue;
+        byName[e["name"].asString()] = e["args"]["value"].asNumber();
+        pids.insert(e["pid"].asNumber());
+    }
+    EXPECT_EQ(pids.size(), 1u);
+    ASSERT_EQ(byName.size(), 2u);
+    EXPECT_EQ(byName["srv1.mcn0.iface.txRingBytes"], 1.0);
+    EXPECT_EQ(byName["srv1.mcn1.iface.txRingBytes"], 2.0);
+}
+
+TEST(TimelineStats, SamplesFloorRuntimeOverPeriodPlusOne)
+{
+    // Exact divisor and a ragged remainder: floor(T/P)+1 both ways,
+    // at ticks 0, P, 2P, ...
+    const Tick period = 10 * oneUs;
+    for (Tick runtime : {100 * oneUs, 95 * oneUs, 9 * oneUs}) {
+        TimelineGuard guard;
+        Simulation s;
+        Component comp(s, "node.dev");
+        Scalar sent{"txBytes", "bytes sent"};
+        comp.stats().add(&sent);
+        Timeline::instance().enable(true);
+        ASSERT_EQ(s.sampleStatsToTimeline(period, ""), 1u);
+        s.run(runtime);
+
+        auto recs = counterRecords();
+        const std::size_t expect =
+            static_cast<std::size_t>(runtime / period) + 1;
+        ASSERT_EQ(recs.size(), expect) << "runtime " << runtime;
+        for (std::size_t i = 0; i < recs.size(); ++i)
+            EXPECT_EQ(recs[i].start, i * period);
     }
 }
 
-TEST(StatSampler, RegistryWalkFiltersAndSamplesScalars)
+TEST(TimelineStats, FilterSamplesScalarsAndAveragesSkipsHistograms)
 {
+    TimelineGuard guard;
     Simulation s;
     Component comp(s, "nodeA.dev");
+    Component other(s, "nodeB.dev");
     Scalar bytes{"txBytes", "bytes sent"};
     Average lat{"lat", "latency"};
-    Histogram hist{"dist", "ignored by sampler", 0, 10, 4};
+    Histogram hist{"dist", "not sampled", 0, 10, 4};
+    Scalar otherBytes{"txBytes", "filtered out"};
     comp.stats().add(&bytes);
     comp.stats().add(&lat);
     comp.stats().add(&hist);
+    other.stats().add(&otherBytes);
 
-    StatSampler sampler(s, oneUs);
+    // Nothing is sampled (or scheduled) while the timeline is off.
+    EXPECT_EQ(s.sampleStatsToTimeline(oneUs, ""), 0u);
+    EXPECT_TRUE(s.eventQueue().empty());
+
+    Timeline::instance().enable(true);
     // Filter by qualified name; histograms never match.
-    EXPECT_EQ(sampler.addRegistryStats("nodeA.dev."), 2u);
-    sampler.start();
+    EXPECT_EQ(s.sampleStatsToTimeline(oneUs, "nodeA.dev."), 2u);
     bytes += 1000;
     lat.sample(4.0);
     s.run(2 * oneUs);
-    sampler.stop();
+    Timeline::instance().enable(false);
 
-    ASSERT_EQ(sampler.snapshotCount(), 3u);
-    EXPECT_EQ(sampler.probeCount(), 2u);
-    // Probe 0 is the scalar: 0 at t0, 1000 afterwards.
-    EXPECT_DOUBLE_EQ(sampler.values(0).front(), 0.0);
-    EXPECT_DOUBLE_EQ(sampler.values(0).back(), 1000.0);
-    EXPECT_DOUBLE_EQ(sampler.values(1).back(), 4.0);
-}
+    // Two stats x three samples; the scalar is 0 at t0, 1000 after.
+    auto recs = counterRecords();
+    ASSERT_EQ(recs.size(), 6u);
+    EXPECT_STREQ(recs[0].name, "txBytes");
+    EXPECT_DOUBLE_EQ(recs[0].value, 0.0);
+    EXPECT_DOUBLE_EQ(recs[4].value, 1000.0);
+    EXPECT_STREQ(recs[5].name, "lat");
+    EXPECT_DOUBLE_EQ(recs[5].value, 4.0);
 
-TEST(StatSampler, ExportRoundTripsThroughJsonParser)
-{
-    Simulation s;
-    StatSampler sampler(s, 5 * oneUs);
-    sampler.addProbe("constant", [] { return 2.5; });
-    sampler.start();
-    s.run(20 * oneUs);
-    sampler.stop();
-
+    // Exported under the qualified "group.stat" name.
     std::ostringstream os;
-    sampler.exportJson(os, {{"command", "unit-test"}});
+    Timeline::instance().exportJson(os);
     json::Value doc = json::parse(os.str());
-
-    EXPECT_EQ(doc["schema_version"].asNumber(), 1.0);
-    EXPECT_EQ(doc["kind"].asString(), "mcnsim-stats-series");
-    EXPECT_EQ(doc["meta"]["command"].asString(), "unit-test");
-    EXPECT_EQ(doc["period_us"].asNumber(), 5.0);
-    EXPECT_EQ(doc["snapshots"].asNumber(), 5.0);
-    ASSERT_EQ(doc["ticks"].size(), 5u);
-    ASSERT_EQ(doc["series"].size(), 1u);
-    EXPECT_EQ(doc["series"][std::size_t{0}]["name"].asString(),
-              "constant");
-    EXPECT_EQ(
-        doc["series"][std::size_t{0}]["values"][std::size_t{4}]
-            .asNumber(),
-        2.5);
+    std::set<std::string> names;
+    for (const auto &e : doc["traceEvents"].asArray())
+        if (e["ph"].asString() == "C")
+            names.insert(e["name"].asString());
+    EXPECT_EQ(names, (std::set<std::string>{"nodeA.dev.txBytes",
+                                            "nodeA.dev.lat"}));
 }
 
-TEST(StatSampler, StartClampsShardedEngineToOneWorker)
+TEST(TimelineStats, ShardedSimulationRunsOnOneWorkerWhileSampling)
 {
-    Simulation s;
-    s.enableSharding();
-    s.newShard();
-    s.setThreads(4);
-    StatSampler sampler(s, 10 * oneUs);
-    sampler.addProbe("tick", [&s] {
-        return static_cast<double>(s.curTick());
-    });
-    EXPECT_EQ(s.threads(), 4u);
-    sampler.start();
-    // The clamp lives in start(), not in any particular caller: the
-    // sampler reads live stats mid-run, so a sharded simulation
-    // must fall back to one worker the moment sampling begins.
-    EXPECT_EQ(s.threads(), 1u);
-    s.run(20 * oneUs);
-    sampler.stop();
-    EXPECT_GE(sampler.snapshotCount(), 2u);
+    // Sampling reads every shard's stats mid-run; ShardSet::run's
+    // timeline clamp keeps a sharded run on one worker meanwhile.
+    // The worker table has one row per pool thread that ran (rows
+    // stay zero: profiling is off).
+    auto workersUsed = [](bool sample) {
+        TimelineGuard guard;
+        Simulation s;
+        s.enableSharding();
+        Component a(s, "nodeA.dev");
+        s.newShard();
+        Scalar bytes{"txBytes", "bytes sent"};
+        a.stats().add(&bytes);
+        s.setThreads(4);
+        if (sample) {
+            Timeline::instance().enable(true);
+            EXPECT_EQ(s.sampleStatsToTimeline(10 * oneUs, ""), 1u);
+        }
+        s.run(20 * oneUs);
+        if (sample) {
+            EXPECT_EQ(counterRecords().size(), 3u);
+        }
+        return s.shardSet()->workerTimes().size();
+    };
+    EXPECT_EQ(workersUsed(false), 2u); // two shards: two workers
+    EXPECT_EQ(workersUsed(true), 1u);
 }
 
-TEST(StatSampler, SeriesByteIdenticalAcrossWorkerCounts)
+TEST(TimelineStats, SampledTimelineByteIdenticalAcrossWorkerCounts)
 {
-    // The sampled series is modeled output: requesting --threads=2/4
-    // (clamped to 1 worker by start(), shard structure intact) must
-    // export byte-for-byte what --threads=1 exports.
+    // The timeline, sampled stats included, is modeled output:
+    // --threads=2/4 (one worker while recording, shard structure
+    // intact) must export byte-for-byte what --threads=1 exports.
     auto run = [](unsigned threads) {
+        TimelineGuard guard;
         Simulation s(3);
         s.enableSharding();
         s.setThreads(threads);
         mcnsim::core::ClusterSystemParams p;
         p.numNodes = 3;
         mcnsim::core::ClusterSystem sys(s, p);
-        StatSampler sampler(s, 50 * oneUs);
-        sampler.addRegistryStats("");
-        sampler.start();
+        Timeline::instance().enable(true);
+        EXPECT_GT(s.sampleStatsToTimeline(50 * oneUs, ""), 0u);
         runIperf(s, sys, 0, {1, 2}, oneMs);
-        sampler.stop();
+        Timeline::instance().enable(false);
+        EXPECT_EQ(Timeline::instance().dropped(), 0u);
         std::ostringstream os;
-        sampler.exportJson(os, {{"command", "unit-test"}});
+        Timeline::instance().exportJson(os, {{"command", "unit-test"}});
         return os.str();
     };
     std::string t1 = run(1);
+    EXPECT_NE(t1.find("\"ph\": \"C\""), std::string::npos);
     EXPECT_EQ(t1, run(2));
     EXPECT_EQ(t1, run(4));
 }

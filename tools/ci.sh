@@ -19,7 +19,9 @@
 #            --stages ...,perf (or --with-perf) before merging perf
 #            work
 #   obs      validate observability artifacts from an instrumented
-#            iperf run (timeline trace, stats series, profile)
+#            iperf run (timeline trace with sampled stats, flow
+#            stats, profile), and cmp the sampled timeline and the
+#            flow stats across --threads=1/2/4
 #   chaos    fault-injection soak: chaos selfcheck (determinism
 #            under every canned schedule x several seeds) plus the
 #            bench_chaos survival gates
@@ -123,8 +125,7 @@ if want obs; then
     OBS_DIR="$SCRATCH/obs"
     mkdir "$OBS_DIR"
     "$BUILD_DIR/tools/mcnsim_cli" iperf --duration-ms=1 \
-        --timeline="$OBS_DIR/timeline.json" \
-        --stats-series="$OBS_DIR/series.json" \
+        --timeline="$OBS_DIR/timeline.json" --series-filter=txBytes \
         --flow-stats="$OBS_DIR/flow.json" \
         --stats-json="$OBS_DIR/stats.json" \
         --profile --profile-top=5
@@ -139,30 +140,25 @@ if want obs; then
         "$OBS_DIR/stats.json" --validate
     python3 "$REPO_ROOT/tools/flow_report.py" "$OBS_DIR/flow.json" \
         --stats-json "$OBS_DIR/stats.json" --top 5 > /dev/null
-    # The flow artifact is a modeled result: byte-identical for
-    # every worker count on a shardable system.
+    # The flow artifact and the timeline with sampled stats are
+    # modeled results: byte-identical for every worker count on a
+    # shardable system. Separate runs: the timeline holds a sharded
+    # run to one worker, and the flow check must run on several.
     for t in 1 2 4; do
         "$BUILD_DIR/tools/mcnsim_cli" iperf --system=cluster \
             --nodes=4 --threads="$t" --duration-ms=1 --seed=42 \
             --flow-stats="$OBS_DIR/flow-t$t.json" > /dev/null
+        "$BUILD_DIR/tools/mcnsim_cli" iperf --system=cluster \
+            --nodes=4 --threads="$t" --duration-ms=1 --seed=42 \
+            --timeline="$OBS_DIR/timeline-t$t.json" \
+            --series-filter=txBytes > /dev/null
     done
-    cmp "$OBS_DIR/flow-t1.json" "$OBS_DIR/flow-t2.json"
-    cmp "$OBS_DIR/flow-t1.json" "$OBS_DIR/flow-t4.json"
-    echo "flow stats: OK (validated, byte-identical across" \
-         "--threads=1/2/4)"
-    python3 - "$OBS_DIR/series.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    doc = json.load(f)
-assert doc["schema_version"] == 1, doc["schema_version"]
-assert doc["kind"] == "mcnsim-stats-series", doc["kind"]
-assert doc["snapshots"] >= 2, "need a multi-snapshot series"
-assert len(doc["ticks"]) == doc["snapshots"]
-for s in doc["series"]:
-    assert len(s["values"]) == doc["snapshots"], s["name"]
-print(f"stats series: OK ({doc['snapshots']} snapshots, "
-      f"{len(doc['series'])} series)")
-EOF
+    for f in flow timeline; do
+        cmp "$OBS_DIR/$f-t1.json" "$OBS_DIR/$f-t2.json"
+        cmp "$OBS_DIR/$f-t1.json" "$OBS_DIR/$f-t4.json"
+    done
+    echo "flow stats and sampled timeline: OK (byte-identical" \
+         "across --threads=1/2/4)"
 fi
 
 if want chaos; then

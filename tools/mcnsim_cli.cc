@@ -34,10 +34,11 @@
  * Timeline observability (see README.md §Observability):
  *   --timeline=PATH                (Chrome trace-event JSON; open in
  *                                   ui.perfetto.dev or chrome://tracing)
- *   --stats-series=PATH            (periodic stat snapshots as JSON)
- *   --series-period-us=N           (sampling period, default 50 µs)
- *   --series-filter=SUBSTR         (only stats whose "group.stat"
- *                                   name contains SUBSTR)
+ *   --series-filter=SUBSTR         (with --timeline: every 50 µs,
+ *                                   each scalar/average stat whose
+ *                                   "group.stat" name contains
+ *                                   SUBSTR becomes a counter track;
+ *                                   empty = all)
  *   --profile                      (per-event-name host-time profile;
  *                                   top-N table after the run)
  *   --profile-top=N                (rows in that table, default 20)
@@ -48,6 +49,9 @@
  *                                   - = stdout. Also unlocks the
  *                                   flows/path_latency blocks and
  *                                   queue watermarks in --stats-json)
+ *
+ * A flag no command reads gets "warning: unused flag --X" on stderr
+ * after the run; the exit status is unchanged.
  */
 
 #include <algorithm>
@@ -57,6 +61,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -70,7 +75,6 @@
 #include "dist/npb.hh"
 #include "sim/fault.hh"
 #include "sim/flow_stats.hh"
-#include "sim/stat_sampler.hh"
 #include "sim/timeline.hh"
 #include "sim/trace_ring.hh"
 
@@ -83,10 +87,14 @@ struct Args
 {
     std::string command;
     std::map<std::string, std::string> flags;
+    /** Every key a command asked about, for the unused-flag
+     *  warning. */
+    mutable std::set<std::string> read;
 
     std::string
     get(const std::string &key, const std::string &def) const
     {
+        read.insert(key);
         auto it = flags.find(key);
         return it == flags.end() ? def : it->second;
     }
@@ -94,6 +102,7 @@ struct Args
     long
     getInt(const std::string &key, long def) const
     {
+        read.insert(key);
         auto it = flags.find(key);
         return it == flags.end() ? def : std::stol(it->second);
     }
@@ -101,7 +110,18 @@ struct Args
     bool
     has(const std::string &key) const
     {
+        read.insert(key);
         return flags.count(key) > 0;
+    }
+
+    /** Warn on stderr about each given flag nothing read. */
+    void
+    warnUnused() const
+    {
+        for (const auto &kv : flags)
+            if (!read.count(kv.first))
+                std::fprintf(stderr, "warning: unused flag --%s\n",
+                             kv.first.c_str());
     }
 };
 
@@ -213,12 +233,15 @@ dumpRequestedStats(const Args &a, sim::Simulation &s)
     return f.good() ? 0 : 1;
 }
 
+/** Period of --series-filter's stat samples on the timeline. */
+constexpr sim::Tick seriesPeriod = 50 * sim::oneUs;
+
 /**
- * One run's observability session: arms the timeline, stats
- * sampler, event profiler and flight-recorder capacity from flags.
- * Construct after the system is built (the sampler walks the stat
- * registry); call finish() after the run to write the artifacts and
- * print the profile table.
+ * One run's observability session: arms the timeline (and its
+ * sampled stats), event profiler and flight-recorder capacity from
+ * flags. Construct after the system is built (sampling walks the
+ * stat registry); call finish() after the run to write the
+ * artifacts and print the profile table.
  */
 class ObsSession
 {
@@ -234,6 +257,9 @@ class ObsSession
         if (a_.has("timeline")) {
             sim::Timeline::instance().clear();
             sim::Timeline::instance().enable(true);
+            if (a_.has("series-filter"))
+                s_.sampleStatsToTimeline(seriesPeriod,
+                                         a_.get("series-filter", ""));
         }
         if (a_.has("profile")) {
             for (std::size_t i = 0; i < s_.shardCount(); ++i)
@@ -243,30 +269,6 @@ class ObsSession
         }
         if (a_.has("flow-stats"))
             sim::FlowTelemetry::instance().enable();
-        if (a_.has("stats-series")) {
-            if (s_.threads() > 1)
-                std::fprintf(stderr,
-                             "note: --stats-series forces "
-                             "--threads=1 (the sampler reads live "
-                             "stats mid-run)\n");
-            auto period = static_cast<sim::Tick>(a_.getInt(
-                              "series-period-us", 50)) *
-                          sim::oneUs;
-            sampler_ =
-                std::make_unique<sim::StatSampler>(s_, period);
-            sampler_->addRegistryStats(a_.get("series-filter", ""));
-            if (sim::FaultPlan::active()) {
-                // Chaos visibility: the armed plan's fire count and
-                // the recovery counters (rxCsumDrops, resyncs,
-                // ringCrcDrops -- registry stats, captured above)
-                // turn the degradation story into a time series.
-                auto &plan = sim::FaultPlan::instance();
-                sampler_->addProbe("fault.fires", [&plan] {
-                    return static_cast<double>(plan.totalFires());
-                });
-            }
-            sampler_->start(); // clamps a sharded run to 1 worker
-        }
     }
 
     /** Write the requested artifacts; nonzero on a write failure. */
@@ -279,13 +281,6 @@ class ObsSession
             {"system", systemKind(a_)},
             {"seed", std::to_string(s_.seed())},
         };
-        if (sampler_) {
-            sampler_->stop();
-            rc |= writeTo(a_.get("stats-series", "-"),
-                          [&](std::ostream &os) {
-                              sampler_->exportJson(os, meta);
-                          });
-        }
         if (a_.has("flow-stats")) {
             auto &tel = sim::FlowTelemetry::instance();
             tel.disable();
@@ -392,7 +387,6 @@ class ObsSession
 
     const Args &a_;
     sim::Simulation &s_;
-    std::unique_ptr<sim::StatSampler> sampler_;
 };
 
 /** upf: parallel uplinks per (leaf, spine) pair -- must match
@@ -858,9 +852,9 @@ usage()
         "       spec keys: p= n= at= param= max= from= until=\n"
         "observability:\n"
         "       --timeline=PATH|-       Perfetto/chrome trace JSON\n"
-        "       --stats-series=PATH|-   periodic stat snapshots\n"
-        "       --series-period-us=N    sampling period (default 50)\n"
-        "       --series-filter=SUBSTR  restrict sampled stats\n"
+        "       --series-filter=SUBSTR  with --timeline: sample stats\n"
+        "                               named *SUBSTR* every 50 us\n"
+        "                               as counter tracks\n"
         "       --profile               host-time profile table\n"
         "       --profile-top=N         rows in that table\n"
         "       --trace-ring=N          flight-recorder capacity\n"
@@ -904,11 +898,13 @@ main(int argc, char **argv)
             cmd = cmdMapReduce;
         else if (a.command == "chaos")
             cmd = cmdChaos;
-        if (cmd)
-            return a.has("selfcheck") ? runSelfcheck(a, cmd)
-                                      : cmd(a, nullptr);
-        if (a.command == "describe")
-            return cmdDescribe(a);
+        if (cmd || a.command == "describe") {
+            int rc = !cmd                 ? cmdDescribe(a)
+                     : a.has("selfcheck") ? runSelfcheck(a, cmd)
+                                          : cmd(a, nullptr);
+            a.warnUnused();
+            return rc;
+        }
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
