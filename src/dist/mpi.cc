@@ -62,7 +62,7 @@ MpiRank::send(int dst, std::uint64_t bytes)
     auto &sock = world_->sockOf(rank_, dst);
     MCNSIM_ASSERT(sock, "MPI mesh not established");
 
-    std::vector<std::uint8_t> hdr(headerBytes);
+    std::array<std::uint8_t, headerBytes> hdr{};
     auto put32 = [&](std::size_t off, std::uint32_t v) {
         hdr[off] = static_cast<std::uint8_t>(v >> 24);
         hdr[off + 1] = static_cast<std::uint8_t>(v >> 16);
@@ -72,7 +72,7 @@ MpiRank::send(int dst, std::uint64_t bytes)
     put32(0, static_cast<std::uint32_t>(rank_));
     put32(4, 0); // tag, unused
     put32(8, static_cast<std::uint32_t>(bytes));
-    co_await sock->send(std::move(hdr));
+    co_await sock->send(hdr);
     if (bytes > 0)
         co_await sock->sendPattern(bytes);
 }
@@ -317,10 +317,10 @@ MpiWorld::establishMesh(MpiRank &r)
         if (!sock)
             sim::panic("MPI rank ", me, " failed to reach rank ",
                        peer);
-        std::vector<std::uint8_t> hello = {
+        const std::array<std::uint8_t, 4> hello = {
             0, 0, static_cast<std::uint8_t>(me >> 8),
             static_cast<std::uint8_t>(me & 0xff)};
-        co_await sock->send(std::move(hello));
+        co_await sock->send(hello);
         sockOf(me, peer) = sock;
     }
 

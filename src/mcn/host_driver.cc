@@ -233,7 +233,8 @@ McnHostDriver::notifyUnreachable(const net::Packet &pkt,
     constexpr std::size_t ethSize = net::EthernetHeader::size;
     if (pkt.size() < ethSize + net::Ipv4Header::size)
         return;
-    const std::uint8_t *ip = pkt.cdata() + ethSize;
+    const std::uint8_t *ip =
+        pkt.cprefix(ethSize + net::Ipv4Header::size) + ethSize;
     const net::Ipv4Addr src{(std::uint32_t(ip[12]) << 24) |
                             (std::uint32_t(ip[13]) << 16) |
                             (std::uint32_t(ip[14]) << 8) | ip[15]};

@@ -105,8 +105,11 @@ BandwidthArbiter::advance()
     lastUpdate_ = now;
 
     // Retire completed flows (callbacks may start new transfers;
-    // collect first, then invoke).
+    // collect first, then invoke). The list borrows the spare
+    // buffer's capacity; a callback re-entering advance() finds the
+    // spare empty and builds its own.
     std::vector<std::function<void(Tick)>> finished;
+    finished.swap(finishedSpare_);
     for (auto it = flows_.begin(); it != flows_.end();) {
         if (it->second.remaining <= completionSlack) {
             finished.push_back(std::move(it->second.done));
@@ -121,6 +124,9 @@ BandwidthArbiter::advance()
     for (auto &cb : finished)
         if (cb)
             cb(now);
+    finished.clear();
+    if (finished.capacity() > finishedSpare_.capacity())
+        finished.swap(finishedSpare_);
 }
 
 void
@@ -135,17 +141,18 @@ BandwidthArbiter::replan()
 
     // Water-fill: every flow gets an equal share; capped flows
     // donate their surplus to the rest.
+    // open_ is a member so steady-state replans allocate nothing;
+    // nothing below calls out, so it cannot be re-entered.
     double budget = effectiveBps();
-    std::vector<Flow *> open;
-    open.reserve(flows_.size());
+    open_.clear();
     for (auto &[id, f] : flows_) {
         f.rate = 0.0;
-        open.push_back(&f);
+        open_.push_back(&f);
     }
-    std::sort(open.begin(), open.end(),
+    std::sort(open_.begin(), open_.end(),
               [](const Flow *a, const Flow *b) { return a->cap < b->cap; });
-    std::size_t remaining_flows = open.size();
-    for (Flow *f : open) {
+    std::size_t remaining_flows = open_.size();
+    for (Flow *f : open_) {
         double share = budget / static_cast<double>(remaining_flows);
         f->rate = std::min(share, f->cap);
         budget -= f->rate;

@@ -19,6 +19,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
@@ -93,6 +94,10 @@ class BandwidthArbiter : public sim::SimObject
     double background_ = 0.0;
 
     std::map<FlowId, Flow> flows_;
+    /** replan()'s water-filling order, reused across calls. */
+    std::vector<Flow *> open_;
+    /** Capacity advance() lends its list of finished callbacks. */
+    std::vector<std::function<void(Tick)>> finishedSpare_;
     FlowId nextId_ = 1;
     Tick lastUpdate_ = 0;
     sim::Event *pending_ = nullptr;

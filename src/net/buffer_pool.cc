@@ -149,6 +149,7 @@ BufferPool::acquire(std::size_t n, std::size_t skip,
         b = carve(cls, n);
     }
     b->len = static_cast<std::uint32_t>(n);
+    b->lazyState.store(PktBuf::lazyNone, std::memory_order_relaxed);
     MCNSIM_IF_CHECKED(b->magic = liveMagic;)
     std::size_t skipEnd = skip + skipLen;
     MCNSIM_ASSERT(skipEnd <= n, "acquire skip range past the block");

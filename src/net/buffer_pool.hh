@@ -63,6 +63,15 @@ struct alignas(std::max_align_t) PktBuf
      */
     std::uint32_t len;
     std::uint8_t cls;                ///< size-class index / heapClass
+    /**
+     * Whether the block holds an unwritten lazy pattern extent
+     * (Packet::makeDeferred(); every packet viewing the block
+     * carries the extent's position). The first reader that needs
+     * the bytes in memory writes them (Packet::materialise()); this
+     * is the once-flag that keeps two shards from doing it together.
+     */
+    enum : std::uint8_t { lazyNone, lazyPending, lazyFilling };
+    std::atomic<std::uint8_t> lazyState;
     MCNSIM_IF_CHECKED(std::uint32_t magic;) ///< live / poison marker
 
     std::uint8_t *

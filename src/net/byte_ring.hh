@@ -22,17 +22,17 @@
  * so modeled metrics are untouched (tools/check_perf.py holds them
  * to the committed BENCH_*.json).
  *
- * The send side writes each payload byte once (DESIGN.md "Hot paths
- * & buffer ownership"): SendQueue records sendPattern() bulk data as
- * {base, len} runs and materialises bytes only when a segment is
- * copied out, straight into the packet's pooled block.
+ * The send side writes no pattern byte until something reads it
+ * (DESIGN.md "Hot paths & buffer ownership"): SendQueue records
+ * sendPattern() bulk data as {base, len} runs, and a segment copied
+ * out of it keeps its largest pattern run as the packet's lazy
+ * extent instead of writing it.
  */
 
 #ifndef MCNSIM_NET_BYTE_RING_HH
 #define MCNSIM_NET_BYTE_RING_HH
 
 #include <algorithm>
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -40,29 +40,10 @@
 #include <memory>
 #include <vector>
 
+#include "net/pattern.hh"
 #include "sim/logging.hh"
 
 namespace mcnsim::net {
-
-/** Write the test pattern ((base + i) & 0xff), i in [0, n), as
- *  memcpy runs from a table that holds the 256-byte period plus one
- *  chunk. iperf and MPI payloads are filled here; a byte loop's
- *  speed swung by up to a third with nothing but where the linker
- *  placed it. */
-inline void
-fillPattern(std::uint8_t *dst, std::size_t base, std::size_t n)
-{
-    constexpr std::size_t chunk = 4096;
-    static constexpr auto table = [] {
-        std::array<std::uint8_t, 256 + chunk> t{};
-        for (std::size_t i = 0; i < t.size(); ++i)
-            t[i] = static_cast<std::uint8_t>(i & 0xff);
-        return t;
-    }();
-    for (std::size_t off = 0; off < n; off += chunk)
-        std::memcpy(dst + off, &table[(base + off) & 0xff],
-                    std::min(chunk, n - off));
-}
 
 /** Growable circular byte FIFO with random-access reads. */
 class ByteRing
@@ -166,14 +147,15 @@ class ByteRing
  * The TCP send queue: a byte FIFO whose pattern data stays a
  * descriptor until read. It holds a deque of runs, each either
  * pattern bytes ((base + i) & 0xff) or literal bytes parked in a
- * ByteRing (the MPI header, any send(vector) data). copyOut() fills
- * pattern runs with fillPattern() and copies literal runs from the
- * ring, so a segment's payload is written once, into its packet.
+ * ByteRing (the MPI header, any send() data). copyOutDeferred()
+ * copies literal runs from the ring and leaves a segment's largest
+ * pattern run to its packet as a lazy extent; copyOut() fills every
+ * pattern run with fillPattern().
  *
- * copyOut() resumes from a cursor left at the previous read, so
- * reading a window segment by segment visits each run a bounded
- * number of times instead of rescanning from the front (an MPI
- * window holds tens of thousands of header + payload runs).
+ * copyOutDeferred() resumes from a cursor left at the previous
+ * read, so reading a window segment by segment visits each run a
+ * bounded number of times instead of rescanning from the front (an
+ * MPI window holds tens of thousands of header + payload runs).
  */
 class SendQueue
 {
@@ -210,12 +192,19 @@ class SendQueue
         size_ += n;
     }
 
-    /** Copy bytes [off, off+n) into @p dst. */
-    void
-    copyOut(std::size_t off, std::size_t n, std::uint8_t *dst)
+    /**
+     * Copy bytes [off, off+n) into @p dst, except the largest
+     * pattern run among them, which is left unwritten and returned
+     * (its offset relative to @p dst; len 0 when the range holds no
+     * pattern). A segment keeps that run as its packet's lazy extent
+     * (Packet::makeDeferred()).
+     */
+    PatternExtent
+    copyOutDeferred(std::size_t off, std::size_t n, std::uint8_t *dst)
     {
+        PatternExtent lazy;
         if (n == 0)
-            return;
+            return lazy;
         MCNSIM_ASSERT(off + n <= size_, "SendQueue read past end");
         if (off < curStart_) {
             curIdx_ = 0;
@@ -226,23 +215,40 @@ class SendQueue
             ++curIdx_;
             ++runVisits_;
         }
+        std::uint8_t *const start = dst;
         std::size_t in = off - curStart_; // offset within the run
         for (;;) {
             ++runVisits_;
             const Run &r = runs_[curIdx_];
             std::size_t m = std::min(n, r.len - in);
-            if (r.pattern)
-                fillPattern(dst, r.base + in, m);
-            else
+            if (!r.pattern) {
                 lit_.copyOut(r.base - litPopped_ + in, m, dst);
+            } else if (m > lazy.len) {
+                // A larger run takes over the deferral; write the
+                // one it displaces.
+                fillPattern(start + lazy.off, lazy.base, lazy.len);
+                lazy = PatternExtent{
+                    static_cast<std::size_t>(dst - start), m,
+                    static_cast<std::uint8_t>(r.base + in)};
+            } else {
+                fillPattern(dst, r.base + in, m);
+            }
             dst += m;
             n -= m;
             if (n == 0)
-                return; // cursor stays on the run holding the end
+                return lazy; // cursor stays on the run holding the end
             curStart_ += r.len;
             ++curIdx_;
             in = 0;
         }
+    }
+
+    /** Copy bytes [off, off+n) into @p dst. */
+    void
+    copyOut(std::size_t off, std::size_t n, std::uint8_t *dst)
+    {
+        const PatternExtent lazy = copyOutDeferred(off, n, dst);
+        fillPattern(dst + lazy.off, lazy.base, lazy.len);
     }
 
     /** Drop the first @p n bytes. */

@@ -23,12 +23,25 @@
  * back; that differs bit-for-bit from the historical "raw 32-bit
  * running sum" return, but is equivalent under checksumFold(), which
  * is the only documented way to consume a partial.
+ *
+ * The packet overload sums a lazy pattern extent without its bytes.
+ * The pattern repeats every 256 bytes, an even length, so an extent
+ * of n bytes is n / 256 copies of one period's sum plus the sum of
+ * the first n % 256 bytes, both read from the pattern table. A piece
+ * that starts at an odd offset from the checksummed range's start
+ * has its bytes in the other halves of the 16-bit words, which
+ * byte-swaps its folded sum (RFC 1071 §2(B)). Folding with
+ * end-around carry keeps each piece's 16-bit sum zero only when all
+ * its bytes are, so the combination equals the byte loop's result
+ * exactly, not just modulo 0xffff.
  */
 
 #include "net/checksum.hh"
 
 #include <bit>
 #include <cstring>
+
+#include "net/packet.hh"
 
 namespace mcnsim::net {
 
@@ -48,6 +61,28 @@ add1c(std::uint64_t s, std::uint64_t w)
 {
     s += w;
     return s + (s < w);
+}
+
+/** Fold with end-around carry to 16 bits: congruent modulo 0xffff,
+ *  and zero only when @p s is. */
+inline std::uint16_t
+fold16(std::uint64_t s)
+{
+    while (s >> 16)
+        s = (s & 0xffff) + (s >> 16);
+    return static_cast<std::uint16_t>(s);
+}
+
+/** Folded sum of @p n pattern bytes based at @p base, as though
+ *  they started a word. */
+std::uint16_t
+patternSum(std::uint8_t base, std::size_t n)
+{
+    const std::uint8_t *period = patternTable() + base;
+    std::uint64_t sum = checksumPartial(period, n % 256);
+    if (n >= 256)
+        sum += (n / 256) * std::uint64_t{checksumPartial(period, 256)};
+    return fold16(sum);
 }
 
 } // namespace
@@ -120,6 +155,30 @@ checksumPartial(const std::uint8_t *data, std::size_t len,
     if constexpr (std::endian::native == std::endian::little)
         s16 = static_cast<std::uint16_t>((s16 >> 8) | (s16 << 8));
     return seed + s16;
+}
+
+std::uint32_t
+checksumPartial(const Packet &pkt, std::size_t off, std::size_t len,
+                std::uint32_t seed)
+{
+    std::uint64_t sum = 0;
+    std::size_t at = 0; // offset of the next piece in the range
+    auto add = [&](std::uint16_t piece, std::size_t n) {
+        if (at & 1)
+            piece = static_cast<std::uint16_t>((piece >> 8) |
+                                               (piece << 8));
+        sum += piece;
+        at += n;
+    };
+    pkt.scan(
+        off, len,
+        [&](const std::uint8_t *p, std::size_t n) {
+            add(static_cast<std::uint16_t>(checksumPartial(p, n)), n);
+        },
+        [&](std::uint8_t base, std::size_t n) {
+            add(patternSum(base, n), n);
+        });
+    return seed + fold16(sum);
 }
 
 std::uint16_t

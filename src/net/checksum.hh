@@ -14,6 +14,8 @@
 
 namespace mcnsim::net {
 
+class Packet;
+
 /**
  * One's-complement sum over @p len bytes, not yet folded. The value
  * is only meaningful modulo checksumFold(): chain calls by passing
@@ -22,6 +24,15 @@ namespace mcnsim::net {
 std::uint32_t checksumPartial(const std::uint8_t *data,
                               std::size_t len,
                               std::uint32_t seed = 0);
+
+/**
+ * checksumPartial() over bytes [off, off + len) of @p pkt's view,
+ * equal to the byte loop over them bit for bit. A lazy pattern
+ * extent among them (Packet::makeDeferred()) is summed in closed
+ * form from the pattern's period and never written.
+ */
+std::uint32_t checksumPartial(const Packet &pkt, std::size_t off,
+                              std::size_t len, std::uint32_t seed = 0);
 
 /** Fold a partial sum into the final 16-bit checksum value. */
 std::uint16_t checksumFold(std::uint32_t partial);

@@ -55,7 +55,7 @@ EthernetHeader::peek(const Packet &pkt)
 {
     MCNSIM_ASSERT(pkt.size() >= size, "short ethernet frame");
     EthernetHeader h;
-    const std::uint8_t *p = pkt.cdata();
+    const std::uint8_t *p = pkt.cprefix(size);
     std::memcpy(h.dst.b.data(), p, 6);
     std::memcpy(h.src.b.data(), p + 6, 6);
     h.type = static_cast<std::uint16_t>((p[12] << 8) | p[13]);

@@ -57,10 +57,10 @@ IcmpHeader::pull(Packet &pkt, bool verify_checksum)
 {
     if (pkt.size() < size)
         return std::nullopt;
-    const std::uint8_t *p = pkt.cdata();
+    const std::uint8_t *p = pkt.cprefix(size);
     bool has_cksum = p[2] != 0 || p[3] != 0;
     if (verify_checksum && has_cksum &&
-        checksum(p, pkt.size()) != 0)
+        checksumFold(checksumPartial(pkt, 0, pkt.size())) != 0)
         return std::nullopt;
     IcmpHeader h;
     h.type = p[0];
@@ -125,7 +125,7 @@ IcmpLayer::rx(Ipv4Addr src, Ipv4Addr dst, PacketPtr pkt,
         statUnreachRx_ += 1;
         if (pkt->size() < 4)
             return;
-        const std::uint8_t *p = pkt->cdata();
+        const std::uint8_t *p = pkt->cprefix(4);
         Ipv4Addr about(static_cast<std::uint32_t>(
             (std::uint32_t(p[0]) << 24) |
             (std::uint32_t(p[1]) << 16) |

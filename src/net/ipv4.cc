@@ -77,7 +77,7 @@ Ipv4Header::pull(Packet &pkt, bool verify_checksum)
 {
     if (pkt.size() < size)
         return std::nullopt;
-    const std::uint8_t *p = pkt.cdata();
+    const std::uint8_t *p = pkt.cprefix(size);
     if ((p[0] >> 4) != 4)
         return std::nullopt;
     if (verify_checksum && checksum(p, size) != 0)

@@ -47,16 +47,15 @@ l4ChecksumFill(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
     const std::size_t off = l4CsumOffset(proto);
     if (off == SIZE_MAX || pkt.size() < off + 2)
         return false;
-    const std::uint8_t *cp = pkt.cdata();
+    const std::uint8_t *cp = pkt.cprefix(off + 2);
     if (cp[off] != 0 || cp[off + 1] != 0)
         return false; // sender already checksummed
     std::uint32_t sum = pseudoHeaderSum(
         src.v, dst.v, proto,
         static_cast<std::uint16_t>(pkt.size()));
-    sum = checksumPartial(pkt.cdata(), pkt.size(), sum);
+    sum = checksumPartial(pkt, 0, pkt.size(), sum);
     const std::uint16_t c = checksumFold(sum);
-    // analyze-ok: packet-cdata (writes the checksum back through p)
-    std::uint8_t *p = pkt.data();
+    std::uint8_t *p = pkt.prefix(off + 2);
     p[off] = static_cast<std::uint8_t>(c >> 8);
     p[off + 1] = static_cast<std::uint8_t>(c & 0xff);
     return true;
@@ -72,13 +71,13 @@ l4ChecksumOk(const Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
     const std::size_t off = l4CsumOffset(proto);
     if (off == SIZE_MAX || pkt.size() < off + 2)
         return true;
-    const std::uint8_t *p = pkt.cdata();
+    const std::uint8_t *p = pkt.cprefix(off + 2);
     if (p[off] == 0 && p[off + 1] == 0)
         return true; // CHECKSUM_UNNECESSARY
     std::uint32_t sum = pseudoHeaderSum(
         src.v, dst.v, proto,
         static_cast<std::uint16_t>(pkt.size()));
-    sum = checksumPartial(p, pkt.size(), sum);
+    sum = checksumPartial(pkt, 0, pkt.size(), sum);
     return checksumFold(sum) == 0;
 }
 
@@ -348,12 +347,13 @@ NetStack::handleIp(PacketPtr pkt, bool trusted_hop)
     // when the packet arrived over a trusted hop (memory channel /
     // loopback); anything from an untrusted device is verified.
     const bool verify = !(checksumBypass_ && trusted_hop);
-    if (verify && pkt->size() >= Ipv4Header::size &&
-        (pkt->cdata()[0] >> 4) == 4 &&
-        checksum(pkt->cdata(), Ipv4Header::size) != 0) {
-        statRxCsumDrops_ += 1;
-        statIpDrops_ += 1;
-        return;
+    if (verify && pkt->size() >= Ipv4Header::size) {
+        const std::uint8_t *h = pkt->cprefix(Ipv4Header::size);
+        if ((h[0] >> 4) == 4 && checksum(h, Ipv4Header::size) != 0) {
+            statRxCsumDrops_ += 1;
+            statIpDrops_ += 1;
+            return;
+        }
     }
     auto ip = Ipv4Header::pull(*pkt, /*verify_checksum=*/false);
     if (!ip) {

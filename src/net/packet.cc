@@ -6,12 +6,19 @@
 #include "net/packet.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <thread>
 
-#include "net/byte_ring.hh"
 #include "sim/flow_stats.hh"
 #include "sim/logging.hh"
 
 namespace mcnsim::net {
+
+namespace {
+// analyze-ok: shard-static (host-side diagnostic counter, a relaxed
+// atomic that no modeled decision reads)
+std::atomic<std::uint64_t> materialised{0};
+} // namespace
 
 PacketPtr
 Packet::wrap(BufRef buf, std::size_t head, std::size_t tail)
@@ -43,17 +50,56 @@ Packet::makePattern(std::size_t n, std::uint8_t seed,
 }
 
 void
+Packet::defer(std::size_t off, std::size_t len, std::uint8_t base)
+{
+    lazyOff_ = static_cast<std::uint32_t>(off);
+    lazyLen_ = static_cast<std::uint32_t>(len);
+    lazyBase_ = base;
+    buf_->lazyState.store(PktBuf::lazyPending,
+                          std::memory_order_relaxed);
+}
+
+void
+Packet::materialiseSlow() const
+{
+    PktBuf &b = *buf_.get();
+    std::uint8_t expect = PktBuf::lazyPending;
+    if (b.lazyState.compare_exchange_strong(expect,
+                                            PktBuf::lazyFilling,
+                                            std::memory_order_acquire)) {
+        fillPattern(b.bytes() + lazyOff_, lazyBase_, lazyLen_);
+        materialised.fetch_add(lazyLen_, std::memory_order_relaxed);
+        b.lazyState.store(PktBuf::lazyNone, std::memory_order_release);
+        return;
+    }
+    // Another shard holding a view of the block is writing it.
+    while (b.lazyState.load(std::memory_order_acquire) !=
+           PktBuf::lazyNone)
+        std::this_thread::yield();
+}
+
+std::uint64_t
+Packet::materialisedBytes()
+{
+    return materialised.load(std::memory_order_relaxed);
+}
+
+void
 Packet::detach(std::size_t headroom, std::size_t tailroom)
 {
+    // The live bytes move to a private block; a lazy extent among
+    // them moves as an extent, still unwritten.
     std::size_t n = size();
     BufRef fresh{
         BufferPool::acquire(headroom + n + tailroom, headroom, n)};
-    if (n)
-        std::memcpy(fresh->bytes() + headroom, buf_->bytes() + head_,
-                    n);
+    const PatternExtent lazy =
+        copyOutDeferred(0, n, fresh->bytes() + headroom);
     buf_ = std::move(fresh);
     head_ = headroom;
     tail_ = headroom + n;
+    lazyLen_ = 0;
+    if (lazy.len)
+        defer(headroom + lazy.off, lazy.len, lazy.base);
 }
 
 void
@@ -67,6 +113,8 @@ Packet::growTo(std::size_t newLen)
         buf_->len = static_cast<std::uint32_t>(newLen);
         return;
     }
+    materialise(); // the copy below reads the whole prefix
+    lazyLen_ = 0;
     BufRef fresh{BufferPool::acquire(newLen, 0, buf_->len)};
     if (buf_->len)
         std::memcpy(fresh->bytes(), buf_->bytes(), buf_->len);
@@ -77,6 +125,7 @@ Packet::growTo(std::size_t newLen)
 void
 Packet::sealNow() const
 {
+    materialise();
     sealHash_ =
         sim::checked::hashBytes(buf_->bytes() + head_, size());
     sealed_ = true;
@@ -87,6 +136,7 @@ Packet::auditSeal() const
 {
     if (!sealed_)
         return;
+    materialise();
     const std::uint64_t now =
         sim::checked::hashBytes(buf_->bytes() + head_, size());
     if (now != sealHash_)
@@ -115,6 +165,8 @@ Packet::push(std::size_t n)
         detach(std::min(head_, std::max(n, defaultHeadroom)), 0);
     }
     head_ -= n;
+    if (overlapsLazy(head_, head_ + n)) [[unlikely]]
+        materialiseSlow(); // pushed back over pulled lazy bytes
     return buf_->bytes() + head_;
 }
 
@@ -141,6 +193,8 @@ Packet::put(std::size_t n)
     } else if (tail_ + n > buf_->len) {
         growTo(tail_ + n);
     }
+    if (overlapsLazy(tail_, tail_ + n)) [[unlikely]]
+        materialiseSlow(); // put back over trimmed lazy bytes
     std::uint8_t *p = buf_->bytes() + tail_;
     tail_ += n;
     return p;
@@ -162,6 +216,9 @@ Packet::view() const
     MCNSIM_IF_CHECKED(BufferPool::auditLive(buf_.get());
                       auditSeal();)
     PacketPtr v = wrap(buf_, head_, tail_);
+    v->lazyOff_ = lazyOff_;
+    v->lazyLen_ = lazyLen_;
+    v->lazyBase_ = lazyBase_;
     // The block is shared from here on: seal both views so any write
     // that bypasses copy-on-write is caught at the next audit.
     MCNSIM_IF_CHECKED(sealNow(); v->sealHash_ = sealHash_;

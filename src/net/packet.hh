@@ -11,10 +11,18 @@
  * block (net/buffer_pool.hh) with copy-on-write semantics. clone()
  * shares the block and is O(1); so are pull() and trim(), which
  * only move the [head, tail) view. The first mutation of a shared
- * packet -- push(), put(), or the non-const data() -- copies the
- * live bytes into a private block (detach()). Metadata (node ids,
- * TSO state, and the timing record when one is kept) is always
- * per-clone.
+ * packet -- push(), put(), prefix() or the non-const data() --
+ * copies the live bytes into a private block (detach()). Metadata
+ * (node ids, TSO state, and the timing record when one is kept) is
+ * always per-clone.
+ *
+ * Lazy payload: a block may hold one pattern extent that is never
+ * written until something needs it in memory (makeDeferred()). The
+ * accessors that hand out the whole view -- cdata(), data(),
+ * bytes() -- write it first (materialise()), once per block; the
+ * hot readers use prefix()/cprefix() for headers, copyOut() and
+ * scan() for payload, and the packet-aware checksumPartial()
+ * (net/checksum.hh), none of which write it.
  */
 
 #ifndef MCNSIM_NET_PACKET_HH
@@ -29,6 +37,7 @@
 #include <vector>
 
 #include "net/buffer_pool.hh"
+#include "net/pattern.hh"
 #include "sim/checked.hh"
 #include "sim/flow_stats.hh"
 #include "sim/timeline.hh"
@@ -159,23 +168,43 @@ class Packet
         return wrap(std::move(buf), headroom, headroom + n);
     }
 
+    /**
+     * Like makeFilled(), except that @p fill(ptr) returns a
+     * PatternExtent (offset relative to ptr) it left unwritten:
+     * those bytes become the block's lazy extent, written only if
+     * something reads them through a materialising accessor. A TCP
+     * segment's payload is built this way
+     * (SendQueue::copyOutDeferred()).
+     */
+    template <typename Fill>
+    static PacketPtr
+    makeDeferred(std::size_t n, Fill &&fill,
+                 std::size_t headroom = defaultHeadroom)
+    {
+        BufRef buf{BufferPool::acquire(headroom + n, headroom, n)};
+        const PatternExtent lazy = fill(buf->bytes() + headroom);
+        PacketPtr pkt = wrap(std::move(buf), headroom, headroom + n);
+        if (lazy.len)
+            pkt->defer(headroom + lazy.off, lazy.len, lazy.base);
+        return pkt;
+    }
+
     Packet(Priv, BufRef buf, std::size_t head, std::size_t tail)
         : buf_(std::move(buf)), head_(head), tail_(tail)
     {}
 
-    /** Current bytes (headers pushed so far + payload). */
+    /** Current bytes (headers pushed so far + payload). Writes a
+     *  lazy extent first. */
     const std::uint8_t *
     data() const
     {
-        MCNSIM_IF_CHECKED(BufferPool::auditLive(buf_.get());
-                          auditSeal();)
-        return buf_->bytes() + head_;
+        return cdata();
     }
 
     /**
      * Mutable view. Triggers copy-on-write when the buffer is shared
      * with a clone; use cdata() for read-only access on a non-const
-     * packet.
+     * packet. Writes a lazy extent first.
      */
     std::uint8_t *
     data()
@@ -184,17 +213,117 @@ class Packet
                           auditSeal(); sealed_ = false;)
         if (buf_.shared())
             detach(std::min(head_, defaultHeadroom), 0);
+        materialise();
         return buf_->bytes() + head_;
     }
 
-    /** Read-only view that never triggers a copy. */
+    /** Read-only view that never triggers a copy. Writes a lazy
+     *  extent first; header parsers use cprefix(), payload readers
+     *  copyOut(). */
     const std::uint8_t *
     cdata() const
     {
         MCNSIM_IF_CHECKED(BufferPool::auditLive(buf_.get());
                           auditSeal();)
+        materialise();
         return buf_->bytes() + head_;
     }
+
+    /**
+     * Read-only view of the first @p n bytes (n <= size()), for
+     * header parsing: writes a lazy extent only when it starts
+     * inside them. The caller must not read past @p n.
+     */
+    const std::uint8_t *
+    cprefix(std::size_t n) const
+    {
+        MCNSIM_IF_CHECKED(BufferPool::auditLive(buf_.get());
+                          auditSeal();)
+        MCNSIM_ASSERT(n <= size(), "prefix past end of packet");
+        if (overlapsLazy(head_, head_ + n)) [[unlikely]]
+            materialiseSlow();
+        return buf_->bytes() + head_;
+    }
+
+    /** Mutable cprefix(): copy-on-write like data(), but a lazy
+     *  extent past the first @p n bytes stays unwritten (a relay
+     *  filling in a checksum field). */
+    std::uint8_t *
+    prefix(std::size_t n)
+    {
+        MCNSIM_IF_CHECKED(BufferPool::auditLive(buf_.get());
+                          auditSeal(); sealed_ = false;)
+        if (buf_.shared())
+            detach(std::min(head_, defaultHeadroom), 0);
+        return const_cast<std::uint8_t *>(cprefix(n));
+    }
+
+    /**
+     * Hand bytes [off, off + n) of the view to @p literal(ptr, len)
+     * and @p pattern(base, len), in order, without writing a lazy
+     * extent: the part it covers goes to pattern() as the test
+     * pattern based at base, everything else to literal(). At most
+     * three calls.
+     */
+    template <typename Literal, typename Pattern>
+    void
+    scan(std::size_t off, std::size_t n, Literal &&literal,
+         Pattern &&pattern) const
+    {
+        MCNSIM_IF_CHECKED(BufferPool::auditLive(buf_.get());
+                          auditSeal();)
+        MCNSIM_ASSERT(off + n <= size(), "scan past end of packet");
+        const std::uint8_t *bytes = buf_->bytes();
+        std::size_t from = head_ + off;
+        const std::size_t to = from + n;
+        if (overlapsLazy(from, to)) [[unlikely]] {
+            const std::size_t lo = std::max<std::size_t>(from, lazyOff_);
+            const std::size_t hi =
+                std::min<std::size_t>(to, lazyOff_ + lazyLen_);
+            if (lo > from)
+                literal(bytes + from, lo - from);
+            pattern(static_cast<std::uint8_t>(lazyBase_ + (lo - lazyOff_)),
+                    hi - lo);
+            from = hi;
+        }
+        if (to > from)
+            literal(bytes + from, to - from);
+    }
+
+    /** Copy bytes [off, off + n) of the view to @p dst, except
+     *  those of a lazy extent, which are left unwritten and returned
+     *  (offset relative to @p dst; len 0 when there are none). */
+    PatternExtent
+    copyOutDeferred(std::size_t off, std::size_t n,
+                    std::uint8_t *dst) const
+    {
+        PatternExtent lazy;
+        std::size_t at = 0;
+        scan(
+            off, n,
+            [&](const std::uint8_t *p, std::size_t m) {
+                std::memcpy(dst + at, p, m);
+                at += m;
+            },
+            [&](std::uint8_t base, std::size_t m) {
+                lazy = PatternExtent{at, m, base};
+                at += m;
+            });
+        return lazy;
+    }
+
+    /** Copy bytes [off, off + n) of the view to @p dst; pattern
+     *  bytes of a lazy extent are generated, not read. */
+    void
+    copyOut(std::size_t off, std::size_t n, std::uint8_t *dst) const
+    {
+        const PatternExtent lazy = copyOutDeferred(off, n, dst);
+        fillPattern(dst + lazy.off, lazy.base, lazy.len);
+    }
+
+    /** Lazy bytes written by materialise() so far, process-wide
+     *  (tests and diagnostics: the hot paths should write none). */
+    static std::uint64_t materialisedBytes();
 
     std::size_t size() const { return tail_ - head_; }
 
@@ -309,6 +438,41 @@ class Packet
     static PacketPtr wrap(BufRef buf, std::size_t head,
                           std::size_t tail);
 
+    /** Mark block bytes [off, off + len) of the still-private block
+     *  as the lazy pattern extent based at @p base. */
+    void defer(std::size_t off, std::size_t len, std::uint8_t base);
+
+    /** True when the block's lazy extent is still unwritten. */
+    bool
+    lazyPending() const
+    {
+        return lazyLen_ != 0 &&
+               buf_->lazyState.load(std::memory_order_acquire) !=
+                   PktBuf::lazyNone;
+    }
+
+    /** True when a pending lazy extent overlaps block bytes
+     *  [from, to). */
+    bool
+    overlapsLazy(std::size_t from, std::size_t to) const
+    {
+        return lazyOff_ < to && lazyOff_ + lazyLen_ > from &&
+               lazyPending();
+    }
+
+    /** Write a pending lazy extent into the block (no-op when there
+     *  is none). Every materialising accessor calls it. */
+    void
+    materialise() const
+    {
+        if (lazyPending()) [[unlikely]]
+            materialiseSlow();
+    }
+
+    /** materialise() past its fast check: the first caller writes
+     *  the extent, a concurrent one waits until it is written. */
+    void materialiseSlow() const;
+
     /** Copy the live bytes into a private block with the given
      *  head/tail slack, detaching from any clones. */
     void detach(std::size_t headroom, std::size_t tailroom);
@@ -336,6 +500,12 @@ class Packet
     BufRef buf_;
     std::size_t head_; ///< offset of the first live byte
     std::size_t tail_; ///< offset one past the last live byte
+    /** The block's lazy extent, as block offsets (lazyLen_ == 0:
+     *  none). Every view of a block carries the same one; the block
+     *  says whether it is still unwritten (PktBuf::lazyState). */
+    std::uint32_t lazyOff_ = 0;
+    std::uint32_t lazyLen_ = 0;
+    std::uint8_t lazyBase_ = 0;
 };
 
 /**

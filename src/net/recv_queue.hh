@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <vector>
 
 #include "net/buffer_pool.hh"
@@ -66,13 +65,10 @@ class RecvQueue
                 slices_.back()->tailroom() < n)
                 push(Packet::makeFilled(
                     n,
-                    [&](std::uint8_t *p) {
-                        std::memcpy(p, slice->cdata(), n);
-                    },
+                    [&](std::uint8_t *p) { slice->copyOut(0, n, p); },
                     /*headroom=*/0));
             else
-                std::memcpy(slices_.back()->put(n), slice->cdata(),
-                            n);
+                slice->copyOut(0, n, slices_.back()->put(n));
             return;
         }
         push(std::move(slice));
@@ -83,7 +79,7 @@ class RecvQueue
     take(std::size_t n, std::uint8_t *dst)
     {
         consume(n, [&](const Packet &s, std::size_t m) {
-            std::memcpy(dst, s.cdata(), m);
+            s.copyOut(0, m, dst);
             dst += m;
         });
     }

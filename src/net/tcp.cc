@@ -159,7 +159,7 @@ TcpHeader::push(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
         std::uint32_t sum = pseudoHeaderSum(
             src.v, dst.v, protoTcp,
             static_cast<std::uint16_t>(l4_len));
-        sum = checksumPartial(p, l4_len, sum);
+        sum = checksumPartial(pkt, 0, l4_len, sum);
         put16(p + 16, checksumFold(sum));
     }
 }
@@ -170,7 +170,7 @@ TcpHeader::pull(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
 {
     if (pkt.size() < size)
         return std::nullopt;
-    const std::uint8_t *p = pkt.cdata();
+    const std::uint8_t *p = pkt.cprefix(size);
     std::uint16_t stored = get16(p + 16);
     // A zero checksum marks "not computed" (device offload toward a
     // lossless medium, loopback, or mcn2 bypass) -- the simulator's
@@ -179,7 +179,7 @@ TcpHeader::pull(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
         std::uint32_t sum = pseudoHeaderSum(
             src.v, dst.v, protoTcp,
             static_cast<std::uint16_t>(pkt.size()));
-        sum = checksumPartial(p, pkt.size(), sum);
+        sum = checksumPartial(pkt, 0, pkt.size(), sum);
         if (checksumFold(sum) != 0)
             return std::nullopt;
     }
@@ -201,13 +201,12 @@ TcpHeader::checksumOk(const Packet &pkt, Ipv4Addr src,
 {
     if (pkt.size() < size)
         return true; // let pull() report the malformed segment
-    const std::uint8_t *p = pkt.cdata();
-    if (get16(p + 16) == 0)
+    if (get16(pkt.cprefix(size) + 16) == 0)
         return true; // CHECKSUM_UNNECESSARY
     std::uint32_t sum = pseudoHeaderSum(
         src.v, dst.v, protoTcp,
         static_cast<std::uint16_t>(pkt.size()));
-    sum = checksumPartial(p, pkt.size(), sum);
+    sum = checksumPartial(pkt, 0, pkt.size(), sum);
     return checksumFold(sum) == 0;
 }
 
@@ -450,7 +449,7 @@ TcpSocket::becomeEstablished()
 }
 
 sim::Task<std::size_t>
-TcpSocket::send(std::vector<std::uint8_t> data)
+TcpSocket::send(std::span<const std::uint8_t> data)
 {
     auto self = shared_from_this();
     const auto &costs = stack_.kernel().costs();
@@ -725,10 +724,11 @@ TcpSocket::emitSegment(std::uint32_t seq, std::uint32_t len,
 {
     const auto &costs = stack_.kernel().costs();
 
-    // Write the payload straight from the send queue into the
-    // packet's pooled block.
-    auto pkt = Packet::makeFilled(len, [&](std::uint8_t *p) {
-        sndBuf_.copyOut(seq - sndUna_, len, p);
+    // Copy the payload's literal bytes straight from the send queue
+    // into the packet's pooled block; its largest pattern run stays
+    // a lazy extent, unwritten unless something reads it.
+    auto pkt = Packet::makeDeferred(len, [&](std::uint8_t *p) {
+        return sndBuf_.copyOutDeferred(seq - sndUna_, len, p);
     });
     pkt->tsoMss = tso_mss;
 

@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "net/byte_ring.hh"
@@ -274,9 +275,11 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     /**
      * tcp_sendmsg: copy @p data into the send buffer (blocking on
      * buffer space) and let the protocol engine stream it out.
-     * Returns bytes accepted (== data.size() unless closed).
+     * Returns bytes accepted (== data.size() unless closed). The
+     * bytes must stay alive until the task completes, as they do
+     * in `co_await sock->send(buf)`.
      */
-    sim::Task<std::size_t> send(std::vector<std::uint8_t> data);
+    sim::Task<std::size_t> send(std::span<const std::uint8_t> data);
 
     /** Send @p n patterned bytes (iperf-style bulk source). */
     sim::Task<std::size_t> sendPattern(std::size_t n);

@@ -54,13 +54,13 @@ UdpHeader::pull(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
 {
     if (pkt.size() < size)
         return std::nullopt;
-    const std::uint8_t *p = pkt.cdata();
+    const std::uint8_t *p = pkt.cprefix(size);
     std::uint16_t cksum = get16(p + 6);
     if (verify_checksum && cksum != 0) {
         std::uint32_t sum = pseudoHeaderSum(
             src.v, dst.v, protoUdp,
             static_cast<std::uint16_t>(pkt.size()));
-        sum = checksumPartial(p, pkt.size(), sum);
+        sum = checksumPartial(pkt, 0, pkt.size(), sum);
         if (checksumFold(sum) != 0)
             return std::nullopt;
     }
@@ -79,13 +79,12 @@ UdpHeader::checksumOk(const Packet &pkt, Ipv4Addr src,
 {
     if (pkt.size() < size)
         return true; // let pull() report the malformed datagram
-    const std::uint8_t *p = pkt.cdata();
-    if (get16(p + 6) == 0)
+    if (get16(pkt.cprefix(size) + 6) == 0)
         return true; // CHECKSUM_UNNECESSARY
     std::uint32_t sum = pseudoHeaderSum(
         src.v, dst.v, protoUdp,
         static_cast<std::uint16_t>(pkt.size()));
-    sum = checksumPartial(p, pkt.size(), sum);
+    sum = checksumPartial(pkt, 0, pkt.size(), sum);
     return checksumFold(sum) == 0;
 }
 

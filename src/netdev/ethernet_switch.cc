@@ -250,10 +250,11 @@ EthernetSwitch::liveEcmpPorts(const net::MacAddr &dst) const
 std::uint32_t
 EthernetSwitch::flowHash(const net::Packet &pkt)
 {
-    const std::uint8_t *p = pkt.cdata();
     const std::size_t n = pkt.size();
     if (n < kOffDstIp + 4)
         return 0;
+    const std::uint8_t *p =
+        pkt.cprefix(std::min<std::size_t>(n, kOffPorts + 4));
     auto eth = net::EthernetHeader::peek(pkt);
     if (eth.type != net::ethTypeIpv4)
         return 0;
@@ -362,8 +363,9 @@ EthernetSwitch::notifyUnreachable(const net::Packet &pkt)
     auto eth = net::EthernetHeader::peek(pkt);
     if (eth.type != net::ethTypeIpv4)
         return;
-    const std::uint32_t src = ipAt(pkt.cdata() + kOffSrcIp);
-    const std::uint32_t dst = ipAt(pkt.cdata() + kOffDstIp);
+    const std::uint8_t *p = pkt.cprefix(kOffDstIp + 4);
+    const std::uint32_t src = ipAt(p + kOffSrcIp);
+    const std::uint32_t dst = ipAt(p + kOffDstIp);
     const sim::Tick now = curTick();
     auto [it, fresh] =
         f.lastNotify.try_emplace(std::make_pair(src, dst), now);

@@ -140,15 +140,15 @@ Nic::segmentTso(const net::PacketPtr &pkt)
     MCNSIM_ASSERT(tcp, "TSO frame without TCP header");
     bool had_checksum = tcp->checksum != 0;
 
-    const std::uint8_t *payload = big->cdata();
     std::size_t total = big->size();
 
     std::size_t off = 0;
     std::uint16_t ip_id = ip->id;
     while (off < total) {
         std::size_t chunk = std::min<std::size_t>(mss, total - off);
-        auto seg = Packet::makeFilled(chunk, [&](std::uint8_t *p) {
-            std::memcpy(p, payload + off, chunk);
+        // A lazy payload extent stays lazy in each segment.
+        auto seg = Packet::makeDeferred(chunk, [&](std::uint8_t *p) {
+            return big->copyOutDeferred(off, chunk, p);
         });
         if (pkt->path) [[unlikely]]
             seg->path = std::make_unique<net::PathTrace>(*pkt->path);

@@ -110,21 +110,21 @@ EventQueue::forgetDead(Event *ev)
 }
 
 void
-EventQueue::registerDetachedFrame(std::coroutine_handle<> h)
+EventQueue::registerDetachedFrame(std::coroutine_handle<> h,
+                                  std::size_t &slot)
 {
-    detachedFrames_.push_back(h);
+    slot = detachedFrames_.size();
+    detachedFrames_.push_back(DetachedFrame{h, &slot});
 }
 
 void
-EventQueue::forgetDetachedFrame(std::coroutine_handle<> h)
+EventQueue::forgetDetachedFrame(std::size_t slot)
 {
-    for (std::size_t i = 0; i < detachedFrames_.size(); ++i) {
-        if (detachedFrames_[i] == h) {
-            detachedFrames_[i] = detachedFrames_.back();
-            detachedFrames_.pop_back();
-            return;
-        }
-    }
+    MCNSIM_ASSERT(slot < detachedFrames_.size(),
+                  "forgetting an unregistered detached frame");
+    detachedFrames_[slot] = detachedFrames_.back();
+    *detachedFrames_[slot].slot = slot;
+    detachedFrames_.pop_back();
 }
 
 void
@@ -134,10 +134,10 @@ EventQueue::destroyDetachedFrames()
     // may deschedule events or release sockets but never resumes or
     // spawns coroutines, so a plain sweep over a moved-out copy is
     // safe (roots never own other roots).
-    std::vector<std::coroutine_handle<>> frames;
+    std::vector<DetachedFrame> frames;
     frames.swap(detachedFrames_);
-    for (auto h : frames)
-        h.destroy();
+    for (const DetachedFrame &f : frames)
+        f.h.destroy();
 }
 
 CallbackEvent *

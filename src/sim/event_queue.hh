@@ -383,11 +383,15 @@ class EventQueue
     // transitively destroys awaited child frames (owned by parent
     // frame locals) and their captured resources.
 
-    /** Track a detached frame until it completes or is reaped. */
-    void registerDetachedFrame(std::coroutine_handle<> h);
+    /** Track a detached frame until it completes or is reaped.
+     *  @p slot (in the frame's promise) receives the frame's
+     *  registry index and is kept current as other frames leave. */
+    void registerDetachedFrame(std::coroutine_handle<> h,
+                               std::size_t &slot);
 
-    /** Remove a completed frame from the registry (no destroy). */
-    void forgetDetachedFrame(std::coroutine_handle<> h);
+    /** Remove the completed frame registered at @p slot (no
+     *  destroy). O(1): the last frame moves into its place. */
+    void forgetDetachedFrame(std::size_t slot);
 
     /** Detached frames spawned but not yet finished or reaped. */
     std::size_t detachedFramesLive() const
@@ -550,7 +554,12 @@ class EventQueue
      *  or trip the checked lifetime detectors. */
     bool draining_ = false;
     std::vector<Entry> heap_;
-    std::vector<std::coroutine_handle<>> detachedFrames_;
+    struct DetachedFrame
+    {
+        std::coroutine_handle<> h;
+        std::size_t *slot; ///< the frame's own copy of its index
+    };
+    std::vector<DetachedFrame> detachedFrames_;
     std::vector<CallbackEvent *> freeList_;
     std::vector<std::unique_ptr<CallbackEvent[]>> slabs_;
     /** name pointer -> (dispatch count, accumulated host ns). */

@@ -270,7 +270,11 @@ ShardSet::windowLoop(unsigned w)
         if (!me.error)
             me.error = std::current_exception();
     }
-    cross();
+    // The exit latch. The caller may read workerTimes() as soon as
+    // it is released, so the time spent in it is not recorded.
+    if (profiling_)
+        me.time.busyNs += hostNs() - mark;
+    bar.arriveAndWait();
 }
 
 Tick

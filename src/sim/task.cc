@@ -16,7 +16,7 @@ spawnDetached(EventQueue &q, Task<void> task)
         return;
     h.promise().detached = true;
     h.promise().reaper = &q;
-    q.registerDetachedFrame(h);
+    q.registerDetachedFrame(h, h.promise().reaperSlot);
     q.scheduleIn([h] { h.resume(); }, 0, "task-spawn",
                  EventPriority::Process);
 }

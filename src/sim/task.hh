@@ -52,6 +52,9 @@ struct PromiseBase
      *  a frame still suspended at teardown can be reaped instead of
      *  leaked. */
     EventQueue *reaper = nullptr;
+    /** This frame's slot in the reaper's registry (kept current by
+     *  the queue), so completion leaves it in O(1). */
+    std::size_t reaperSlot = 0;
 
     std::suspend_always initial_suspend() noexcept { return {}; }
 
@@ -85,7 +88,7 @@ struct PromiseBase
                     }
                 }
                 if (p.reaper)
-                    p.reaper->forgetDetachedFrame(h);
+                    p.reaper->forgetDetachedFrame(p.reaperSlot);
                 h.destroy();
             }
             return next;

@@ -19,21 +19,32 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/system_builder.hh"
+#include "dist/mpi.hh"
+#include "mem/bandwidth_arbiter.hh"
 #include "net/packet.hh"
 #include "net/recv_queue.hh"
 #include "sim/event_queue.hh"
+#include "sim/simulation.hh"
 #include "sim/task.hh"
 
 namespace {
 
 std::atomic<bool> counting{false};
 std::atomic<std::size_t> allocations{0};
+/// While counting: allocations of exactly watchedSize bytes.
+std::atomic<std::size_t> watchedSize{0};
+std::atomic<std::size_t> watchedAllocations{0};
 
 void *
 countedAlloc(std::size_t n, std::size_t align = 0)
 {
-    if (counting.load(std::memory_order_relaxed))
+    if (counting.load(std::memory_order_relaxed)) {
         allocations.fetch_add(1, std::memory_order_relaxed);
+        if (n == watchedSize.load(std::memory_order_relaxed))
+            watchedAllocations.fetch_add(1,
+                                         std::memory_order_relaxed);
+    }
     if (n == 0)
         n = 1;
     void *p = align ? std::aligned_alloc(align, (n + align - 1) /
@@ -48,9 +59,13 @@ countedAlloc(std::size_t n, std::size_t align = 0)
 class AllocCount
 {
   public:
-    AllocCount()
+    /** Also count, separately, allocations of exactly @p size
+     *  bytes (0: none). */
+    explicit AllocCount(std::size_t size = 0)
     {
         allocations.store(0, std::memory_order_relaxed);
+        watchedSize.store(size, std::memory_order_relaxed);
+        watchedAllocations.store(0, std::memory_order_relaxed);
         counting.store(true, std::memory_order_relaxed);
     }
     ~AllocCount() { counting.store(false, std::memory_order_relaxed); }
@@ -59,6 +74,12 @@ class AllocCount
     count() const
     {
         return allocations.load(std::memory_order_relaxed);
+    }
+
+    std::size_t
+    ofWatchedSize() const
+    {
+        return watchedAllocations.load(std::memory_order_relaxed);
     }
 };
 
@@ -225,4 +246,68 @@ TEST(AllocGuard, MpiHeaderReadAcrossTwoSlices)
             EXPECT_EQ(hdr[i], second->cdata()[i - 5]);
         q.popFront(q.size());
     }
+}
+
+TEST(AllocGuard, BandwidthArbiterReplansAndRetiresInPlace)
+{
+    // Every start, cancel, background change and completion replans
+    // the water-fill, and completions collect their callbacks before
+    // running them. Once the buffers are warm, a round of transfers
+    // completing, plus background changes while they run, touches
+    // the heap only for what startTransfer() itself keeps (the flow
+    // map's nodes, made before counting starts).
+    sim::Simulation s;
+    mem::BandwidthArbiter arb(s, "arb", 10e9);
+    int done = 0;
+    auto start = [&] {
+        for (int i = 0; i < 4; ++i)
+            arb.startTransfer(
+                1000 * static_cast<std::uint64_t>(i + 1),
+                [&done](sim::Tick) { ++done; },
+                i % 2 ? 2e9 : mem::BandwidthArbiter::unlimited);
+    };
+    auto finish = [&] {
+        arb.setBackgroundLoad(0.5);
+        arb.setBackgroundLoad(0.0);
+        s.run();
+    };
+    for (int warm = 0; warm < 2; ++warm) {
+        start();
+        finish();
+    }
+    ASSERT_EQ(done, 8);
+    start();
+    {
+        AllocCount c;
+        finish();
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_EQ(done, 12);
+}
+
+TEST(AllocGuard, MpiSendBuildsNoHeaderVector)
+{
+    // Each MPI message is a 12-byte header, then the payload; the
+    // header is built in a fixed array, so no message allocates a
+    // 12-byte buffer for it.
+    sim::Simulation s;
+    core::ClusterSystemParams p;
+    p.numNodes = 2;
+    core::ClusterSystem sys(s, p);
+    dist::MpiWorld world(s, {sys.node(0), sys.node(1)});
+    constexpr int msgs = 50;
+    std::uint64_t got = 0;
+    world.launch([&](dist::MpiRank &r) -> sim::Task<void> {
+        for (int k = 0; k < msgs; ++k) {
+            if (r.rank() == 0)
+                co_await r.send(1, 100);
+            else
+                got += co_await r.recv(0);
+        }
+    });
+    AllocCount c(12);
+    world.runToCompletion(s, sim::secondsToTicks(5.0));
+    ASSERT_TRUE(world.done());
+    EXPECT_EQ(got, 100u * msgs);
+    EXPECT_EQ(c.ofWatchedSize(), 0u);
 }

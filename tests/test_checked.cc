@@ -270,6 +270,44 @@ TEST(Lifetime, SuspendedDetachedFrameIsReapedAtQueueTeardown)
     EXPECT_FALSE(done);
 }
 
+TEST(Lifetime, FramesCompletingOutOfOrderKeepTheirRegistrySlots)
+{
+    // Completion swap-removes a frame from the registry by the slot
+    // its promise holds, and the frame moved into that slot learns
+    // its new index. Frames finish in an order unrelated to their
+    // registration, two never do, and teardown must reap exactly
+    // those two: a stale slot would forget a live frame (leaked at
+    // teardown) or reap a finished one (destroyed twice).
+    auto q = std::make_unique<sim::EventQueue>();
+    sim::Condition never(*q);
+    int finished = 0, destroyed = 0;
+    struct Guard
+    {
+        int &n;
+        ~Guard() { ++n; }
+    };
+    auto body = [](sim::EventQueue &eq, sim::Condition &c, sim::Tick d,
+                   int &fin, int &dead) -> sim::Task<void> {
+        Guard g{dead};
+        if (d == 0)
+            co_await c.wait();
+        else
+            co_await sim::delayFor(eq, d);
+        ++fin;
+    };
+    const sim::Tick delays[] = {40, 10, 0, 30, 0, 20, 50};
+    for (sim::Tick d : delays)
+        sim::spawnDetached(*q, body(*q, never, d, finished, destroyed));
+    EXPECT_EQ(q->detachedFramesLive(), 7u);
+    q->run();
+    EXPECT_EQ(finished, 5);
+    EXPECT_EQ(destroyed, 5);
+    EXPECT_EQ(q->detachedFramesLive(), 2u);
+    q.reset();
+    EXPECT_EQ(finished, 5);
+    EXPECT_EQ(destroyed, 7);
+}
+
 TEST(Lifetime, CompletedDetachedFrameLeavesTheRegistry)
 {
     sim::EventQueue q;

@@ -664,6 +664,176 @@ TEST(Checksum, MatchesNaiveReferenceAcrossLengthsAndOffsets)
     }
 }
 
+namespace {
+
+/** A packet whose payload is @p prefix's bytes, then @p patternLen
+ *  bytes of the pattern based at @p base kept as a lazy extent, then
+ *  @p suffix's bytes; @p eager receives the same bytes written out. */
+PacketPtr
+makeLazy(const std::vector<std::uint8_t> &prefix, std::uint8_t base,
+         std::size_t patternLen, const std::vector<std::uint8_t> &suffix,
+         std::vector<std::uint8_t> &eager)
+{
+    eager = prefix;
+    for (std::size_t i = 0; i < patternLen; ++i)
+        eager.push_back(static_cast<std::uint8_t>(base + i));
+    eager.insert(eager.end(), suffix.begin(), suffix.end());
+    return Packet::makeDeferred(eager.size(), [&](std::uint8_t *p) {
+        std::copy(prefix.begin(), prefix.end(), p);
+        std::copy(suffix.begin(), suffix.end(),
+                  p + prefix.size() + patternLen);
+        return PatternExtent{prefix.size(), patternLen, base};
+    });
+}
+
+/** The checked build's seal writes a block's lazy extent as soon as
+ *  a view or clone shares it, so counts of written lazy bytes after
+ *  sharing hold only without it. */
+#ifdef MCNSIM_CHECKED
+constexpr bool sharingMaterialises = true;
+#else
+constexpr bool sharingMaterialises = false;
+#endif
+
+std::vector<std::uint8_t>
+literalBytes(std::size_t n, std::uint8_t salt)
+{
+    std::vector<std::uint8_t> v(n);
+    for (std::size_t i = 0; i < n; ++i)
+        v[i] = static_cast<std::uint8_t>(i * 89 + salt);
+    return v;
+}
+
+} // namespace
+
+TEST(LazyPayload, ClosedFormChecksumMatchesByteLoop)
+{
+    // Every pattern base, extents behind 0/1/12/13-byte literal
+    // prefixes (so they start at both word parities), ranges that
+    // start at either parity and end anywhere in the extent or past
+    // it in a literal tail: the packet checksum equals the byte
+    // loop over the eager bytes bit for bit, and writes nothing.
+    const std::uint64_t before = Packet::materialisedBytes();
+    const auto tail = literalBytes(7, 3);
+    std::vector<std::uint8_t> eager;
+    for (std::size_t pre : {0, 1, 12, 13}) {
+        const auto prefix = literalBytes(pre, 41);
+        for (int base = 0; base < 256; ++base) {
+            auto pkt = makeLazy(prefix, static_cast<std::uint8_t>(base),
+                                600, tail, eager);
+            for (std::size_t off = 0; off < std::min<std::size_t>(pre, 2);
+                 ++off) {
+                for (std::size_t end = pre; end <= eager.size(); ++end) {
+                    const std::uint32_t got =
+                        checksumPartial(*pkt, off, end - off, 0x1234);
+                    const std::uint32_t want = checksumPartial(
+                        eager.data() + off, end - off, 0x1234);
+                    ASSERT_EQ(got, want)
+                        << "pre=" << pre << " base=" << base
+                        << " off=" << off << " end=" << end;
+                    ASSERT_EQ(checksumFold(got), checksumFold(want));
+                }
+            }
+        }
+    }
+    // Many whole periods, behind an even and an odd prefix.
+    for (std::size_t pre : {12, 13}) {
+        for (int base : {0, 1, 200, 255}) {
+            auto pkt = makeLazy(literalBytes(pre, 5),
+                                static_cast<std::uint8_t>(base), 65536,
+                                tail, eager);
+            EXPECT_EQ(checksumPartial(*pkt, 0, eager.size()),
+                      checksumPartial(eager.data(), eager.size()))
+                << "pre=" << pre << " base=" << base;
+        }
+    }
+    EXPECT_EQ(Packet::materialisedBytes(), before);
+}
+
+TEST(LazyPayload, ReadbackMatchesEagerPacket)
+{
+    // A segment-shaped packet: a 12-byte literal header, then a lazy
+    // extent. Every reader returns exactly the eager bytes.
+    std::vector<std::uint8_t> eager;
+    const auto hdr = literalBytes(12, 7);
+    auto pkt = makeLazy(hdr, 250, 3000, {}, eager);
+    const std::uint64_t before = Packet::materialisedBytes();
+
+    // Header parsing and copyOut() across the boundary write
+    // nothing.
+    EXPECT_TRUE(std::equal(hdr.begin(), hdr.end(), pkt->cprefix(12)));
+    for (auto [off, n] : {std::pair<std::size_t, std::size_t>{0, 3012},
+                          {5, 20}, {11, 2}, {12, 1}, {700, 2312},
+                          {3011, 1}}) {
+        std::vector<std::uint8_t> out(n);
+        pkt->copyOut(off, n, out.data());
+        EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                               eager.begin() +
+                                   static_cast<std::ptrdiff_t>(off)))
+            << "off=" << off << " n=" << n;
+    }
+
+    // recvInto()'s path: a read spanning the header and the
+    // pattern, out of a queued slice and out of a collapsed one.
+    RecvQueue q;
+    q.append(pkt->view());
+    auto small = makeLazy(hdr, 9, 40, {}, eager);
+    std::vector<std::uint8_t> smallEager = eager;
+    q.append(small->view()); // collapsed: copied into a fresh block
+    EXPECT_EQ(q.sliceCount(), 2u);
+    std::vector<std::uint8_t> got(3012 + 52);
+    q.take(got.size(), got.data());
+    makeLazy(hdr, 250, 3000, {}, eager);
+    eager.insert(eager.end(), smallEager.begin(), smallEager.end());
+    EXPECT_EQ(got, eager);
+    if (!sharingMaterialises) {
+        EXPECT_EQ(Packet::materialisedBytes(), before);
+    }
+
+    // A view shares the extent; materialising through it writes the
+    // shared block once, and both read the eager bytes.
+    makeLazy(hdr, 250, 3000, {}, eager);
+    auto v = pkt->view();
+    EXPECT_EQ(v->bytes(), eager);
+    EXPECT_EQ(pkt->bytes(), eager);
+    EXPECT_TRUE(std::equal(eager.begin(), eager.end(), pkt->cdata()));
+    if (!sharingMaterialises) {
+        EXPECT_EQ(Packet::materialisedBytes() - before, 3000u);
+    }
+
+    // A push on a shared clone detaches without writing the extent;
+    // the detached copy and the original still read the same bytes.
+    auto fresh = makeLazy(hdr, 17, 2000, {}, eager);
+    const std::uint64_t mid = Packet::materialisedBytes();
+    auto c = fresh->clone();
+    std::uint8_t *front = c->push(4);
+    std::fill(front, front + 4, 0xee);
+    EXPECT_FALSE(c->sharesBufferWith(*fresh));
+    std::vector<std::uint8_t> pushed(4, 0xee);
+    pushed.insert(pushed.end(), eager.begin(), eager.end());
+    std::vector<std::uint8_t> out(pushed.size());
+    c->copyOut(0, out.size(), out.data());
+    EXPECT_EQ(out, pushed);
+    EXPECT_EQ(checksumPartial(*c, 0, c->size()),
+              checksumPartial(pushed.data(), pushed.size()));
+    if (!sharingMaterialises) {
+        EXPECT_EQ(Packet::materialisedBytes(), mid);
+    }
+    EXPECT_EQ(c->bytes(), pushed);
+    EXPECT_EQ(fresh->bytes(), eager);
+
+    // The link's tx-corrupt fault flips one payload byte through
+    // data() on a shared frame: the flipped copy reads the eager
+    // bytes with that one change, the sibling is untouched.
+    auto frame = makeLazy(hdr, 99, 1500, {}, eager);
+    auto sibling = frame->clone();
+    frame->data()[700] ^= 0x40;
+    std::vector<std::uint8_t> flipped = eager;
+    flipped[700] ^= 0x40;
+    EXPECT_EQ(frame->bytes(), flipped);
+    EXPECT_EQ(sibling->bytes(), eager);
+}
+
 TEST(Mac, FormatAndBroadcast)
 {
     auto m = MacAddr::fromId(0x123456);

@@ -34,11 +34,11 @@
  * Timeline observability (see README.md §Observability):
  *   --timeline=PATH                (Chrome trace-event JSON; open in
  *                                   ui.perfetto.dev or chrome://tracing)
- *   --series-filter=SUBSTR         (with --timeline: every 50 µs,
+ *   --series-filter[=SUBSTR]       (with --timeline: every 50 µs,
  *                                   each scalar/average stat whose
  *                                   "group.stat" name contains
  *                                   SUBSTR becomes a counter track;
- *                                   empty = all)
+ *                                   empty or bare = all)
  *   --profile                      (per-event-name host-time profile;
  *                                   top-N table after the run)
  *   --profile-top=N                (rows in that table, default 20)
@@ -137,7 +137,9 @@ parse(int argc, char **argv)
             continue;
         auto eq = s.find('=');
         if (eq == std::string::npos)
-            a.flags[s.substr(2)] = "1";
+            // A bare --series-filter samples every stat, like an
+            // empty SUBSTR; other bare flags are switches.
+            a.flags[s.substr(2)] = s == "--series-filter" ? "" : "1";
         else
             a.flags[s.substr(2, eq - 2)] = s.substr(eq + 1);
     }
@@ -852,9 +854,10 @@ usage()
         "       spec keys: p= n= at= param= max= from= until=\n"
         "observability:\n"
         "       --timeline=PATH|-       Perfetto/chrome trace JSON\n"
-        "       --series-filter=SUBSTR  with --timeline: sample stats\n"
-        "                               named *SUBSTR* every 50 us\n"
-        "                               as counter tracks\n"
+        "       --series-filter[=SUBSTR]  with --timeline: sample\n"
+        "                               stats named *SUBSTR* (bare:\n"
+        "                               all) every 50 us as counter\n"
+        "                               tracks\n"
         "       --profile               host-time profile table\n"
         "       --profile-top=N         rows in that table\n"
         "       --trace-ring=N          flight-recorder capacity\n"

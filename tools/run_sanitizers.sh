@@ -9,8 +9,9 @@
 # The `thread` set is special-cased: TSan is incompatible with ASan
 # and serializes execution ~10x, so instead of the full ctest suite
 # it runs the concurrency surface -- the PDES engine tests plus
-# multi-threaded CLI selfchecks (cluster and fat-tree fabric) and a
-# --threads=1/2/4 flow-stats byte-compare -- with TSAN_OPTIONS pinned to tools/tsan.supp and
+# multi-threaded CLI selfchecks (cluster and fat-tree fabric), a
+# two-worker --profile run and a --threads=1/2/4 flow-stats
+# byte-compare -- with TSAN_OPTIONS pinned to tools/tsan.supp and
 # halt_on_error=1. It is not in the default matrix (run it via
 # `--matrix thread` or ci.sh's tsan stage).
 #
@@ -75,6 +76,10 @@ for san in "${SETS[@]}"; do
         "$tree/tools/mcnsim_cli" iperf --topology=fattree \
             --racks=4 --nodes-per-rack=4 --spines=4 --threads=4 \
             --selfcheck --duration-ms=1
+        # The worker profile: per-worker busy/wait times are read
+        # right after the exit barrier.
+        "$tree/tools/mcnsim_cli" iperf --system=multi --servers=4 \
+            --threads=2 --duration-ms=1 --profile > /dev/null
 
         echo "-- flow-stats byte-compare across threads under tsan"
         TSAN_TMP="$(mktemp -d)"
