@@ -35,27 +35,6 @@ Core::execute(Cycles cycles, std::function<void(Tick)> done, bool irq)
         startNext();
 }
 
-sim::Task<void>
-Core::run(Cycles cycles)
-{
-    struct Awaiter
-    {
-        Core &core;
-        Cycles cycles;
-
-        bool await_ready() const { return false; }
-
-        void
-        await_suspend(std::coroutine_handle<> h)
-        {
-            core.execute(cycles, [h](Tick) { h.resume(); });
-        }
-
-        void await_resume() {}
-    };
-    co_await Awaiter{*this, cycles};
-}
-
 Tick
 Core::backlogClearsAt() const
 {
@@ -89,18 +68,24 @@ Core::startNext()
     statBusy_ += static_cast<double>(duration);
     currentEndsAt_ = curTick() + duration;
 
-    eventQueue().schedule(
-        [this, done = std::move(slot.done)] {
-            Tick now = curTick();
-            running_ = false;
-            if (done)
-                done(now);
-            // The callback may have issued new work that is already
-            // running; only pull the next queued slot if still idle.
-            if (!running_ && !queue_.empty())
-                startNext();
-        },
-        currentEndsAt_, "core.slot");
+    runningDone_ = std::move(slot.done);
+    eventQueue().schedule(&slotEvent_, currentEndsAt_);
+}
+
+void
+Core::finishCurrent()
+{
+    Tick now = curTick();
+    running_ = false;
+    // Moved out first: the callback may start the next slot, which
+    // takes over runningDone_.
+    std::function<void(Tick)> done = std::move(runningDone_);
+    if (done)
+        done(now);
+    // The callback may have issued new work that is already
+    // running; only pull the next queued slot if still idle.
+    if (!running_ && !queue_.empty())
+        startNext();
 }
 
 } // namespace mcnsim::cpu

@@ -46,7 +46,7 @@ BandwidthArbiter::utilization() const
     if (flows_.empty())
         return 0.0;
     double demand = 0.0;
-    for (const auto &[id, f] : flows_)
+    for (const Flow &f : flows_)
         demand += f.rate;
     return std::min(1.0, demand / std::max(1.0, effectiveBps()));
 }
@@ -66,11 +66,8 @@ BandwidthArbiter::startTransfer(std::uint64_t bytes,
 {
     advance();
     FlowId id = nextId_++;
-    Flow f;
-    f.remaining = static_cast<double>(bytes);
-    f.cap = rate_cap_bps;
-    f.done = std::move(done);
-    flows_.emplace(id, std::move(f));
+    flows_.push_back(Flow{id, static_cast<double>(bytes), rate_cap_bps,
+                          std::move(done)});
     statFlows_ += 1;
     if (sim::FlowTelemetry::active()) [[unlikely]]
         statActiveQ_.update(curTick(), flows_.size());
@@ -82,7 +79,11 @@ void
 BandwidthArbiter::cancel(FlowId id)
 {
     advance();
-    flows_.erase(id);
+    auto it = std::lower_bound(
+        flows_.begin(), flows_.end(), id,
+        [](const Flow &f, FlowId want) { return f.id < want; });
+    if (it != flows_.end() && it->id == id)
+        flows_.erase(it);
     if (sim::FlowTelemetry::active()) [[unlikely]]
         statActiveQ_.update(curTick(), flows_.size());
     replan();
@@ -94,7 +95,7 @@ BandwidthArbiter::advance()
     Tick now = curTick();
     if (now > lastUpdate_) {
         double secs = sim::ticksToSeconds(now - lastUpdate_);
-        for (auto &[id, f] : flows_) {
+        for (Flow &f : flows_) {
             double moved = f.rate * secs;
             moved = std::min(moved, f.remaining);
             f.remaining -= moved;
@@ -110,14 +111,15 @@ BandwidthArbiter::advance()
     // spare empty and builds its own.
     std::vector<std::function<void(Tick)>> finished;
     finished.swap(finishedSpare_);
-    for (auto it = flows_.begin(); it != flows_.end();) {
-        if (it->second.remaining <= completionSlack) {
-            finished.push_back(std::move(it->second.done));
-            it = flows_.erase(it);
-        } else {
-            ++it;
-        }
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+        if (flows_[i].remaining <= completionSlack)
+            finished.push_back(std::move(flows_[i].done));
+        else if (kept++ != i)
+            flows_[kept - 1] = std::move(flows_[i]);
     }
+    flows_.erase(flows_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 flows_.end());
     if (!finished.empty() && sim::FlowTelemetry::active())
         [[unlikely]]
         statActiveQ_.update(now, flows_.size());
@@ -145,7 +147,7 @@ BandwidthArbiter::replan()
     // nothing below calls out, so it cannot be re-entered.
     double budget = effectiveBps();
     open_.clear();
-    for (auto &[id, f] : flows_) {
+    for (Flow &f : flows_) {
         f.rate = 0.0;
         open_.push_back(&f);
     }
@@ -161,7 +163,7 @@ BandwidthArbiter::replan()
 
     // Earliest completion determines the next wakeup.
     double min_secs = std::numeric_limits<double>::infinity();
-    for (auto &[id, f] : flows_) {
+    for (const Flow &f : flows_) {
         if (f.rate <= 0.0)
             continue;
         min_secs = std::min(min_secs, f.remaining / f.rate);

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -77,6 +76,7 @@ class BandwidthArbiter : public sim::SimObject
   private:
     struct Flow
     {
+        FlowId id;
         double remaining; ///< bytes
         double cap;       ///< bytes per second
         std::function<void(Tick)> done;
@@ -93,7 +93,11 @@ class BandwidthArbiter : public sim::SimObject
     double efficiency_;
     double background_ = 0.0;
 
-    std::map<FlowId, Flow> flows_;
+    /** Active flows in ascending id order (ids only grow, so a
+     *  start appends): the order the water-fill, the byte sums and
+     *  retirement walk them in. A vector, so steady-state starts,
+     *  cancels and completions reuse its capacity. */
+    std::vector<Flow> flows_;
     /** replan()'s water-filling order, reused across calls. */
     std::vector<Flow *> open_;
     /** Capacity advance() lends its list of finished callbacks. */

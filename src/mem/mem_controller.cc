@@ -47,6 +47,8 @@ MemController::startup()
 std::size_t
 MemController::addMmioRegion(MmioRegion region)
 {
+    // serviceMmio() keeps the index in 16 bits.
+    MCNSIM_ASSERT(mmio_.size() < 0xffff, "too many MMIO regions");
     mmio_.push_back(std::move(region));
     return mmio_.size() - 1;
 }
@@ -71,9 +73,9 @@ MemController::access(MemRequest req)
                               curTick() + timing_.tREFI);
 
     // Device windows bypass DRAM entirely.
-    for (const auto &r : mmio_) {
-        if (r.contains(req.addr)) {
-            serviceMmio(req, r);
+    for (std::size_t i = 0; i < mmio_.size(); ++i) {
+        if (mmio_[i].contains(req.addr)) {
+            serviceMmio(req, i);
             return;
         }
     }
@@ -105,7 +107,7 @@ MemController::access(MemRequest req)
 }
 
 void
-MemController::serviceMmio(MemRequest &req, const MmioRegion &r)
+MemController::serviceMmio(MemRequest &req, std::size_t region)
 {
     statMmio_ += 1;
     // The access still crosses the channel: occupy the bus for one
@@ -114,19 +116,30 @@ MemController::serviceMmio(MemRequest &req, const MmioRegion &r)
     busFreeAt_ = start + timing_.tBURST;
     updateCoupling(start, busFreeAt_);
     tlSpan("mmio", start, busFreeAt_);
+    const MmioRegion &r = mmio_[region];
     Tick lat = req.kind == MemRequest::Kind::Read ? r.readLatency
                                                   : r.writeLatency;
-    Tick done_at = busFreeAt_ + lat;
-    auto cb = std::move(req.onComplete);
-    MemRequest copy = req;
-    eventQueue().schedule(
-        [cb = std::move(cb), obs = r.onAccess, copy, done_at] {
-            if (obs)
-                obs(copy, done_at);
-            if (cb)
-                cb(done_at);
-        },
-        done_at, "mem.mmio");
+    // The capture keeps what the observer sees, not the request
+    // (nor the region's observer): it fits an event slot inline.
+    auto fire = [this, cb = std::move(req.onComplete), addr = req.addr,
+                 size = req.size,
+                 idx = static_cast<std::uint16_t>(region),
+                 kind = req.kind] {
+        const Tick now = curTick();
+        if (const auto &obs = mmio_[idx].onAccess) {
+            MemRequest seen;
+            seen.kind = kind;
+            seen.addr = addr;
+            seen.size = size;
+            obs(seen, now);
+        }
+        if (cb)
+            cb(now);
+    };
+    static_assert(sizeof(fire) <= sim::EventCallback::inlineBytes,
+                  "the MMIO completion capture must fit an event slot");
+    eventQueue().schedule(std::move(fire), busFreeAt_ + lat,
+                          "mem.mmio");
 }
 
 void

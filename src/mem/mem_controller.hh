@@ -42,7 +42,9 @@ struct MmioRegion
     Tick readLatency = 0;
     Tick writeLatency = 0;
 
-    /** Observer fired when an access to the window completes. */
+    /** Observer fired when an access to the window completes. It
+     *  sees the request's kind, address and size; its completion
+     *  callback and enqueue tick are not kept. */
     std::function<void(const MemRequest &, Tick)> onAccess;
 
     bool
@@ -104,7 +106,7 @@ class MemController : public sim::SimObject
     /** Try to issue one command; returns next attempt tick or 0. */
     Tick tryIssue();
     Tick issueTo(Pending &p, bool is_write);
-    void serviceMmio(MemRequest &req, const MmioRegion &r);
+    void serviceMmio(MemRequest &req, std::size_t region);
     void refreshTick();
     void updateCoupling(Tick busy_from, Tick busy_until);
 

@@ -5,6 +5,8 @@
 
 #include "mem/mem_system.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
 
@@ -47,19 +49,34 @@ MemSystem::bulkInterleaved(std::uint64_t bytes,
     // completing when the slowest slice finishes.
     auto n = static_cast<std::uint32_t>(controllers_.size());
     std::uint64_t slice = bytes / n;
-    auto remaining = std::make_shared<std::uint32_t>(n);
-    auto last = std::make_shared<Tick>(0);
+    if (freeJoins_.empty())
+        freeJoins_.push_back(&joins_.emplace_back());
+    BulkJoin *j = freeJoins_.back();
+    freeJoins_.pop_back();
+    j->remaining = n;
+    j->last = 0;
+    j->done = std::move(done);
     for (std::uint32_t c = 0; c < n; ++c) {
         std::uint64_t part = c == 0 ? bytes - slice * (n - 1) : slice;
         controllers_[c]->bulk().startTransfer(
-            part,
-            [remaining, last, done](Tick t) {
-                *last = std::max(*last, t);
-                if (--*remaining == 0 && done)
-                    done(*last);
-            },
+            part, [this, j](Tick t) { sliceDone(j, t); },
             rate_cap_bps / n);
     }
+}
+
+void
+MemSystem::sliceDone(BulkJoin *j, Tick t)
+{
+    j->last = std::max(j->last, t);
+    if (--j->remaining > 0)
+        return;
+    // Back to the pool before done runs: it may start another
+    // interleaved transfer.
+    std::function<void(Tick)> done = std::move(j->done);
+    const Tick last = j->last;
+    freeJoins_.push_back(j);
+    if (done)
+        done(last);
 }
 
 void

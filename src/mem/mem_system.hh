@@ -9,6 +9,8 @@
 #define MCNSIM_MEM_MEM_SYSTEM_HH
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -79,10 +81,27 @@ class MemSystem : public sim::SimObject
     double peakBandwidthBps() const;
 
   private:
+    /** One bulkInterleaved() call: its slices count down here and
+     *  the last one fires done. Pooled, so a call allocates nothing
+     *  once the pool and the arbiters are warm. */
+    struct BulkJoin
+    {
+        std::uint32_t remaining = 0;
+        Tick last = 0;
+        std::function<void(Tick)> done;
+    };
+
+    /** A channel's slice of @p j completed at @p t. */
+    void sliceDone(BulkJoin *j, Tick t);
+
     InterleaveMap map_;
     DramTiming timing_;
     std::vector<std::unique_ptr<MemController>> controllers_;
     std::vector<std::vector<DimmInfo>> dimms_;
+    /** Every join record ever made (a deque: records never move);
+     *  the idle ones are on freeJoins_. */
+    std::deque<BulkJoin> joins_;
+    std::vector<BulkJoin *> freeJoins_;
 };
 
 } // namespace mcnsim::mem

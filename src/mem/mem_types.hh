@@ -31,7 +31,7 @@ lineAlign(Addr a)
 /** A single memory access as seen by a memory controller. */
 struct MemRequest
 {
-    enum class Kind { Read, Write };
+    enum class Kind : std::uint8_t { Read, Write };
 
     Kind kind = Kind::Read;
     Addr addr = 0;

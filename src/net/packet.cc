@@ -122,12 +122,28 @@ Packet::growTo(std::size_t newLen)
 }
 
 #ifdef MCNSIM_CHECKED
+std::uint64_t
+Packet::viewHash() const
+{
+    std::uint64_t h = sim::checked::hashSeed;
+    auto literal = [&h](const std::uint8_t *p, std::size_t n) {
+        h = sim::checked::hashBytes(p, n, h);
+    };
+    auto pattern = [&h](std::uint8_t base, std::size_t n) {
+        const std::uint8_t *table = patternTable();
+        for (std::size_t off = 0; off < n; off += patternChunk)
+            h = sim::checked::hashBytes(table + ((base + off) & 0xff),
+                                        std::min(patternChunk, n - off),
+                                        h);
+    };
+    scanBytes(0, size(), literal, pattern);
+    return h;
+}
+
 void
 Packet::sealNow() const
 {
-    materialise();
-    sealHash_ =
-        sim::checked::hashBytes(buf_->bytes() + head_, size());
+    sealHash_ = viewHash();
     sealed_ = true;
 }
 
@@ -136,9 +152,7 @@ Packet::auditSeal() const
 {
     if (!sealed_)
         return;
-    materialise();
-    const std::uint64_t now =
-        sim::checked::hashBytes(buf_->bytes() + head_, size());
+    const std::uint64_t now = viewHash();
     if (now != sealHash_)
         sim::panic("checked: CoW packet aliasing: the bytes of a "
                    "sealed packet view changed without copy-on-write "

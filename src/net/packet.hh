@@ -272,22 +272,7 @@ class Packet
     {
         MCNSIM_IF_CHECKED(BufferPool::auditLive(buf_.get());
                           auditSeal();)
-        MCNSIM_ASSERT(off + n <= size(), "scan past end of packet");
-        const std::uint8_t *bytes = buf_->bytes();
-        std::size_t from = head_ + off;
-        const std::size_t to = from + n;
-        if (overlapsLazy(from, to)) [[unlikely]] {
-            const std::size_t lo = std::max<std::size_t>(from, lazyOff_);
-            const std::size_t hi =
-                std::min<std::size_t>(to, lazyOff_ + lazyLen_);
-            if (lo > from)
-                literal(bytes + from, lo - from);
-            pattern(static_cast<std::uint8_t>(lazyBase_ + (lo - lazyOff_)),
-                    hi - lo);
-            from = hi;
-        }
-        if (to > from)
-            literal(bytes + from, to - from);
+        scanBytes(off, n, literal, pattern);
     }
 
     /** Copy bytes [off, off + n) of the view to @p dst, except
@@ -482,6 +467,31 @@ class Packet
      *  semantics; layout and len are unchanged). */
     void growTo(std::size_t newLen);
 
+    /** scan() without the checked build's audit: the seal hash
+     *  reads the view through it. */
+    template <typename Literal, typename Pattern>
+    void
+    scanBytes(std::size_t off, std::size_t n, Literal &literal,
+              Pattern &pattern) const
+    {
+        MCNSIM_ASSERT(off + n <= size(), "scan past end of packet");
+        const std::uint8_t *bytes = buf_->bytes();
+        std::size_t from = head_ + off;
+        const std::size_t to = from + n;
+        if (overlapsLazy(from, to)) [[unlikely]] {
+            const std::size_t lo = std::max<std::size_t>(from, lazyOff_);
+            const std::size_t hi =
+                std::min<std::size_t>(to, lazyOff_ + lazyLen_);
+            if (lo > from)
+                literal(bytes + from, lo - from);
+            pattern(static_cast<std::uint8_t>(lazyBase_ + (lo - lazyOff_)),
+                    hi - lo);
+            from = hi;
+        }
+        if (to > from)
+            literal(bytes + from, to - from);
+    }
+
 #ifdef MCNSIM_CHECKED
     /** Checked build: hash the live bytes and mark the view sealed.
      *  clone() seals both sides; every subsequent access re-verifies
@@ -489,6 +499,10 @@ class Packet
      *  data() pointer from before clone(), a const_cast) panics at
      *  the next audit instead of silently corrupting a clone. */
     void sealNow() const;
+
+    /** Checked build: the seal hash of the view's logical bytes. A
+     *  lazy extent is hashed from the pattern table, not written. */
+    std::uint64_t viewHash() const;
 
     /** Verify the seal (panic on mismatch); no-op when unsealed. */
     void auditSeal() const;

@@ -50,13 +50,16 @@ inline constexpr bool checkedBuild = false;
 
 namespace checked {
 
-/** FNV-1a over a byte range: the CoW seal hash. Fast enough to run
- *  per packet access in checked builds, and any single-bit change
- *  flips the digest. */
+/** FNV-1a's starting state. */
+inline constexpr std::uint64_t hashSeed = 1469598103934665603ull;
+
+/** FNV-1a over a byte range, continuing from state @p h (hashSeed
+ *  to start; a previous result to hash a sequence of ranges as one):
+ *  the CoW seal hash. Fast enough to run per packet access in checked
+ *  builds, and any single-bit change flips the digest. */
 inline std::uint64_t
-hashBytes(const std::uint8_t *p, std::size_t n)
+hashBytes(const std::uint8_t *p, std::size_t n, std::uint64_t h)
 {
-    std::uint64_t h = 1469598103934665603ull;
     for (std::size_t i = 0; i < n; ++i) {
         h ^= p[i];
         h *= 1099511628211ull;

@@ -166,7 +166,7 @@ EventQueue::recycle(CallbackEvent *ev)
     assert(!ev->scheduled_ && "recycling a scheduled event");
     // Drop the callback now: captures (PacketPtrs, shared sockets,
     // coroutine handles) must not live until the slot is reused.
-    ev->fn_ = nullptr;
+    ev->fn_.reset();
 #ifdef MCNSIM_CHECKED
     // Poison the slot: remember the name it died under, bump the
     // generation, and plant a callback that panics if anything ever
@@ -177,10 +177,10 @@ EventQueue::recycle(CallbackEvent *ev)
     ev->gen_++;
     ev->poisoned_ = true;
     const char *dead = ev->lastName_;
-    ev->fn_ = [dead] {
+    ev->fn_.emplace([dead] {
         panic("use-after-fire: dispatched a recycled pooled event "
               "(last live name '", dead, "')");
-    };
+    });
 #endif
     ev->name_ = "pool-free";
     ev->managed_ = false;

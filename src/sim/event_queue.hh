@@ -20,9 +20,10 @@
  * ownership"):
  *
  *  - Managed callback events come from a slab-allocated free list
- *    owned by the queue; schedule(fn, ...) performs no heap
- *    allocation once the pool is warm (std::function small-buffer
- *    captures permitting).
+ *    owned by the queue, and each slot holds its callable inline
+ *    (EventCallback): schedule(fn, ...) performs no heap allocation
+ *    once the pool is warm, for captures up to
+ *    EventCallback::inlineBytes.
  *  - Event names are non-owning `const char *`s. Pass a string
  *    literal on the fast path; a std::string name is interned once
  *    into a process-lifetime pool, so Event never owns (or copies)
@@ -60,9 +61,10 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <new>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -173,19 +175,121 @@ class Event
 #endif
 };
 
+/**
+ * The callable a CallbackEvent runs: a move-only void() kept in
+ * place. A capture of up to inlineBytes lives inside the event
+ * itself; a larger (or over-aligned) one goes to the heap. Pooled
+ * slots never move, so the callable is never moved or copied either:
+ * emplace() constructs it straight into its storage and reset()
+ * destroys it there.
+ */
+class EventCallback
+{
+  public:
+    /** Inline capacity. The largest hot-path captures fit:
+     *  EthernetLink::sendFrom's (48 B) and
+     *  MemController::serviceMmio's (56 B). */
+    static constexpr std::size_t inlineBytes = 56;
+
+    EventCallback() = default;
+    ~EventCallback() { reset(); }
+
+    EventCallback(const EventCallback &) = delete;
+    EventCallback &operator=(const EventCallback &) = delete;
+
+    /** Replace the callable with @p fn, constructed in place. */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
+        using Fn = std::decay_t<F>;
+        reset();
+        if constexpr (fitsInline<Fn>) {
+            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
+        } else {
+            ::new (static_cast<void *>(buf_))
+                Fn *(new Fn(std::forward<F>(fn)));
+        }
+        ops_ = &opsFor<Fn>;
+    }
+
+    /** Destroy the callable (its captures die now). */
+    void
+    reset() noexcept
+    {
+        // Cleared first: a capture's destructor may re-enter the
+        // queue, and must find this slot empty.
+        if (const Ops *ops = std::exchange(ops_, nullptr))
+            if (ops->destroy)
+                ops->destroy(buf_);
+    }
+
+    void
+    operator()()
+    {
+        assert(ops_ && "invoking an empty EventCallback");
+        ops_->invoke(buf_);
+    }
+
+  private:
+    struct Ops
+    {
+        void (*invoke)(void *);
+        void (*destroy)(void *); ///< null: trivially destructible
+    };
+
+    template <typename Fn>
+    static constexpr bool fitsInline =
+        sizeof(Fn) <= inlineBytes && alignof(Fn) <= alignof(void *);
+
+    template <typename Fn>
+    static Fn &
+    target(void *buf)
+    {
+        if constexpr (fitsInline<Fn>)
+            return *std::launder(static_cast<Fn *>(buf));
+        else
+            return **std::launder(static_cast<Fn **>(buf));
+    }
+
+    template <typename Fn>
+    static constexpr void (*destroyFor())(void *)
+    {
+        if constexpr (!fitsInline<Fn>)
+            return [](void *buf) { delete &target<Fn>(buf); };
+        else if constexpr (!std::is_trivially_destructible_v<Fn>)
+            return [](void *buf) { target<Fn>(buf).~Fn(); };
+        else
+            return nullptr;
+    }
+
+    template <typename Fn>
+    static constexpr Ops opsFor{
+        [](void *buf) { target<Fn>(buf)(); }, destroyFor<Fn>()};
+
+    const Ops *ops_ = nullptr;
+    alignas(void *) unsigned char buf_[inlineBytes];
+};
+
 /** An event wrapping an arbitrary callback. */
 class CallbackEvent : public Event
 {
   public:
-    CallbackEvent(const char *name, std::function<void()> fn,
+    template <typename F>
+    CallbackEvent(const char *name, F &&fn,
                   EventPriority prio = EventPriority::Default)
-        : Event(name, prio), fn_(std::move(fn))
-    {}
+        : Event(name, prio)
+    {
+        fn_.emplace(std::forward<F>(fn));
+    }
 
-    CallbackEvent(const std::string &name, std::function<void()> fn,
+    template <typename F>
+    CallbackEvent(const std::string &name, F &&fn,
                   EventPriority prio = EventPriority::Default)
-        : Event(name, prio), fn_(std::move(fn))
-    {}
+        : Event(name, prio)
+    {
+        fn_.emplace(std::forward<F>(fn));
+    }
 
     void process() override { fn_(); }
 
@@ -195,7 +299,7 @@ class CallbackEvent : public Event
     /** Pool slot constructor; armed by EventQueue::schedule(). */
     CallbackEvent() : Event("pool-free") {}
 
-    std::function<void()> fn_;
+    EventCallback fn_;
 };
 
 /**
@@ -259,7 +363,7 @@ class EventQueue
      * event); use the std::string overload for dynamic names.
      *
      * Templated so the callback is constructed straight into the
-     * pooled slot's std::function, with no intermediate type-erased
+     * pooled slot's EventCallback, with no intermediate type-erased
      * moves on the hot path.
      */
     template <typename F,
@@ -271,7 +375,7 @@ class EventQueue
         CallbackEvent *ev = acquireSlot();
         ev->name_ = name;
         ev->priority_ = prio;
-        ev->fn_ = std::forward<F>(fn);
+        ev->fn_.emplace(std::forward<F>(fn));
         ev->managed_ = true;
         schedule(ev, when);
         return ev;

@@ -20,8 +20,11 @@
 #include <new>
 
 #include "core/system_builder.hh"
+#include "cpu/core.hh"
 #include "dist/mpi.hh"
 #include "mem/bandwidth_arbiter.hh"
+#include "mem/mem_controller.hh"
+#include "mem/mem_system.hh"
 #include "net/packet.hh"
 #include "net/recv_queue.hh"
 #include "sim/event_queue.hh"
@@ -248,14 +251,197 @@ TEST(AllocGuard, MpiHeaderReadAcrossTwoSlices)
     }
 }
 
+TEST(AllocGuard, ScheduleOfA48ByteCaptureStaysInline)
+{
+    // A pooled event holds its callable inline: a 48-byte capture
+    // (EthernetLink::sendFrom's size) needs no heap once the pool
+    // is warm.
+    sim::EventQueue q;
+    std::array<std::uint64_t, 5> payload{1, 2, 3, 4, 5};
+    std::uint64_t sum = 0;
+    auto round = [&] {
+        for (int i = 0; i < 8; ++i) {
+            auto fn = [payload, &sum] {
+                for (auto v : payload)
+                    sum += v;
+            };
+            static_assert(sizeof(fn) == 48);
+            q.scheduleIn(std::move(fn), 10, "capture");
+        }
+        q.run();
+    };
+    round();
+    {
+        AllocCount c;
+        round();
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_EQ(sum, 2u * 8 * 15);
+}
+
+TEST(AllocGuard, CoreSlotRound)
+{
+    // A charge's completion is the core's own member event and its
+    // callback waits in a member, so rounds of slots allocate
+    // nothing once the slot ring is warm (a std::deque of slots
+    // would free and re-make a node every dozen slots).
+    sim::Simulation s;
+    sim::ClockDomain clk("clk", 1e9);
+    cpu::Core core(s, "core", clk);
+    int done = 0;
+    auto round = [&] {
+        for (int i = 0; i < 4; ++i)
+            core.execute(100, [&done](sim::Tick) { ++done; }, i == 3);
+        s.run();
+    };
+    round();
+    {
+        AllocCount c;
+        for (int k = 0; k < 16; ++k)
+            round();
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_EQ(done, 68);
+}
+
+TEST(AllocGuard, CoreRunAwaitAddsNoFrame)
+{
+    // co_await core.run() is a plain awaiter: charging a running
+    // coroutine allocates no coroutine frame of its own.
+    sim::Simulation s;
+    sim::ClockDomain clk("clk", 1e9);
+    cpu::Core core(s, "core", clk);
+    int charges = 0;
+    auto worker = [&]() -> sim::Task<void> {
+        for (;;) {
+            co_await core.run(100);
+            ++charges;
+        }
+    };
+    sim::spawnDetached(s.eventQueue(), worker());
+    s.eventQueue().run(1000 * sim::oneNs);
+    ASSERT_GT(charges, 0);
+    const int warm = charges;
+    {
+        AllocCount c;
+        s.eventQueue().run(2000 * sim::oneNs);
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_EQ(charges, 2 * warm);
+}
+
+TEST(AllocGuard, BandwidthArbiterStartAndCancelInPlace)
+{
+    // Flows live in a vector kept in id order: on a warm arbiter a
+    // start appends and a cancel erases, neither touching the heap.
+    sim::Simulation s;
+    mem::BandwidthArbiter arb(s, "arb", 10e9);
+    int done = 0;
+    auto round = [&] {
+        mem::BandwidthArbiter::FlowId ids[4];
+        for (auto &id : ids)
+            id = arb.startTransfer(
+                100000, [&done](sim::Tick) { ++done; });
+        arb.cancel(ids[1]);
+        arb.cancel(ids[3]);
+        arb.cancel(ids[0]);
+        arb.cancel(ids[2]);
+        EXPECT_EQ(arb.activeFlows(), 0u);
+        s.run(); // pops the completion events the replans dropped
+    };
+    round();
+    {
+        AllocCount c;
+        round();
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_EQ(done, 0);
+}
+
+TEST(AllocGuard, BulkInterleavedTwoChannelRound)
+{
+    // The per-channel slices of an interleaved transfer join on a
+    // pooled record, so a round allocates nothing once the pool and
+    // the arbiters are warm.
+    sim::Simulation s;
+    mem::MemSystem ms(s, "mem", 2, mem::DramTiming::ddr4_3200());
+    int done = 0;
+    sim::Tick last = 0;
+    auto round = [&] {
+        for (int i = 0; i < 3; ++i)
+            ms.bulkInterleaved(
+                4096 * static_cast<std::uint64_t>(i + 1),
+                [&done, &last](sim::Tick t) {
+                    ++done;
+                    last = t;
+                });
+        s.run();
+    };
+    round();
+    {
+        AllocCount c;
+        round();
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_EQ(done, 6);
+    EXPECT_EQ(last, s.curTick());
+}
+
+TEST(AllocGuard, MmioAccessRoundTrip)
+{
+    // An MMIO completion event keeps only what its observer sees
+    // (region, kind, address, size) next to the completion callback:
+    // the capture fits an event slot, so a round trip is heap-free.
+    sim::Simulation s;
+    mem::MemController mc(s, "mc", mem::DramTiming::ddr4_3200());
+    mem::MmioRegion r;
+    r.base = 1 << 20;
+    r.size = 4096;
+    r.readLatency = 50 * sim::oneNs;
+    r.writeLatency = 10 * sim::oneNs;
+    std::array<mem::MemRequest, 2> seen; // by kind
+    r.onAccess = [&seen](const mem::MemRequest &req, sim::Tick) {
+        seen[req.kind == mem::MemRequest::Kind::Write] = req;
+    };
+    mc.addMmioRegion(std::move(r));
+    int completions = 0;
+    auto round = [&] {
+        mem::MemRequest rd;
+        rd.addr = (1 << 20) + 128;
+        rd.size = 8;
+        rd.onComplete = [&completions](sim::Tick) { ++completions; };
+        mc.access(std::move(rd));
+        mem::MemRequest wr;
+        wr.kind = mem::MemRequest::Kind::Write;
+        wr.addr = (1 << 20) + 256;
+        wr.size = 4;
+        wr.onComplete = [&completions](sim::Tick) { ++completions; };
+        mc.access(std::move(wr));
+        s.run();
+    };
+    round();
+    {
+        AllocCount c;
+        round();
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_EQ(completions, 4);
+    EXPECT_EQ(seen[0].kind, mem::MemRequest::Kind::Read);
+    EXPECT_EQ(seen[0].addr, (1u << 20) + 128);
+    EXPECT_EQ(seen[0].size, 8u);
+    EXPECT_EQ(seen[1].kind, mem::MemRequest::Kind::Write);
+    EXPECT_EQ(seen[1].addr, (1u << 20) + 256);
+    EXPECT_EQ(seen[1].size, 4u);
+}
+
 TEST(AllocGuard, BandwidthArbiterReplansAndRetiresInPlace)
 {
     // Every start, cancel, background change and completion replans
     // the water-fill, and completions collect their callbacks before
     // running them. Once the buffers are warm, a round of transfers
     // completing, plus background changes while they run, touches
-    // the heap only for what startTransfer() itself keeps (the flow
-    // map's nodes, made before counting starts).
+    // the heap not at all (startTransfer() appends to a warm flow
+    // vector; see BandwidthArbiterStartAndCancelInPlace).
     sim::Simulation s;
     mem::BandwidthArbiter arb(s, "arb", 10e9);
     int done = 0;

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -19,6 +21,7 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
+#include "sim/ring_deque.hh"
 #include "sim/simulation.hh"
 #include "sim/timer.hh"
 
@@ -506,6 +509,69 @@ TEST(ClockDomain, HighFrequencyClamps)
 TEST(ClockDomain, BadFrequencyFatal)
 {
     EXPECT_THROW(ClockDomain("bad", 0.0), FatalError);
+}
+
+TEST(EventCallback, OversizedAndMoveOnlyCapturesRunAndDie)
+{
+    // A capture over the inline capacity goes to the heap, a
+    // move-only one is constructed in place; both run when the
+    // event fires and are destroyed when the slot is recycled.
+    EventQueue q;
+    auto alive = std::make_shared<int>(0);
+    std::array<std::uint64_t, 16> big{};
+    big[15] = 7;
+    std::uint64_t seen = 0;
+    static_assert(sizeof(big) > EventCallback::inlineBytes);
+    q.schedule([big, &seen, keep = alive] { seen = big[15]; }, 10);
+    auto owned = std::make_unique<int>(3);
+    q.schedule([p = std::move(owned), &seen] { seen += *p; }, 20);
+    EXPECT_EQ(alive.use_count(), 2);
+    q.run(15);
+    EXPECT_EQ(seen, 7u);
+    EXPECT_EQ(alive.use_count(), 1); // the fired slot let go
+    q.run();
+    EXPECT_EQ(seen, 10u);
+}
+
+TEST(EventCallback, DescheduledCaptureIsReleased)
+{
+    EventQueue q;
+    auto alive = std::make_shared<int>(0);
+    Event *ev = q.schedule([keep = alive] {}, 10);
+    q.deschedule(ev);
+    q.run();
+    EXPECT_EQ(alive.use_count(), 1);
+    EXPECT_EQ(q.poolOutstanding(), 0u);
+}
+
+TEST(RingDeque, MatchesStdDequeAcrossWrapAndGrowth)
+{
+    // Mixed front/back pushes and pops, wrapping the ring and
+    // growing it several times, against std::deque as the model.
+    RingDeque<int> d;
+    std::deque<int> model;
+    Rng r(3);
+    for (int i = 0; i < 2000; ++i) {
+        const auto op = r.uniformInt(0, 9);
+        if (op < 4 || model.empty()) {
+            d.push_back(i);
+            model.push_back(i);
+        } else if (op < 5) {
+            d.push_front(i);
+            model.push_front(i);
+        } else {
+            ASSERT_EQ(d.front(), model.front()) << i;
+            d.pop_front();
+            model.pop_front();
+        }
+        ASSERT_EQ(d.size(), model.size());
+    }
+    while (!model.empty()) {
+        ASSERT_EQ(d.front(), model.front());
+        d.pop_front();
+        model.pop_front();
+    }
+    EXPECT_TRUE(d.empty());
 }
 
 TEST(Rng, DeterministicWithSameSeed)

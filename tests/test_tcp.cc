@@ -542,10 +542,6 @@ TEST(TcpRecv, PatternPayloadIsNeverWrittenOnDrainingPaths)
     // MPI-style messages (header via recvInto(), payload via
     // recvDrain()), cross rings, relays and the receive queue
     // without a single lazy byte written.
-#ifdef MCNSIM_CHECKED
-    GTEST_SKIP() << "the checked build's seal writes every shared "
-                    "block's lazy extent";
-#endif
     const std::uint64_t before = Packet::materialisedBytes();
     const DrainRun iperf = drainFromDimm(true);
     EXPECT_EQ(iperf.bytesReceived, 2 * TcpSocket::rcvBufCap);
