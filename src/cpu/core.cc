@@ -21,16 +21,20 @@ Core::Core(sim::Simulation &s, std::string name,
 }
 
 void
-Core::execute(Cycles cycles, std::function<void(Tick)> done, bool irq)
+Core::execute(Cycles cycles, sim::Callback<void(Tick)> done, bool irq)
 {
-    Slot slot{cycles, std::move(done)};
-    queuedTicks_ += clock_.cyclesToTicks(cycles);
-    if (irq) {
+    if (irq)
         statIrqSlots_ += 1;
-        queue_.push_front(std::move(slot));
-    } else {
-        queue_.push_back(std::move(slot));
+    if (!running_ && queue_.empty()) {
+        // An idle core starts at once: the callback skips the ring.
+        start(cycles, std::move(done));
+        return;
     }
+    queuedTicks_ += clock_.cyclesToTicks(cycles);
+    if (irq)
+        queue_.push_front(Slot{cycles, std::move(done)});
+    else
+        queue_.push_back(Slot{cycles, std::move(done)});
     if (!running_)
         startNext();
 }
@@ -57,18 +61,23 @@ Core::startNext()
 {
     if (queue_.empty())
         return;
-    Slot slot = std::move(queue_.front());
+    Slot &slot = queue_.front();
+    queuedTicks_ -= clock_.cyclesToTicks(slot.cycles);
+    start(slot.cycles, std::move(slot.done));
     queue_.pop_front();
+}
 
+void
+Core::start(Cycles cycles, sim::Callback<void(Tick)> &&done)
+{
     running_ = true;
     statSlots_ += 1;
-    Tick duration = clock_.cyclesToTicks(slot.cycles);
-    queuedTicks_ -= duration;
+    Tick duration = clock_.cyclesToTicks(cycles);
     busyTicks_ += duration;
     statBusy_ += static_cast<double>(duration);
     currentEndsAt_ = curTick() + duration;
 
-    runningDone_ = std::move(slot.done);
+    runningDone_ = std::move(done);
     eventQueue().schedule(&slotEvent_, currentEndsAt_);
 }
 
@@ -79,7 +88,7 @@ Core::finishCurrent()
     running_ = false;
     // Moved out first: the callback may start the next slot, which
     // takes over runningDone_.
-    std::function<void(Tick)> done = std::move(runningDone_);
+    sim::Callback<void(Tick)> done = std::move(runningDone_);
     if (done)
         done(now);
     // The callback may have issued new work that is already

@@ -12,11 +12,11 @@
  * paper's latency numbers live at.
  *
  * Hot path: a charge allocates nothing once the slot ring is warm.
- * The running slot's callback sits in a member and its completion is
- * one embedded MemberEvent, and run() is a plain awaiter rather than
- * a coroutine of its own, so `co_await core.run(n)` adds no frame.
- * Only the caller's std::function<void(Tick)> can still allocate, if
- * its capture outgrows the small-buffer.
+ * The caller's completion is a sim::Callback, whose capture of up to
+ * 56 B is held inline; the running slot's callback sits in a member
+ * and its completion is one embedded MemberEvent, and run() is a
+ * plain awaiter rather than a coroutine of its own, so
+ * `co_await core.run(n)` adds no frame.
  */
 
 #ifndef MCNSIM_CPU_CORE_HH
@@ -24,8 +24,8 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 
+#include "sim/callback.hh"
 #include "sim/clock_domain.hh"
 #include "sim/event_queue.hh"
 #include "sim/ring_deque.hh"
@@ -48,7 +48,7 @@ class Core : public sim::SimObject
      * Charge @p cycles of work; @p done fires with the completion
      * tick. @p irq work jumps the queue (but not the current slot).
      */
-    void execute(Cycles cycles, std::function<void(Tick)> done,
+    void execute(Cycles cycles, sim::Callback<void(Tick)> done,
                  bool irq = false);
 
     /** Awaitable returned by run(). */
@@ -77,7 +77,7 @@ class Core : public sim::SimObject
 
     /** Charge work specified as a duration at this core's clock. */
     void
-    executeFor(Tick duration, std::function<void(Tick)> done,
+    executeFor(Tick duration, sim::Callback<void(Tick)> done,
                bool irq = false)
     {
         execute(clock_.ticksToCycles(duration), std::move(done), irq);
@@ -101,17 +101,19 @@ class Core : public sim::SimObject
     struct Slot
     {
         Cycles cycles;
-        std::function<void(Tick)> done;
+        sim::Callback<void(Tick)> done;
     };
 
     void startNext();
+    /** Run a slot of @p cycles now; @p done fires at its end. */
+    void start(Cycles cycles, sim::Callback<void(Tick)> &&done);
     /** slotEvent_'s handler: the running slot completed. */
     void finishCurrent();
 
     const sim::ClockDomain &clock_;
     sim::RingDeque<Slot> queue_;
     /** The running slot's callback. */
-    std::function<void(Tick)> runningDone_;
+    sim::Callback<void(Tick)> runningDone_;
     sim::MemberEvent<Core> slotEvent_{"core.slot", this,
                                       &Core::finishCurrent};
     bool running_ = false;

@@ -39,7 +39,7 @@ class CpuCluster : public sim::SimObject
 
     /** Charge unpinned work on the least-loaded core. */
     void
-    execute(Cycles cycles, std::function<void(sim::Tick)> done,
+    execute(Cycles cycles, sim::Callback<void(sim::Tick)> done,
             bool irq = false)
     {
         leastLoaded().execute(cycles, std::move(done), irq);

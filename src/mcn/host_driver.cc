@@ -285,7 +285,7 @@ McnHostDriver::scanNext(std::size_t idx)
 
 void
 McnHostDriver::fieldAccess(Binding &b, mem::MemRequest::Kind kind,
-                           std::function<void(sim::Tick)> done)
+                           sim::Callback<void(sim::Tick)> done)
 {
     mem::MemRequest r;
     r.kind = kind;
@@ -388,15 +388,16 @@ McnHostDriver::drainLoop(std::size_t idx)
     };
 
     if (b.dma && bytes > dmaCopybreak) {
-        b.dma->transfer(bytes, after_copy);
+        b.dma->transfer(bytes, std::move(after_copy));
     } else {
         // memcpy_from_mcn: cacheable reads + explicit invalidate;
         // CPU issues the loads, the channel moves the lines.
         kernel_.cpus().execute(
             costs.mcnDriverRx + costs.copy(bytes),
-            [&b, bytes, after_copy](sim::Tick) {
+            [&b, bytes,
+             after_copy = std::move(after_copy)](sim::Tick) mutable {
                 b.copy->copy(bytes, mem::CopyMode::CacheableRead,
-                             after_copy);
+                             std::move(after_copy));
             });
     }
 }
@@ -437,32 +438,46 @@ McnHostDriver::xmitToDimm(std::size_t idx, net::PacketPtr pkt)
 
     // The message lands in the ring when the modelled copy is done
     // (T3: update rx-end, fence, set rx-poll -> MCN IRQ).
-    const sim::Tick t0 = curTick();
-    auto finish = [this, idx, pkt, need, t0](sim::Tick now) {
-        tlSpan("hostTxCopy", t0, now);
-        pkt->stamp(net::Stage::DriverTx, name().c_str(), now);
-        Binding &bb = *dimms_[idx];
-        bool ok = bb.dimm->iface().sram().rx().enqueue(*pkt);
-        MCNSIM_ASSERT(ok, "RX ring enqueue failed after reserve");
-        if (faultTxCorrupt_.fires())
-            bb.dimm->iface().sram().rx().corruptNewest();
-        bb.rxReserved -= need;
-        bb.dimm->iface().hostDepositedRx();
-    };
+    TxCopy *c = txCopies_.acquire();
+    c->idx = idx;
+    c->pkt = std::move(pkt);
+    c->need = need;
+    c->t0 = curTick();
 
     if (b.dma && bytes > dmaCopybreak) {
-        b.dma->transfer(bytes, finish);
+        b.dma->transfer(bytes,
+                        [this, c](sim::Tick now) { txCopyLanded(c, now); });
     } else {
         // memcpy_to_mcn: write-combined stores, interleave-aware
         // strides keep every line on this DIMM's channel.
         kernel_.cpus().execute(
             costs.mcnDriverTx + costs.copy(bytes),
-            [&b, bytes, finish](sim::Tick) {
+            [this, &b, bytes, c](sim::Tick) {
                 b.copy->copy(bytes, mem::CopyMode::WriteCombined,
-                             finish);
+                             [this, c](sim::Tick now) {
+                                 txCopyLanded(c, now);
+                             });
             });
     }
     return os::TxResult::Ok;
+}
+
+void
+McnHostDriver::txCopyLanded(TxCopy *c, sim::Tick now)
+{
+    const net::PacketPtr pkt = std::move(c->pkt);
+    const std::size_t idx = c->idx;
+    const std::size_t need = c->need;
+    tlSpan("hostTxCopy", c->t0, now);
+    txCopies_.release(c);
+    pkt->stamp(net::Stage::DriverTx, name().c_str(), now);
+    Binding &bb = *dimms_[idx];
+    bool ok = bb.dimm->iface().sram().rx().enqueue(*pkt);
+    MCNSIM_ASSERT(ok, "RX ring enqueue failed after reserve");
+    if (faultTxCorrupt_.fires())
+        bb.dimm->iface().sram().rx().corruptNewest();
+    bb.rxReserved -= need;
+    bb.dimm->iface().hostDepositedRx();
 }
 
 /** Lossless relay: retry a busy destination ring periodically

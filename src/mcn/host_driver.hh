@@ -34,7 +34,9 @@
 #include "os/hrtimer.hh"
 #include "os/kernel.hh"
 #include "os/net_device.hh"
+#include "sim/callback.hh"
 #include "sim/fault.hh"
+#include "sim/record_pool.hh"
 
 namespace mcnsim::mcn {
 
@@ -166,9 +168,22 @@ class McnHostDriver : public sim::SimObject
         bool probeCredit = false; ///< degraded: one probe per epoch
     };
 
+    /** A host->DIMM copy in flight (T1-T3): the frame and its ring
+     *  reservation wait here until the modelled copy lands. */
+    struct TxCopy
+    {
+        std::size_t idx = 0;
+        net::PacketPtr pkt;
+        std::size_t need = 0; ///< reserved ring bytes
+        sim::Tick t0 = 0;     ///< tick the copy was issued
+    };
+
     /** One MMIO access to a control field of a DIMM's SRAM. */
     void fieldAccess(Binding &b, mem::MemRequest::Kind kind,
-                     std::function<void(sim::Tick)> done);
+                     sim::Callback<void(sim::Tick)> done);
+    /** T3: @p c's copy landed at @p now; enqueue it into the RX
+     *  ring and ring the doorbell. */
+    void txCopyLanded(TxCopy *c, sim::Tick now);
 
     void pollTasklet();
     void scanNext(std::size_t idx);
@@ -195,6 +210,7 @@ class McnHostDriver : public sim::SimObject
     // not physical.
     std::map<std::uint32_t, bool> channelDraining_;
     std::map<std::uint32_t, std::deque<std::size_t>> drainQueue_;
+    sim::RecordPool<TxCopy> txCopies_;
     os::NetDevice *uplink_ = nullptr;
     std::unique_ptr<os::HrTimer> pollTimer_;
     bool pollInFlight_ = false;

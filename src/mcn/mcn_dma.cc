@@ -23,7 +23,7 @@ McnDmaEngine::McnDmaEngine(sim::Simulation &s, std::string name,
 
 void
 McnDmaEngine::transfer(std::uint64_t bytes,
-                       std::function<void(sim::Tick)> done)
+                       sim::Callback<void(sim::Tick)> done)
 {
     statTransfers_ += 1;
     statBytes_ += static_cast<double>(bytes);
@@ -32,10 +32,12 @@ McnDmaEngine::transfer(std::uint64_t bytes,
 
     // The driver writes the descriptor (node number + size) into
     // the engine's configuration space, then the engine streams.
-    const sim::Tick t0 = curTick();
+    Job *j = jobs_.acquire();
+    j->bytes = bytes;
+    j->t0 = curTick();
+    j->done = std::move(done);
     kernel_.cpus().leastLoaded().execute(
-        kernel_.costs().dmaSetup,
-        [this, bytes, t0, done = std::move(done)](sim::Tick) {
+        kernel_.costs().dmaSetup, [this, j](sim::Tick) {
             // Injected stall: the engine sits on the descriptor
             // (bus contention, stuck arbitration) before streaming.
             if (faultStall_.fires()) {
@@ -43,20 +45,16 @@ McnDmaEngine::transfer(std::uint64_t bytes,
                 const sim::Tick delay = faultStall_.param()
                                             ? faultStall_.param()
                                             : 50 * sim::oneUs;
-                eventQueue().scheduleIn(
-                    [this, bytes, t0, done] {
-                        stream(bytes, t0, done);
-                    },
-                    delay, "fault.dmaStall");
+                eventQueue().scheduleIn([this, j] { stream(j); },
+                                        delay, "fault.dmaStall");
                 return;
             }
-            stream(bytes, t0, done);
+            stream(j);
         });
 }
 
 void
-McnDmaEngine::stream(std::uint64_t bytes, sim::Tick t0,
-                     std::function<void(sim::Tick)> done)
+McnDmaEngine::stream(Job *j)
 {
     // Injected partial transfer: the engine aborts mid-stream and
     // the descriptor is replayed -- modelled as streaming half the
@@ -64,27 +62,32 @@ McnDmaEngine::stream(std::uint64_t bytes, sim::Tick t0,
     if (faultPartial_.fires()) {
         statStalls_ += 1;
         arbiter_.startTransfer(
-            bytes / 2 + 1,
-            [this, bytes, t0, done](sim::Tick) {
-                stream(bytes, t0, done);
-            },
+            j->bytes / 2 + 1, [this, j](sim::Tick) { stream(j); },
             rateBps_);
         return;
     }
     arbiter_.startTransfer(
-        bytes,
-        [this, t0, done](sim::Tick) {
+        j->bytes,
+        [this, j](sim::Tick) {
             // Completion interrupt, then the callback.
             kernel_.cpus().execute(
                 kernel_.costs().interruptEntry,
-                [this, t0, done](sim::Tick at) {
-                    tlSpan("dmaTransfer", t0, at);
-                    if (done)
-                        done(at);
-                },
+                [this, j](sim::Tick at) { finish(j, at); },
                 /*irq=*/true);
         },
         rateBps_);
+}
+
+void
+McnDmaEngine::finish(Job *j, sim::Tick at)
+{
+    tlSpan("dmaTransfer", j->t0, at);
+    // Back to the pool before done runs: it may program another
+    // transfer.
+    sim::Callback<void(sim::Tick)> done = std::move(j->done);
+    jobs_.release(j);
+    if (done)
+        done(at);
 }
 
 } // namespace mcnsim::mcn

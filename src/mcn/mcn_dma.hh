@@ -12,11 +12,12 @@
 #define MCNSIM_MCN_MCN_DMA_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "mem/bandwidth_arbiter.hh"
 #include "os/kernel.hh"
+#include "sim/callback.hh"
 #include "sim/fault.hh"
+#include "sim/record_pool.hh"
 #include "sim/sim_object.hh"
 
 namespace mcnsim::mcn {
@@ -49,7 +50,7 @@ class McnDmaEngine : public sim::SimObject
      * completion interrupt cost) once the data is moved.
      */
     void transfer(std::uint64_t bytes,
-                  std::function<void(sim::Tick)> done);
+                  sim::Callback<void(sim::Tick)> done);
 
     std::uint64_t transfers() const
     {
@@ -61,12 +62,26 @@ class McnDmaEngine : public sim::SimObject
     }
 
   private:
-    void stream(std::uint64_t bytes, sim::Tick t0,
-                std::function<void(sim::Tick)> done);
+    /** One programmed transfer; its caller's continuation waits
+     *  here while the descriptor is set up, streamed and
+     *  completed. */
+    struct Job
+    {
+        std::uint64_t bytes = 0;
+        sim::Tick t0 = 0; ///< tick the transfer was programmed
+        sim::Callback<void(sim::Tick)> done;
+    };
+
+    /** Stream @p j through the arbiter (replaying after a partial
+     *  transfer). */
+    void stream(Job *j);
+    /** @p j's completion interrupt ran at @p at. */
+    void finish(Job *j, sim::Tick at);
 
     os::Kernel &kernel_;
     mem::BandwidthArbiter &arbiter_;
     double rateBps_;
+    sim::RecordPool<Job> jobs_;
 
     sim::Scalar statTransfers_{"transfers", "DMA transfers"};
     sim::Scalar statBytes_{"bytes", "bytes moved by DMA"};

@@ -119,13 +119,14 @@ McnDriver::xmit(net::PacketPtr pkt)
     // copy for small packets, so those stay on the CPU path (the
     // standard trick in production NIC drivers).
     if (dma_ && bytes > dmaCopybreak) {
-        dma_->transfer(bytes, finish);
+        dma_->transfer(bytes, std::move(finish));
     } else {
         // CPU memcpy into the SRAM through the on-chip port.
         kernel_.cpus().leastLoaded().execute(
             costs.mcnDriverTx + costs.copy(bytes),
-            [this, bytes, finish](sim::Tick) {
-                iface_.sramPort().startTransfer(bytes, finish);
+            [this, bytes, finish = std::move(finish)](sim::Tick) mutable {
+                iface_.sramPort().startTransfer(bytes,
+                                                std::move(finish));
             });
     }
     return os::TxResult::Ok;
@@ -181,12 +182,13 @@ McnDriver::drainRx()
     };
 
     if (dma_ && bytes > dmaCopybreak) {
-        dma_->transfer(bytes, deliver);
+        dma_->transfer(bytes, std::move(deliver));
     } else {
         kernel_.cpus().leastLoaded().execute(
             costs.mcnDriverRx + costs.copy(bytes),
-            [this, bytes, deliver](sim::Tick) {
-                iface_.sramPort().startTransfer(bytes, deliver);
+            [this, bytes, deliver = std::move(deliver)](sim::Tick) mutable {
+                iface_.sramPort().startTransfer(bytes,
+                                                std::move(deliver));
             });
     }
 }

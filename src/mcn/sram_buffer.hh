@@ -26,12 +26,12 @@
 #define MCNSIM_MCN_SRAM_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "net/packet.hh"
+#include "sim/ring_deque.hh"
 
 namespace mcnsim::mcn {
 
@@ -138,7 +138,7 @@ class MessageRing
     };
 
     std::size_t capacity_;
-    std::deque<Entry> frames_;
+    sim::RingDeque<Entry> frames_;
     std::size_t start_ = 0; ///< first byte of the oldest message
     std::size_t end_ = 0;   ///< one past the newest message
     std::size_t used_ = 0;

@@ -61,13 +61,13 @@ BandwidthArbiter::setBackgroundLoad(double frac)
 
 BandwidthArbiter::FlowId
 BandwidthArbiter::startTransfer(std::uint64_t bytes,
-                                std::function<void(Tick)> done,
+                                sim::Callback<void(Tick)> done,
                                 double rate_cap_bps)
 {
     advance();
     FlowId id = nextId_++;
-    flows_.push_back(Flow{id, static_cast<double>(bytes), rate_cap_bps,
-                          std::move(done)});
+    flows_.emplace_back(id, static_cast<double>(bytes), rate_cap_bps,
+                        std::move(done));
     statFlows_ += 1;
     if (sim::FlowTelemetry::active()) [[unlikely]]
         statActiveQ_.update(curTick(), flows_.size());
@@ -109,7 +109,7 @@ BandwidthArbiter::advance()
     // collect first, then invoke). The list borrows the spare
     // buffer's capacity; a callback re-entering advance() finds the
     // spare empty and builds its own.
-    std::vector<std::function<void(Tick)>> finished;
+    std::vector<sim::Callback<void(Tick)>> finished;
     finished.swap(finishedSpare_);
     std::size_t kept = 0;
     for (std::size_t i = 0; i < flows_.size(); ++i) {

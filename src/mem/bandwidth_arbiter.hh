@@ -16,10 +16,10 @@
 #define MCNSIM_MEM_BANDWIDTH_ARBITER_HH
 
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
 #include "sim/types.hh"
@@ -50,7 +50,7 @@ class BandwidthArbiter : public sim::SimObject
      * doing uncached double-word copies can't saturate the bus).
      */
     FlowId startTransfer(std::uint64_t bytes,
-                         std::function<void(Tick)> done,
+                         sim::Callback<void(Tick)> done,
                          double rate_cap_bps = unlimited);
 
     /** Abort a flow; its callback never fires. */
@@ -79,7 +79,7 @@ class BandwidthArbiter : public sim::SimObject
         FlowId id;
         double remaining; ///< bytes
         double cap;       ///< bytes per second
-        std::function<void(Tick)> done;
+        sim::Callback<void(Tick)> done;
         double rate = 0.0;
     };
 
@@ -101,7 +101,7 @@ class BandwidthArbiter : public sim::SimObject
     /** replan()'s water-filling order, reused across calls. */
     std::vector<Flow *> open_;
     /** Capacity advance() lends its list of finished callbacks. */
-    std::vector<std::function<void(Tick)>> finishedSpare_;
+    std::vector<sim::Callback<void(Tick)>> finishedSpare_;
     FlowId nextId_ = 1;
     Tick lastUpdate_ = 0;
     sim::Event *pending_ = nullptr;

@@ -120,9 +120,10 @@ MemController::serviceMmio(MemRequest &req, std::size_t region)
     Tick lat = req.kind == MemRequest::Kind::Read ? r.readLatency
                                                   : r.writeLatency;
     // The capture keeps what the observer sees, not the request
-    // (nor the region's observer): it fits an event slot inline.
-    auto fire = [this, cb = std::move(req.onComplete), addr = req.addr,
-                 size = req.size,
+    // (nor the region's observer), and the parked completion: it
+    // fits an event slot inline.
+    auto fire = [this, cb = park(std::move(req.onComplete)),
+                 addr = req.addr, size = req.size,
                  idx = static_cast<std::uint16_t>(region),
                  kind = req.kind] {
         const Tick now = curTick();
@@ -133,13 +134,33 @@ MemController::serviceMmio(MemRequest &req, std::size_t region)
             seen.size = size;
             obs(seen, now);
         }
-        if (cb)
-            cb(now);
+        complete(cb, now);
     };
-    static_assert(sizeof(fire) <= sim::EventCallback::inlineBytes,
+    static_assert(sizeof(fire) <= sim::Callback<void()>::inlineBytes,
                   "the MMIO completion capture must fit an event slot");
     eventQueue().schedule(std::move(fire), busFreeAt_ + lat,
                           "mem.mmio");
+}
+
+sim::Callback<void(Tick)> *
+MemController::park(sim::Callback<void(Tick)> cb)
+{
+    if (!cb)
+        return nullptr;
+    sim::Callback<void(Tick)> *slot = completions_.acquire();
+    *slot = std::move(cb);
+    return slot;
+}
+
+void
+MemController::complete(sim::Callback<void(Tick)> *cb, Tick at)
+{
+    if (!cb)
+        return;
+    // Back to the pool before it runs: it may issue another access.
+    sim::Callback<void(Tick)> done = std::move(*cb);
+    completions_.release(cb);
+    done(at);
 }
 
 void
@@ -278,12 +299,12 @@ MemController::issueTo(Pending &p, bool is_write)
         Tick done_at = col_at + timing_.tCL + timing_.tBURST;
         statReadLat_.sample(
             static_cast<double>(done_at - p.req.enqueued));
-        if (p.req.onComplete) {
-            auto cb = std::move(p.req.onComplete);
-            eventQueue().schedule([cb = std::move(cb), done_at] {
-                cb(done_at);
-            }, done_at, "mem.readDone");
-        }
+        if (p.req.onComplete)
+            eventQueue().schedule(
+                [this, cb = park(std::move(p.req.onComplete))] {
+                    complete(cb, curTick());
+                },
+                done_at, "mem.readDone");
     }
     return col_at;
 }

@@ -26,6 +26,7 @@
 #include "mem/dram_timing.hh"
 #include "mem/interleave.hh"
 #include "mem/mem_types.hh"
+#include "sim/record_pool.hh"
 #include "sim/sim_object.hh"
 
 namespace mcnsim::mem {
@@ -107,6 +108,12 @@ class MemController : public sim::SimObject
     Tick tryIssue();
     Tick issueTo(Pending &p, bool is_write);
     void serviceMmio(MemRequest &req, std::size_t region);
+    /** Park a request's completion until its event fires (null when
+     *  it has none): the event captures the record, not the 64 B
+     *  callback, so it fits an event slot. */
+    sim::Callback<void(Tick)> *park(sim::Callback<void(Tick)> cb);
+    /** Fire and recycle a parked completion. */
+    void complete(sim::Callback<void(Tick)> *cb, Tick at);
     void refreshTick();
     void updateCoupling(Tick busy_from, Tick busy_until);
 
@@ -115,6 +122,7 @@ class MemController : public sim::SimObject
     std::vector<Rank> ranks_;
     std::vector<MmioRegion> mmio_;
     std::unique_ptr<BandwidthArbiter> bulk_;
+    sim::RecordPool<sim::Callback<void(Tick)>> completions_;
 
     std::deque<Pending> readQ_;
     std::deque<Pending> writeQ_;

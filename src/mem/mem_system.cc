@@ -32,7 +32,7 @@ MemSystem::access(MemRequest req)
 
 void
 MemSystem::bulkOnChannel(std::uint32_t ch, std::uint64_t bytes,
-                         std::function<void(Tick)> done,
+                         sim::Callback<void(Tick)> done,
                          double rate_cap_bps)
 {
     MCNSIM_ASSERT(ch < controllers_.size(), "bad channel");
@@ -42,17 +42,14 @@ MemSystem::bulkOnChannel(std::uint32_t ch, std::uint64_t bytes,
 
 void
 MemSystem::bulkInterleaved(std::uint64_t bytes,
-                           std::function<void(Tick)> done,
+                           sim::Callback<void(Tick)> done,
                            double rate_cap_bps)
 {
     // Interleaved streams hit every channel; model as an equal split
     // completing when the slowest slice finishes.
     auto n = static_cast<std::uint32_t>(controllers_.size());
     std::uint64_t slice = bytes / n;
-    if (freeJoins_.empty())
-        freeJoins_.push_back(&joins_.emplace_back());
-    BulkJoin *j = freeJoins_.back();
-    freeJoins_.pop_back();
+    BulkJoin *j = joins_.acquire();
     j->remaining = n;
     j->last = 0;
     j->done = std::move(done);
@@ -72,9 +69,9 @@ MemSystem::sliceDone(BulkJoin *j, Tick t)
         return;
     // Back to the pool before done runs: it may start another
     // interleaved transfer.
-    std::function<void(Tick)> done = std::move(j->done);
+    sim::Callback<void(Tick)> done = std::move(j->done);
     const Tick last = j->last;
-    freeJoins_.push_back(j);
+    joins_.release(j);
     if (done)
         done(last);
 }

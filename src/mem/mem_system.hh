@@ -9,8 +9,6 @@
 #define MCNSIM_MEM_MEM_SYSTEM_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,6 +17,8 @@
 #include "mem/interleave.hh"
 #include "mem/mem_controller.hh"
 #include "mem/mem_types.hh"
+#include "sim/callback.hh"
+#include "sim/record_pool.hh"
 #include "sim/sim_object.hh"
 
 namespace mcnsim::mem {
@@ -54,7 +54,7 @@ class MemSystem : public sim::SimObject
      * an optional per-flow rate cap in bytes/second.
      */
     void bulkOnChannel(std::uint32_t ch, std::uint64_t bytes,
-                       std::function<void(Tick)> done,
+                       sim::Callback<void(Tick)> done,
                        double rate_cap_bps =
                            BandwidthArbiter::unlimited);
 
@@ -63,7 +63,7 @@ class MemSystem : public sim::SimObject
      * application streaming): modelled as an equal split.
      */
     void bulkInterleaved(std::uint64_t bytes,
-                         std::function<void(Tick)> done,
+                         sim::Callback<void(Tick)> done,
                          double rate_cap_bps =
                              BandwidthArbiter::unlimited);
 
@@ -88,7 +88,7 @@ class MemSystem : public sim::SimObject
     {
         std::uint32_t remaining = 0;
         Tick last = 0;
-        std::function<void(Tick)> done;
+        sim::Callback<void(Tick)> done;
     };
 
     /** A channel's slice of @p j completed at @p t. */
@@ -98,10 +98,7 @@ class MemSystem : public sim::SimObject
     DramTiming timing_;
     std::vector<std::unique_ptr<MemController>> controllers_;
     std::vector<std::vector<DimmInfo>> dimms_;
-    /** Every join record ever made (a deque: records never move);
-     *  the idle ones are on freeJoins_. */
-    std::deque<BulkJoin> joins_;
-    std::vector<BulkJoin *> freeJoins_;
+    sim::RecordPool<BulkJoin> joins_;
 };
 
 } // namespace mcnsim::mem

@@ -7,8 +7,8 @@
 #define MCNSIM_MEM_MEM_TYPES_HH
 
 #include <cstdint>
-#include <functional>
 
+#include "sim/callback.hh"
 #include "sim/types.hh"
 
 namespace mcnsim::mem {
@@ -38,7 +38,7 @@ struct MemRequest
     std::uint32_t size = cacheLineBytes;
 
     /** Completion callback, invoked with the completion tick. */
-    std::function<void(Tick)> onComplete;
+    sim::Callback<void(Tick)> onComplete;
 
     /** Enqueue tick, filled by the controller (for stats). */
     Tick enqueued = 0;

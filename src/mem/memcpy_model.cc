@@ -60,7 +60,7 @@ CopyEngine::CopyEngine(sim::Simulation &s, std::string name,
 
 void
 CopyEngine::copy(std::uint64_t bytes, CopyMode mode,
-                 std::function<void(sim::Tick)> done)
+                 sim::Callback<void(sim::Tick)> done)
 {
     statCopies_ += 1;
     statBytes_ += static_cast<double>(bytes);

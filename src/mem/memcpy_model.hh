@@ -19,7 +19,6 @@
 #define MCNSIM_MEM_MEMCPY_MODEL_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "mem/mem_controller.hh"
 #include "sim/sim_object.hh"
@@ -73,7 +72,7 @@ class CopyEngine : public sim::SimObject
      * completion tick. Zero-byte copies complete on the next tick.
      */
     void copy(std::uint64_t bytes, CopyMode mode,
-              std::function<void(sim::Tick)> done);
+              sim::Callback<void(sim::Tick)> done);
 
     const CopyParams &params() const { return params_; }
     void setParams(CopyParams p) { params_ = p; }

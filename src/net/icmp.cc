@@ -5,8 +5,6 @@
 
 #include "net/icmp.hh"
 
-#include <cstring>
-
 #include "net/checksum.hh"
 #include "net/net_stack.hh"
 #include "net/tcp.hh"
@@ -46,7 +44,9 @@ IcmpHeader::push(Packet &pkt, bool compute_checksum) const
     p[6] = static_cast<std::uint8_t>(seqNo >> 8);
     p[7] = static_cast<std::uint8_t>(seqNo & 0xff);
     if (compute_checksum) {
-        std::uint16_t c = checksum(p, len);
+        // Summed through the packet: a lazy payload extent is read
+        // in closed form, not from (unwritten) memory.
+        std::uint16_t c = checksumFold(checksumPartial(pkt, 0, len));
         p[2] = static_cast<std::uint8_t>(c >> 8);
         p[3] = static_cast<std::uint8_t>(c & 0xff);
     }
@@ -146,10 +146,10 @@ IcmpLayer::rx(Ipv4Addr src, Ipv4Addr dst, PacketPtr pkt,
 
     if (h->type == icmpEchoRequest) {
         statEchoReq_ += 1;
-        // Reflect the payload back to the sender.
-        auto reply = Packet::makeFilled(pkt->size(), [&](std::uint8_t *p) {
-            std::memcpy(p, pkt->cdata(), pkt->size());
-        });
+        // Reflect the payload back to the sender: a fresh view of
+        // the request's bytes (default metadata, as a copy would
+        // have), so a lazy payload stays unwritten.
+        auto reply = pkt->view();
         IcmpHeader rh = *h;
         rh.type = icmpEchoReply;
         rh.push(*reply, !(stack_.checksumBypass() &&

@@ -14,7 +14,6 @@
 #ifndef MCNSIM_NET_NET_STACK_HH
 #define MCNSIM_NET_NET_STACK_HH
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "net/packet.hh"
 #include "os/kernel.hh"
 #include "os/net_device.hh"
+#include "sim/ring_deque.hh"
 #include "sim/sim_object.hh"
 
 namespace mcnsim::net {
@@ -158,7 +158,7 @@ class NetStack : public sim::SimObject
   private:
     struct TxQueue
     {
-        std::deque<PacketPtr> parked;
+        sim::RingDeque<PacketPtr> parked;
         bool armed = false;
     };
 

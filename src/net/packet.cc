@@ -44,8 +44,10 @@ PacketPtr
 Packet::makePattern(std::size_t n, std::uint8_t seed,
                     std::size_t headroom)
 {
-    return makeFilled(
-        n, [&](std::uint8_t *p) { fillPattern(p, seed, n); },
+    // The whole payload is the lazy extent: nothing is written
+    // unless something reads it in memory.
+    return makeDeferred(
+        n, [&](std::uint8_t *) { return PatternExtent{0, n, seed}; },
         headroom);
 }
 

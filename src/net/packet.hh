@@ -146,7 +146,8 @@ class Packet
     static PacketPtr make(std::vector<std::uint8_t> payload,
                           std::size_t headroom = defaultHeadroom);
 
-    /** Create a packet with an n-byte patterned payload. */
+    /** Create a packet with an n-byte patterned payload, held as a
+     *  lazy extent (see makeDeferred()). */
     static PacketPtr makePattern(std::size_t n, std::uint8_t seed = 0,
                                  std::size_t headroom =
                                      defaultHeadroom);

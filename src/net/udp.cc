@@ -43,7 +43,7 @@ UdpHeader::push(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
         std::uint32_t sum = pseudoHeaderSum(
             src.v, dst.v, protoUdp,
             static_cast<std::uint16_t>(l4_len));
-        sum = checksumPartial(p, l4_len, sum);
+        sum = checksumPartial(pkt, 0, l4_len, sum);
         put16(p + 6, checksumFold(sum));
     }
 }

@@ -234,19 +234,18 @@ Nic::napiPoll()
         return;
     }
 
-    std::vector<net::PacketPtr> batch(
-        rxCompleted_.begin(),
-        rxCompleted_.begin() + static_cast<std::ptrdiff_t>(n));
-    rxCompleted_.erase(rxCompleted_.begin(),
-                       rxCompleted_.begin() +
-                           static_cast<std::ptrdiff_t>(n));
+    MCNSIM_ASSERT(napiBatch_.empty(), "overlapping NAPI polls");
+    for (std::size_t i = 0; i < n; ++i) {
+        napiBatch_.push_back(std::move(rxCompleted_.front()));
+        rxCompleted_.pop_front();
+    }
 
     const auto &costs = kernel_.costs();
     sim::Cycles cycles =
         static_cast<sim::Cycles>(n) * costs.nicDriverRxPerPacket;
     kernel_.cpus().leastLoaded().execute(
-        cycles, [this, batch = std::move(batch)](sim::Tick now) {
-            for (const auto &p : batch) {
+        cycles, [this](sim::Tick now) {
+            for (const auto &p : napiBatch_) {
                 // Host-DRAM landing -> stack delivery, per packet.
                 if (sim::Timeline::active()) [[unlikely]] {
                     sim::Tick t0 = p->lastStamp(net::Stage::DmaRx);
@@ -257,6 +256,7 @@ Nic::napiPoll()
                 rxRingUsed_--;
                 deliverUp(p);
             }
+            napiBatch_.clear();
             tlCounter("rxRingUsed",
                       static_cast<double>(rxRingUsed_));
             if (sim::FlowTelemetry::active()) [[unlikely]]

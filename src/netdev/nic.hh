@@ -13,13 +13,13 @@
 #ifndef MCNSIM_NETDEV_NIC_HH
 #define MCNSIM_NETDEV_NIC_HH
 
-#include <deque>
 #include <string>
 #include <vector>
 
 #include "netdev/ethernet_link.hh"
 #include "os/kernel.hh"
 #include "os/net_device.hh"
+#include "sim/ring_deque.hh"
 
 namespace mcnsim::netdev {
 
@@ -94,7 +94,10 @@ class Nic : public os::NetDevice, public EtherEndpoint
     std::string dmaRxHop_;
 
     std::size_t txInFlight_ = 0; ///< descriptors awaiting DMA
-    std::deque<net::PacketPtr> rxCompleted_;
+    sim::RingDeque<net::PacketPtr> rxCompleted_;
+    /** The frames of the NAPI poll in progress (one at a time: the
+     *  next is scheduled only once this one's charge completes). */
+    std::vector<net::PacketPtr> napiBatch_;
     std::size_t rxRingUsed_ = 0;
     bool napiActive_ = false;
 

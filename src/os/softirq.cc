@@ -30,15 +30,22 @@ SoftirqEngine::drain()
         return;
     }
     draining_ = true;
-    Fn fn = std::move(queue_.front());
+    running_ = std::move(queue_.front());
     queue_.pop_front();
     statRun_ += 1;
     cpus_.execute(cpus_.costs().softirqSchedule +
                       cpus_.costs().taskletRun,
-                  [this, fn = std::move(fn)](sim::Tick) {
-                      fn();
-                      drain();
-                  });
+                  [this](sim::Tick) { runCurrent(); });
+}
+
+void
+SoftirqEngine::runCurrent()
+{
+    // Run in place: while it runs, draining_ keeps schedule() off
+    // running_.
+    running_();
+    running_.reset();
+    drain();
 }
 
 } // namespace mcnsim::os

@@ -9,10 +9,9 @@
 #ifndef MCNSIM_OS_SOFTIRQ_HH
 #define MCNSIM_OS_SOFTIRQ_HH
 
-#include <deque>
-#include <functional>
-
 #include "cpu/cpu_cluster.hh"
+#include "sim/callback.hh"
+#include "sim/ring_deque.hh"
 #include "sim/sim_object.hh"
 
 namespace mcnsim::os {
@@ -21,7 +20,7 @@ namespace mcnsim::os {
 class SoftirqEngine : public sim::SimObject
 {
   public:
-    using Fn = std::function<void()>;
+    using Fn = sim::Callback<void()>;
 
     SoftirqEngine(sim::Simulation &s, std::string name,
                   cpu::CpuCluster &cpus);
@@ -40,9 +39,13 @@ class SoftirqEngine : public sim::SimObject
 
   private:
     void drain();
+    /** The running tasklet's dispatch cost was paid: run it. */
+    void runCurrent();
 
     cpu::CpuCluster &cpus_;
-    std::deque<Fn> queue_;
+    sim::RingDeque<Fn> queue_;
+    /** The running tasklet, parked while its cost is charged. */
+    Fn running_;
     bool draining_ = false;
 
     sim::Scalar statRun_{"taskletsRun", "tasklets executed"};

@@ -21,9 +21,9 @@
  *
  *  - Managed callback events come from a slab-allocated free list
  *    owned by the queue, and each slot holds its callable inline
- *    (EventCallback): schedule(fn, ...) performs no heap allocation
- *    once the pool is warm, for captures up to
- *    EventCallback::inlineBytes.
+ *    (a Callback<void()>): schedule(fn, ...) performs no heap
+ *    allocation once the pool is warm, for captures up to
+ *    Callback::inlineBytes.
  *  - Event names are non-owning `const char *`s. Pass a string
  *    literal on the fast path; a std::string name is interned once
  *    into a process-lifetime pool, so Event never owns (or copies)
@@ -59,18 +59,17 @@
 #ifndef MCNSIM_SIM_EVENT_QUEUE_HH
 #define MCNSIM_SIM_EVENT_QUEUE_HH
 
-#include <cassert>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <new>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "sim/callback.hh"
 #include "sim/checked.hh"
 #include "sim/types.hh"
 
@@ -175,102 +174,6 @@ class Event
 #endif
 };
 
-/**
- * The callable a CallbackEvent runs: a move-only void() kept in
- * place. A capture of up to inlineBytes lives inside the event
- * itself; a larger (or over-aligned) one goes to the heap. Pooled
- * slots never move, so the callable is never moved or copied either:
- * emplace() constructs it straight into its storage and reset()
- * destroys it there.
- */
-class EventCallback
-{
-  public:
-    /** Inline capacity. The largest hot-path captures fit:
-     *  EthernetLink::sendFrom's (48 B) and
-     *  MemController::serviceMmio's (56 B). */
-    static constexpr std::size_t inlineBytes = 56;
-
-    EventCallback() = default;
-    ~EventCallback() { reset(); }
-
-    EventCallback(const EventCallback &) = delete;
-    EventCallback &operator=(const EventCallback &) = delete;
-
-    /** Replace the callable with @p fn, constructed in place. */
-    template <typename F>
-    void
-    emplace(F &&fn)
-    {
-        using Fn = std::decay_t<F>;
-        reset();
-        if constexpr (fitsInline<Fn>) {
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-        } else {
-            ::new (static_cast<void *>(buf_))
-                Fn *(new Fn(std::forward<F>(fn)));
-        }
-        ops_ = &opsFor<Fn>;
-    }
-
-    /** Destroy the callable (its captures die now). */
-    void
-    reset() noexcept
-    {
-        // Cleared first: a capture's destructor may re-enter the
-        // queue, and must find this slot empty.
-        if (const Ops *ops = std::exchange(ops_, nullptr))
-            if (ops->destroy)
-                ops->destroy(buf_);
-    }
-
-    void
-    operator()()
-    {
-        assert(ops_ && "invoking an empty EventCallback");
-        ops_->invoke(buf_);
-    }
-
-  private:
-    struct Ops
-    {
-        void (*invoke)(void *);
-        void (*destroy)(void *); ///< null: trivially destructible
-    };
-
-    template <typename Fn>
-    static constexpr bool fitsInline =
-        sizeof(Fn) <= inlineBytes && alignof(Fn) <= alignof(void *);
-
-    template <typename Fn>
-    static Fn &
-    target(void *buf)
-    {
-        if constexpr (fitsInline<Fn>)
-            return *std::launder(static_cast<Fn *>(buf));
-        else
-            return **std::launder(static_cast<Fn **>(buf));
-    }
-
-    template <typename Fn>
-    static constexpr void (*destroyFor())(void *)
-    {
-        if constexpr (!fitsInline<Fn>)
-            return [](void *buf) { delete &target<Fn>(buf); };
-        else if constexpr (!std::is_trivially_destructible_v<Fn>)
-            return [](void *buf) { target<Fn>(buf).~Fn(); };
-        else
-            return nullptr;
-    }
-
-    template <typename Fn>
-    static constexpr Ops opsFor{
-        [](void *buf) { target<Fn>(buf)(); }, destroyFor<Fn>()};
-
-    const Ops *ops_ = nullptr;
-    alignas(void *) unsigned char buf_[inlineBytes];
-};
-
 /** An event wrapping an arbitrary callback. */
 class CallbackEvent : public Event
 {
@@ -299,7 +202,9 @@ class CallbackEvent : public Event
     /** Pool slot constructor; armed by EventQueue::schedule(). */
     CallbackEvent() : Event("pool-free") {}
 
-    EventCallback fn_;
+    /** Built in place in the slot, and never moved: slots never
+     *  move. */
+    Callback<void()> fn_;
 };
 
 /**
@@ -363,7 +268,7 @@ class EventQueue
      * event); use the std::string overload for dynamic names.
      *
      * Templated so the callback is constructed straight into the
-     * pooled slot's EventCallback, with no intermediate type-erased
+     * pooled slot's Callback, with no intermediate type-erased
      * moves on the hot path.
      */
     template <typename F,

@@ -28,21 +28,25 @@ class RingDeque
     std::size_t size() const { return size_; }
 
     T &front() { return buf_[head_]; }
+    const T &front() const { return buf_[head_]; }
+    T &back() { return buf_[(head_ + size_ - 1) & (buf_.size() - 1)]; }
 
+    template <typename U>
     void
-    push_back(T v)
+    push_back(U &&v)
     {
         reserveOneMore();
-        buf_[(head_ + size_) & (buf_.size() - 1)] = std::move(v);
+        buf_[(head_ + size_) & (buf_.size() - 1)] = std::forward<U>(v);
         ++size_;
     }
 
+    template <typename U>
     void
-    push_front(T v)
+    push_front(U &&v)
     {
         reserveOneMore();
         head_ = (head_ + buf_.size() - 1) & (buf_.size() - 1);
-        buf_[head_] = std::move(v);
+        buf_[head_] = std::forward<U>(v);
         ++size_;
     }
 

@@ -25,7 +25,6 @@
 #define MCNSIM_SIM_TASK_HH
 
 #include <coroutine>
-#include <deque>
 #include <exception>
 #include <optional>
 #include <utility>
@@ -33,6 +32,7 @@
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/ring_deque.hh"
 #include "sim/types.hh"
 
 namespace mcnsim::sim {
@@ -437,7 +437,7 @@ class Mailbox
 
   private:
     Condition cv_;
-    std::deque<T> items_;
+    RingDeque<T> items_;
 };
 
 /**

@@ -29,7 +29,7 @@ TimerList::~TimerList()
         disarm(*head_);
 }
 
-std::function<void()>
+Callback<void()>
 TimerList::disarm(Timer &t)
 {
     if (t.prev_)
@@ -48,12 +48,12 @@ TimerList::disarm(Timer &t)
 }
 
 void
-TimerList::arm(Timer &t, Tick deadline, std::function<void()> fn)
+TimerList::arm(Timer &t, Tick deadline, Callback<void()> fn)
 {
     MCNSIM_ASSERT(t.list_ == this || t.list_ == nullptr,
                   "timer is armed on a different list");
     // The old callback dies after the timer is re-armed.
-    std::function<void()> old;
+    Callback<void()> old;
     if (t.list_)
         old = disarm(t);
     // The event captures only the timer: while it is scheduled the
@@ -91,7 +91,7 @@ TimerList::fire(Timer &t)
 {
     // The event is mid-dispatch, so it must not be descheduled.
     t.ev_ = nullptr;
-    std::function<void()> fn = disarm(t);
+    Callback<void()> fn = disarm(t);
     fires_++;
     fn();
 }

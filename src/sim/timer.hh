@@ -28,8 +28,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 
+#include "sim/callback.hh"
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
@@ -61,7 +61,7 @@ class Timer
     Timer *prev_ = nullptr;
     Timer *next_ = nullptr;
     Event *ev_ = nullptr; ///< managed event; dead once disarmed
-    std::function<void()> fn_;
+    Callback<void()> fn_;
 };
 
 /** The armed timers of one owner (a TcpLayer) on one EventQueue. */
@@ -80,7 +80,7 @@ class TimerList
      * (>= the queue's current tick). Re-arming an armed timer moves
      * it (the old deadline and callback are dropped).
      */
-    void arm(Timer &t, Tick deadline, std::function<void()> fn);
+    void arm(Timer &t, Tick deadline, Callback<void()> fn);
 
     /** Disarm @p t (no-op when idle). */
     void cancel(Timer &t);
@@ -97,7 +97,7 @@ class TimerList
   private:
     /** Take @p t off the list and out of the queue; returns its
      *  callback so the caller destroys it with the list settled. */
-    std::function<void()> disarm(Timer &t);
+    Callback<void()> disarm(Timer &t);
     void fire(Timer &t);
 
     EventQueue &q_;

@@ -521,7 +521,7 @@ TEST(EventCallback, OversizedAndMoveOnlyCapturesRunAndDie)
     std::array<std::uint64_t, 16> big{};
     big[15] = 7;
     std::uint64_t seen = 0;
-    static_assert(sizeof(big) > EventCallback::inlineBytes);
+    static_assert(sizeof(big) > Callback<void()>::inlineBytes);
     q.schedule([big, &seen, keep = alive] { seen = big[15]; }, 10);
     auto owned = std::make_unique<int>(3);
     q.schedule([p = std::move(owned), &seen] { seen += *p; }, 20);
@@ -542,6 +542,95 @@ TEST(EventCallback, DescheduledCaptureIsReleased)
     q.run();
     EXPECT_EQ(alive.use_count(), 1);
     EXPECT_EQ(q.poolOutstanding(), 0u);
+}
+
+TEST(Callback, MovesKeepEveryKindOfCapture)
+{
+    // Inline non-trivial (a shared_ptr), inline trivially copyable
+    // (moved as bytes) and heap-held (moved as its pointer)
+    // captures all survive a chain of moves and run once; the
+    // moved-from callbacks are empty.
+    auto alive = std::make_shared<int>(5);
+    std::array<std::uint64_t, 16> big{};
+    big[3] = 11;
+    static_assert(sizeof(big) > Callback<int(int)>::inlineBytes);
+    std::vector<Callback<int(int)>> chain;
+    chain.emplace_back([keep = alive](int x) { return x + *keep; });
+    chain.emplace_back([k = 2](int x) { return x * k; });
+    chain.emplace_back([big](int x) { return x - int(big[3]); });
+    for (int hop = 0; hop < 3; ++hop) {
+        std::vector<Callback<int(int)>> moved;
+        for (auto &cb : chain) {
+            moved.push_back(std::move(cb));
+            EXPECT_FALSE(cb);
+        }
+        chain = std::move(moved);
+    }
+    EXPECT_EQ(alive.use_count(), 2);
+    EXPECT_EQ(chain[0](1), 6);
+    EXPECT_EQ(chain[1](4), 8);
+    EXPECT_EQ(chain[2](20), 9);
+    Callback<int(int)> sink;
+    sink = std::move(chain[0]);
+    chain.clear();
+    EXPECT_EQ(alive.use_count(), 2); // held by sink alone
+    sink = nullptr;
+    EXPECT_EQ(alive.use_count(), 1);
+}
+
+TEST(Callback, NullSourcesMakeEmptyCallbacks)
+{
+    std::function<void(Tick)> none;
+    void (*nofn)(Tick) = nullptr;
+    EXPECT_FALSE(Callback<void(Tick)>(nullptr));
+    EXPECT_FALSE(Callback<void(Tick)>(none));
+    EXPECT_FALSE(Callback<void(Tick)>(nofn));
+    Tick got = 0;
+    std::function<void(Tick)> some = [&got](Tick t) { got = t; };
+    Callback<void(Tick)> wrapped(some);
+    ASSERT_TRUE(wrapped);
+    wrapped(7);
+    EXPECT_EQ(got, 7u);
+}
+
+TEST(Callback, MoveOnlyArgumentsAndCapturesForward)
+{
+    auto owned = std::make_unique<int>(4);
+    Callback<int(std::unique_ptr<int>)> cb(
+        [p = std::move(owned)](std::unique_ptr<int> q) {
+            return *p * *q;
+        });
+    EXPECT_EQ(cb(std::make_unique<int>(3)), 12);
+}
+
+TEST(Callback, ResetEmptiesBeforeTheCaptureDies)
+{
+    // A capture's destructor that looks back at its callback finds
+    // it empty (the re-entrancy rule pooled events rely on).
+    struct Probe
+    {
+        Callback<void()> *home = nullptr;
+        bool *sawEmpty = nullptr;
+        Probe() = default;
+        Probe(Probe &&o) noexcept : home(o.home), sawEmpty(o.sawEmpty)
+        {
+            o.home = nullptr;
+        }
+        ~Probe()
+        {
+            if (home)
+                *sawEmpty = !*home;
+        }
+        void operator()() {}
+    };
+    bool saw_empty = false;
+    Callback<void()> cb;
+    Probe probe;
+    probe.home = &cb;
+    probe.sawEmpty = &saw_empty;
+    cb.emplace(std::move(probe));
+    cb.reset();
+    EXPECT_TRUE(saw_empty);
 }
 
 TEST(RingDeque, MatchesStdDequeAcrossWrapAndGrowth)
@@ -565,6 +654,9 @@ TEST(RingDeque, MatchesStdDequeAcrossWrapAndGrowth)
             model.pop_front();
         }
         ASSERT_EQ(d.size(), model.size());
+        if (!model.empty()) {
+            ASSERT_EQ(d.back(), model.back()) << i;
+        }
     }
     while (!model.empty()) {
         ASSERT_EQ(d.front(), model.front());

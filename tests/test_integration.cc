@@ -275,6 +275,48 @@ TEST(McnIntegration, AlertLatencyBeatsPolling)
     EXPECT_LT(alert, poll);
 }
 
+TEST(McnIntegration, EchoPayloadsStayLazyAndRttsHold)
+{
+    // Echo payloads are lazy pattern extents end to end: the
+    // request's checksum, the reflected reply (a view of the
+    // request) and its checksum read them in closed form, so 16 B
+    // and 8 KB pings over 10GbE and to an MCN DIMM at mcn0 (CPU
+    // copies) and mcn5 (DMA) write no pattern byte. Their RTTs are
+    // those of the eagerly written payloads (ps).
+    struct Case
+    {
+        int level; ///< -1: the 10GbE cluster
+        std::size_t payload;
+        Tick rtt;
+    };
+    const Case cases[] = {
+        {-1, 16, 12'128'100}, {0, 16, 12'018'463}, {5, 16, 8'062'474},
+        {-1, 8192, 40'335'296}, {0, 8192, 21'001'197},
+        {5, 8192, 10'172'674},
+    };
+    for (const Case &c : cases) {
+        Simulation s;
+        const auto written = Packet::materialisedBytes();
+        Tick rtt;
+        if (c.level < 0) {
+            ClusterSystemParams p;
+            ClusterSystem sys(s, p);
+            rtt = runPing(s, *sys.node(0).stack, sys.addrOf(1),
+                          c.payload);
+        } else {
+            McnSystemParams p;
+            p.config = McnConfig::level(c.level);
+            McnSystem sys(s, p);
+            rtt = runPing(s, sys.hostStack(), sys.dimmAddr(0),
+                          c.payload);
+        }
+        EXPECT_EQ(rtt, c.rtt) << "level " << c.level << ", "
+                              << c.payload << " B";
+        EXPECT_EQ(Packet::materialisedBytes(), written)
+            << "level " << c.level << ", " << c.payload << " B";
+    }
+}
+
 TEST(McnIntegration, TcpHostToDimm)
 {
     Simulation s;

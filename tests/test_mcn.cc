@@ -11,8 +11,10 @@
 
 #include "core/mcn_config.hh"
 #include "mcn/alert_signal.hh"
+#include "mcn/mcn_dma.hh"
 #include "mcn/mcn_interface.hh"
 #include "mcn/sram_buffer.hh"
+#include "os/kernel.hh"
 #include "sim/fault.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -347,4 +349,103 @@ TEST(McnConfigTest, DescribeMentionsFeatures)
     EXPECT_NE(d.find("9000"), std::string::npos);
     EXPECT_NE(d.find("tso"), std::string::npos);
     EXPECT_NE(d.find("dma"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// MCN-DMA fault paths: a stalled descriptor and a partial transfer
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** What one host-side MCN-DMA transfer (the engine mcn5's host
+ *  driver programs per DIMM, on the host channel) did. */
+struct DmaRun
+{
+    sim::Tick doneAt = 0;
+    int fires = 0;
+    std::uint64_t stalls = 0;
+};
+
+constexpr double dmaRateBps = 4e9;
+constexpr std::uint64_t dmaBytes = 8192; // above the copybreak
+
+/** Program one @p bytes transfer under fault spec @p fault ("" for
+ *  none) and run it to completion. */
+DmaRun
+runDmaTransfer(std::uint64_t bytes, const std::string &fault)
+{
+    sim::FaultPlan &plan = sim::FaultPlan::instance();
+    plan.clear();
+    if (!fault.empty()) {
+        sim::FaultPlan::Spec sp;
+        std::string err;
+        EXPECT_TRUE(sim::FaultPlan::parseSpec(fault, &sp, &err))
+            << fault << ": " << err;
+        plan.arm(sp);
+        plan.resetRunState();
+    }
+    Simulation s;
+    os::Kernel kernel(s, "host", 0, os::KernelParams{});
+    McnDmaEngine dma(s, "host.dma0", kernel,
+                     kernel.mem().controller(0).bulk(), dmaRateBps);
+    DmaRun r;
+    dma.transfer(bytes, [&r](sim::Tick at) {
+        r.doneAt = at;
+        ++r.fires;
+    });
+    s.run();
+    r.stalls = dma.stalls();
+    plan.clear();
+    return r;
+}
+
+/** Ticks the host channel's arbiter takes to stream @p bytes at the
+ *  engine's rate, alone on the channel. */
+sim::Tick
+streamTicks(std::uint64_t bytes)
+{
+    Simulation s;
+    os::Kernel kernel(s, "host", 0, os::KernelParams{});
+    sim::Tick end = 0;
+    kernel.mem().controller(0).bulk().startTransfer(
+        bytes, [&end](sim::Tick at) { end = at; }, dmaRateBps);
+    s.run();
+    return end;
+}
+
+} // namespace
+
+TEST(McnDmaFaults, StalledDescriptorCompletesOnceAfterTheDelay)
+{
+    const DmaRun clean = runDmaTransfer(dmaBytes, "");
+    ASSERT_EQ(clean.fires, 1);
+    EXPECT_EQ(clean.stalls, 0u);
+
+    // Default stall: 50 us before streaming.
+    const DmaRun stalled =
+        runDmaTransfer(dmaBytes, "host.dma0.stall:n=1,max=1");
+    EXPECT_EQ(stalled.fires, 1);
+    EXPECT_EQ(stalled.stalls, 1u);
+    EXPECT_EQ(stalled.doneAt, clean.doneAt + 50 * sim::oneUs);
+
+    // The spec's param sets the delay.
+    const DmaRun param =
+        runDmaTransfer(dmaBytes, "*.stall:n=1,max=1,param=7us");
+    EXPECT_EQ(param.fires, 1);
+    EXPECT_EQ(param.stalls, 1u);
+    EXPECT_EQ(param.doneAt, clean.doneAt + 7 * sim::oneUs);
+}
+
+TEST(McnDmaFaults, PartialTransferReplaysAndCompletesOnce)
+{
+    // The engine aborts after half the bytes (plus one) and replays
+    // the whole descriptor: the completion moves by the half
+    // transfer's streaming time, and fires once.
+    const DmaRun clean = runDmaTransfer(dmaBytes, "");
+    const DmaRun partial =
+        runDmaTransfer(dmaBytes, "host.dma0.partial:n=1,max=1");
+    EXPECT_EQ(partial.fires, 1);
+    EXPECT_EQ(partial.stalls, 1u);
+    EXPECT_EQ(partial.doneAt,
+              clean.doneAt + streamTicks(dmaBytes / 2 + 1));
 }

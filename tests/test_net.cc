@@ -1070,6 +1070,27 @@ TEST(UdpWire, HeaderRoundTrip)
     EXPECT_EQ(pkt->size(), 200u);
 }
 
+TEST(IcmpWire, PatternPayloadIsChecksummedUnwritten)
+{
+    // A makePattern() payload is a lazy extent: the echo header's
+    // checksum sums it in closed form, writing nothing, and the
+    // result verifies over the eager bytes.
+    const std::uint64_t before = Packet::materialisedBytes();
+    auto pkt = Packet::makePattern(301, 9);
+    IcmpHeader h;
+    h.id = 5;
+    h.push(*pkt, true);
+    EXPECT_EQ(Packet::materialisedBytes(), before);
+    const auto eager = pkt->bytes(); // writes the extent
+    EXPECT_EQ(Packet::materialisedBytes() - before, 301u);
+    std::vector<std::uint8_t> payload(301);
+    fillPattern(payload.data(), 9, payload.size());
+    EXPECT_TRUE(std::equal(payload.begin(), payload.end(),
+                           eager.begin() + IcmpHeader::size));
+    EXPECT_EQ(checksum(eager.data(), eager.size()), 0);
+    EXPECT_TRUE(IcmpHeader::pull(*pkt, true));
+}
+
 TEST(IcmpWire, EchoRoundTrip)
 {
     auto pkt = Packet::makePattern(56);

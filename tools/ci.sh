@@ -35,7 +35,8 @@
 #            byte-compare of the stat JSON across worker counts on
 #            the multi-server and fat-tree runs (DESIGN.md §9)
 #   checked  build with -DMCNSIM_CHECKED=ON, run ctest + the CLI
-#            determinism selfcheck across mcn levels 0-5
+#            determinism selfcheck across mcn levels 0-5, MCN pings
+#            at mcn0/mcn5 and a DMA stall/partial-transfer chaos run
 #   asan     address+undefined sanitizers: ctest + CLI smoke
 #   ubsan    undefined-only sanitizer run
 #   tsan     ThreadSanitizer run of the concurrency surface: PDES
@@ -296,6 +297,17 @@ if want checked; then
     done
     "$CHECKED_DIR/tools/mcnsim_cli" ping --selfcheck \
         --system=cluster
+    # The MCN ping path: CPU copies and HR-timer polling (mcn0), and
+    # the DMA engines (mcn5).
+    for lvl in 0 5; do
+        "$CHECKED_DIR/tools/mcnsim_cli" ping --selfcheck \
+            --system=mcn --dimms=2 --size=8192 --level="$lvl"
+    done
+    # The MCN-DMA fault paths: stalled descriptors and partial
+    # transfers.
+    "$CHECKED_DIR/tools/mcnsim_cli" chaos \
+        --faults='*.stall:p=0.05;*.partial:p=0.05' --duration-ms=1 \
+        --selfcheck
 fi
 
 if want asan; then

@@ -3,7 +3,8 @@
 #
 # Each sanitizer set gets its own build tree (configured with
 # -DMCNSIM_SANITIZE=<set>), runs the full ctest suite plus an
-# iperf + ping CLI smoke, and fails on the first finding
+# iperf + ping CLI smoke (pings over the cluster and to MCN DIMMs at
+# mcn0 and mcn5), and fails on the first finding
 # (-fno-sanitize-recover=all aborts on any error).
 #
 # The `thread` set is special-cased: TSan is incompatible with ASan
@@ -105,6 +106,10 @@ for san in "${SETS[@]}"; do
     echo "-- CLI smoke under '$san'"
     "$tree/tools/mcnsim_cli" iperf --duration-ms=1 > /dev/null
     "$tree/tools/mcnsim_cli" ping > /dev/null
+    for lvl in 0 5; do
+        "$tree/tools/mcnsim_cli" ping --system=mcn --dimms=2 \
+            --size=8192 --level="$lvl" > /dev/null
+    done
     echo "-- '$san' clean"
     echo
 done
