@@ -119,7 +119,6 @@ class ClusterSystem : public System
     std::size_t nodeCount() const override { return nodes_.size(); }
     NodeRef node(std::size_t i) override;
 
-    netdev::EthernetSwitch &torSwitch() { return *switch_; }
     netdev::Nic &nic(std::size_t i) { return *nodes_[i]->nic; }
     /** Node @p i's link to the ToR switch (fault injection). */
     netdev::EthernetLink &link(std::size_t i)
@@ -278,7 +277,6 @@ class McnMultiServer : public System
     NodeRef node(std::size_t i) override;
 
     McnSystem &server(std::size_t s) { return *servers_[s]; }
-    std::size_t serverCount() const { return servers_.size(); }
 
     /** Global node index of server @p s's DIMM @p d. */
     std::size_t

@@ -5,8 +5,6 @@
 
 #include "cpu/core.hh"
 
-#include <algorithm>
-
 #include "sim/simulation.hh"
 
 namespace mcnsim::cpu {
@@ -44,16 +42,6 @@ Core::backlogClearsAt() const
 {
     Tick at = running_ ? currentEndsAt_ : curTick();
     return at + queuedTicks_;
-}
-
-double
-Core::utilisation(Tick since) const
-{
-    Tick window = curTick() - since;
-    if (window == 0)
-        return 0.0;
-    return std::min(1.0, static_cast<double>(busyTicks_) /
-                             static_cast<double>(window));
 }
 
 void

@@ -75,14 +75,6 @@ class Core : public sim::SimObject
         return RunAwaiter{*this, cycles};
     }
 
-    /** Charge work specified as a duration at this core's clock. */
-    void
-    executeFor(Tick duration, sim::Callback<void(Tick)> done,
-               bool irq = false)
-    {
-        execute(clock_.ticksToCycles(duration), std::move(done), irq);
-    }
-
     /** Tick at which all queued work completes. */
     Tick backlogClearsAt() const;
 
@@ -91,9 +83,6 @@ class Core : public sim::SimObject
 
     /** Total ticks the core has spent busy (for energy). */
     Tick busyTicks() const { return busyTicks_; }
-
-    /** Busy fraction over the window since @p since. */
-    double utilisation(Tick since) const;
 
     const sim::ClockDomain &clock() const { return clock_; }
 

@@ -35,8 +35,6 @@ struct CostModel
     // --- TCP/IP stack (per packet / per byte) ----------------------
     Cycles tcpTxPerPacket = 2200;   ///< segment build + IP + queue
     Cycles tcpRxPerPacket = 2600;   ///< demux + ack/seq processing
-    Cycles udpTxPerPacket = 1200;
-    Cycles udpRxPerPacket = 1400;
     Cycles icmpPerPacket = 900;
     Cycles ipForwardPerPacket = 1100; ///< routing + header rewrite
     double checksumPerByte = 0.5;   ///< software checksum

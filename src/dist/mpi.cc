@@ -182,22 +182,8 @@ MpiRank::alltoall(std::uint64_t bytes_per_peer)
 }
 
 Task<void>
-MpiRank::allgather(std::uint64_t bytes)
-{
-    co_await alltoall(bytes);
-}
-
-Task<void>
 MpiRank::compute(sim::Cycles cycles)
 {
-    co_await core_->run(cycles);
-}
-
-Task<void>
-MpiRank::computeSeconds(double secs)
-{
-    auto cycles = static_cast<sim::Cycles>(
-        secs * core_->clock().frequencyHz());
     co_await core_->run(cycles);
 }
 

@@ -51,14 +51,10 @@ class MpiRank
     sim::Task<void> allreduce(std::uint64_t bytes);
     /** Personalised all-to-all, @p bytes_per_peer to each rank. */
     sim::Task<void> alltoall(std::uint64_t bytes_per_peer);
-    sim::Task<void> allgather(std::uint64_t bytes);
 
     // --- Local work ---------------------------------------------------
     /** Charge @p cycles of compute on this rank's pinned core. */
     sim::Task<void> compute(sim::Cycles cycles);
-
-    /** Compute expressed as seconds on this rank's core clock. */
-    sim::Task<void> computeSeconds(double secs);
 
     /**
      * Stream @p bytes through the node's memory system (the

@@ -57,14 +57,6 @@ struct WorkloadSpec
      *  pattern: per-peer for AllToAll, per-message otherwise). */
     std::uint64_t commBytesPerIter = 0;
 
-    /** Total per-rank memory traffic over the whole run. */
-    std::uint64_t
-    totalMemBytes() const
-    {
-        return memBytesPerIter *
-               static_cast<std::uint64_t>(iterations);
-    }
-
     /**
      * Strong scaling: divide per-rank work for an @p n-rank run
      * relative to the reference 4-rank problem.

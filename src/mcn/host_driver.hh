@@ -52,8 +52,6 @@ class McnHostInterface : public os::NetDevice
 
     os::TxResult xmit(net::PacketPtr pkt) override;
 
-    std::size_t dimmIndex() const { return dimmIndex_; }
-
   private:
     McnHostDriver &driver_;
     std::size_t dimmIndex_;

@@ -62,7 +62,6 @@ void
 McnInterface::mapHostWindow(mem::MemController &host_mc,
                             mem::Addr base)
 {
-    hostWindowBase_ = base;
     mem::MmioRegion r;
     r.base = base;
     r.size = sram_.totalBytes();

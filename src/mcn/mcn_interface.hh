@@ -62,8 +62,6 @@ class McnInterface : public sim::SimObject
     void mapHostWindow(mem::MemController &host_mc,
                        mem::Addr base);
 
-    mem::Addr hostWindowBase() const { return hostWindowBase_; }
-
     /** IRQ into the MCN processor: host deposited RX packets. */
     void setRxIrqHandler(std::function<void()> h)
     {
@@ -109,10 +107,6 @@ class McnInterface : public sim::SimObject
         }
     }
 
-    std::uint64_t rxIrqsRaised() const
-    {
-        return static_cast<std::uint64_t>(statRxIrqs_.value());
-    }
     std::uint64_t alertsRaised() const
     {
         return static_cast<std::uint64_t>(statAlerts_.value());
@@ -126,7 +120,6 @@ class McnInterface : public sim::SimObject
     SramBuffer sram_;
     McnInterfaceParams params_;
     std::unique_ptr<mem::BandwidthArbiter> sramPort_;
-    mem::Addr hostWindowBase_ = 0;
     std::function<void()> rxIrq_;
     std::function<void()> alert_;
 

@@ -94,10 +94,6 @@ class MessageRing
     std::size_t freeBytes() const { return capacity_ - used_; }
     std::size_t capacityBytes() const { return capacity_; }
 
-    /** Ring pointers, exposed for tests / pointer-read modelling. */
-    std::size_t startPtr() const { return start_; }
-    std::size_t endPtr() const { return end_; }
-
     std::uint64_t messagesEnqueued() const { return enqueued_; }
     std::uint64_t messagesDequeued() const { return dequeued_; }
 

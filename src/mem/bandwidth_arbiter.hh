@@ -68,7 +68,6 @@ class BandwidthArbiter : public sim::SimObject
      */
     void setBackgroundLoad(double frac);
 
-    double peakBps() const { return peakBps_; }
     double effectiveBps() const;
 
     std::uint64_t totalBytesMoved() const { return bytesMoved_; }

@@ -37,8 +37,6 @@ struct DimmInfo
      */
     Addr sramWindowBase = 0;
     std::uint64_t sramWindowSize = 0;
-
-    bool isMcn() const { return kind == DimmKind::Mcn; }
 };
 
 const char *to_string(DimmKind k);

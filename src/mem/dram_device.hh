@@ -68,10 +68,6 @@ class Rank
 
     Bank &bank(std::uint32_t b) { return banks_[b]; }
     const Bank &bank(std::uint32_t b) const { return banks_[b]; }
-    std::uint32_t bankCount() const
-    {
-        return static_cast<std::uint32_t>(banks_.size());
-    }
 
     /** Earliest tick a new activate may issue under tRRD/tFAW. */
     Tick nextActivateAllowed(Tick now) const;

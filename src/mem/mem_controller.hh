@@ -73,9 +73,6 @@ class MemController : public sim::SimObject
 
     const DramTiming &timing() const { return timing_; }
 
-    /** Average read latency observed so far (ticks). */
-    double avgReadLatency() const { return statReadLat_.mean(); }
-
     std::uint64_t
     fineBytes() const
     {

@@ -75,7 +75,6 @@ class CopyEngine : public sim::SimObject
               sim::Callback<void(sim::Tick)> done);
 
     const CopyParams &params() const { return params_; }
-    void setParams(CopyParams p) { params_ = p; }
 
     std::uint64_t bytesCopied() const
     {

@@ -2,7 +2,7 @@
  * @file
  * Internet checksum implementation.
  *
- * checksumPartial() is the hot path (every TCP/UDP segment sums its
+ * checksumPartial() is the hot path (every TCP segment sums its
  * whole payload unless mcn2 bypass is on), so it accumulates 64 bits
  * at a time with end-around carry, unrolled to 32 bytes per step,
  * instead of byte-pair arithmetic:

@@ -1,6 +1,6 @@
 /**
  * @file
- * RFC 1071 Internet checksum, used by the IPv4/TCP/UDP/ICMP layers.
+ * RFC 1071 Internet checksum, used by the IPv4/TCP/ICMP layers.
  * MCN's mcn2 optimisation bypasses these computations because the
  * memory channel is ECC/CRC protected (Sec. IV-A); the functions are
  * still always available so tests can verify packets end-to-end.

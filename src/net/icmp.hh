@@ -80,14 +80,6 @@ class IcmpLayer : public sim::SimObject
      */
     void notifyUnreachable(Ipv4Addr about);
 
-    std::uint64_t echoRequestsSeen() const
-    {
-        return static_cast<std::uint64_t>(statEchoReq_.value());
-    }
-    std::uint64_t unreachablesSeen() const
-    {
-        return static_cast<std::uint64_t>(statUnreachRx_.value());
-    }
     std::uint64_t partitionNotices() const
     {
         return static_cast<std::uint64_t>(

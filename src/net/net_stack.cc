@@ -9,7 +9,6 @@
 #include "net/checksum.hh"
 #include "net/icmp.hh"
 #include "net/tcp.hh"
-#include "net/udp.hh"
 #include "sim/flow_stats.hh"
 #include "sim/logging.hh"
 #include "sim/simulation.hh"
@@ -22,30 +21,21 @@ constexpr sim::Tick txRequeueDelay = 5 * sim::oneUs;
 /** qdisc depth per device; beyond this, tail drop. */
 constexpr std::size_t txQdiscCap = 4096;
 
-/** Offset of the L4 checksum field for protocols that carry one
- *  with a pseudo-header; SIZE_MAX otherwise. */
-std::size_t
-l4CsumOffset(std::uint8_t proto)
-{
-    if (proto == protoTcp)
-        return 16;
-    if (proto == protoUdp)
-        return 6;
-    return SIZE_MAX;
-}
+/** Offset of the checksum field in the TCP header. */
+constexpr std::size_t tcpCsumOffset = 16;
 
 /**
- * Fill a bypassed (zero) TCP/UDP checksum in a forwarded segment:
+ * Fill a bypassed (zero) TCP checksum in a forwarded segment:
  * the relay work a gateway does when traffic leaves the protected
  * memory channel for an untrusted hop under mcn2. Returns true
  * when a checksum was computed.
  */
 bool
-l4ChecksumFill(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
-               std::uint8_t proto)
+tcpChecksumFill(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
+                std::uint8_t proto)
 {
-    const std::size_t off = l4CsumOffset(proto);
-    if (off == SIZE_MAX || pkt.size() < off + 2)
+    constexpr std::size_t off = tcpCsumOffset;
+    if (proto != protoTcp || pkt.size() < off + 2)
         return false;
     const std::uint8_t *cp = pkt.cprefix(off + 2);
     if (cp[off] != 0 || cp[off + 1] != 0)
@@ -61,15 +51,15 @@ l4ChecksumFill(Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
     return true;
 }
 
-/** Verify a forwarded segment's TCP/UDP checksum at the trust
+/** Verify a forwarded segment's TCP checksum at the trust
  *  boundary; a zero (bypassed) checksum is unverifiable and
  *  passes. */
 bool
-l4ChecksumOk(const Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
-             std::uint8_t proto)
+tcpChecksumOk(const Packet &pkt, Ipv4Addr src, Ipv4Addr dst,
+              std::uint8_t proto)
 {
-    const std::size_t off = l4CsumOffset(proto);
-    if (off == SIZE_MAX || pkt.size() < off + 2)
+    constexpr std::size_t off = tcpCsumOffset;
+    if (proto != protoTcp || pkt.size() < off + 2)
         return true;
     const std::uint8_t *p = pkt.cprefix(off + 2);
     if (p[off] == 0 && p[off + 1] == 0)
@@ -88,8 +78,6 @@ NetStack::NetStack(sim::Simulation &s, std::string name,
     : sim::SimObject(s, std::move(name)), kernel_(kernel)
 {
     tcp_ = std::make_unique<TcpLayer>(s, this->name() + ".tcp",
-                                      *this);
-    udp_ = std::make_unique<UdpLayer>(s, this->name() + ".udp",
                                       *this);
     icmp_ = std::make_unique<IcmpLayer>(s, this->name() + ".icmp",
                                         *this);
@@ -141,15 +129,6 @@ NetStack::device(int ifindex)
         static_cast<std::size_t>(ifindex) >= devices_.size())
         return nullptr;
     return devices_[static_cast<std::size_t>(ifindex)];
-}
-
-Ipv4Addr
-NetStack::ifAddr(int ifindex) const
-{
-    for (const auto &e : table_.entries())
-        if (e.ifindex == ifindex)
-            return e.addr;
-    return Ipv4Addr();
 }
 
 void
@@ -372,18 +351,18 @@ NetStack::handleIp(PacketPtr pkt, bool trusted_hop)
             sim::Cycles fwd = kernel_.costs().ipForwardPerPacket;
             if (checksumBypass_) {
                 // Relay work at the trust boundary: fill bypassed
-                // L4 checksums when traffic leaves the memory
+                // TCP checksums when traffic leaves the memory
                 // channel for an untrusted hop, and verify inbound
                 // checksums here because the destination MCN node
                 // will skip verification (mcn2 is per-hop).
                 const bool out_trusted = trustedTowards(dst);
                 if (trusted_hop && !out_trusted) {
-                    if (l4ChecksumFill(*pkt, src, dst, proto))
+                    if (tcpChecksumFill(*pkt, src, dst, proto))
                         fwd += kernel_.costs().checksum(
                             pkt->size());
                 } else if (!trusted_hop && out_trusted) {
                     fwd += kernel_.costs().checksum(pkt->size());
-                    if (!l4ChecksumOk(*pkt, src, dst, proto)) {
+                    if (!tcpChecksumOk(*pkt, src, dst, proto)) {
                         statRxCsumDrops_ += 1;
                         statIpDrops_ += 1;
                         return;
@@ -416,11 +395,6 @@ NetStack::handleIp(PacketPtr pkt, bool trusted_hop)
         if (verify)
             cycles += costs.checksum(pkt->size());
         break;
-      case protoUdp:
-        cycles += costs.udpRxPerPacket;
-        if (verify)
-            cycles += costs.checksum(pkt->size());
-        break;
       case protoIcmp:
         cycles += costs.icmpPerPacket;
         break;
@@ -435,9 +409,6 @@ NetStack::handleIp(PacketPtr pkt, bool trusted_hop)
               case protoTcp:
                 tcp_->rx(src, dst, pkt, verify);
                 break;
-              case protoUdp:
-                udp_->rx(src, dst, pkt, verify);
-                break;
               case protoIcmp:
                 icmp_->rx(src, dst, pkt, verify);
                 break;
@@ -449,12 +420,6 @@ std::shared_ptr<TcpSocket>
 NetStack::tcpSocket()
 {
     return tcp_->createSocket();
-}
-
-std::shared_ptr<UdpSocket>
-NetStack::udpSocket()
-{
-    return udp_->createSocket();
 }
 
 } // namespace mcnsim::net

@@ -29,10 +29,8 @@
 namespace mcnsim::net {
 
 class TcpLayer;
-class UdpLayer;
 class IcmpLayer;
 class TcpSocket;
-class UdpSocket;
 
 /** One node's network stack. */
 class NetStack : public sim::SimObject
@@ -81,7 +79,6 @@ class NetStack : public sim::SimObject
     Ipv4Addr sourceAddrFor(Ipv4Addr dst) const;
 
     os::NetDevice *device(int ifindex);
-    Ipv4Addr ifAddr(int ifindex) const;
     /** The first configured interface address ("the node's IP"). */
     Ipv4Addr primaryAddr() const;
     const InterfaceTable &interfaces() const { return table_; }
@@ -117,11 +114,9 @@ class NetStack : public sim::SimObject
 
     // --- Layers & sockets -------------------------------------------
     TcpLayer &tcp() { return *tcp_; }
-    UdpLayer &udp() { return *udp_; }
     IcmpLayer &icmp() { return *icmp_; }
 
     std::shared_ptr<TcpSocket> tcpSocket();
-    std::shared_ptr<UdpSocket> udpSocket();
 
     // --- Knobs -------------------------------------------------------
     void setChecksumBypass(bool on) { checksumBypass_ = on; }
@@ -150,10 +145,6 @@ class NetStack : public sim::SimObject
     {
         return static_cast<std::uint64_t>(statIpTx_.value());
     }
-    std::uint64_t ipRxPackets() const
-    {
-        return static_cast<std::uint64_t>(statIpRx_.value());
-    }
 
   private:
     struct TxQueue
@@ -181,7 +172,6 @@ class NetStack : public sim::SimObject
     std::uint16_t nextIpId_ = 1;
 
     std::unique_ptr<TcpLayer> tcp_;
-    std::unique_ptr<UdpLayer> udp_;
     std::unique_ptr<IcmpLayer> icmp_;
 
     sim::Scalar statIpTx_{"ipTxPackets", "IP datagrams sent"};

@@ -539,7 +539,7 @@ void foldPathLatency(const Packet &pkt, std::size_t shard,
  * Record a packet delivered at @p delivered by @p final_hop into
  * flow telemetry: the flow's rx bytes and end-to-end latency (last
  * StackTx stamp to delivery, or sim::maxTick when the packet carries
- * none), then foldPathLatency(). The TCP, UDP and ICMP delivery
+ * none), then foldPathLatency(). The TCP and ICMP delivery
  * sites share it; callers gate on FlowTelemetry::active().
  */
 void recordDelivery(const Packet &pkt, std::size_t shard,

@@ -157,10 +157,6 @@ class TcpLayer : public sim::SimObject
     void bindConnection(const TcpTuple &t, TcpSocketPtr sock);
     void unbind(const TcpTuple &t, std::uint16_t listen_port);
 
-    std::uint64_t segmentsIn() const
-    {
-        return static_cast<std::uint64_t>(statRx_.value());
-    }
     std::uint64_t segmentsOut() const
     {
         return static_cast<std::uint64_t>(statTx_.value());
@@ -321,7 +317,6 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket>
     std::uint64_t bytesSent() const { return bytesSent_; }
     std::uint64_t bytesReceived() const { return bytesReceived_; }
     std::uint32_t cwnd() const { return cwnd_; }
-    std::uint32_t ssthresh() const { return ssthresh_; }
     std::uint64_t retransmits() const { return retransmits_; }
     /** Retransmissions triggered by triple duplicate ACKs (a
      *  subset of retransmits()); RTO-driven ones are the rest. */

@@ -80,7 +80,6 @@ class EthernetLink : public sim::SimObject
     /** Bytes queued-or-in-flight in @p src's direction. */
     std::uint64_t backlogBytes(const EtherEndpoint *src) const;
 
-    double bandwidthBps() const { return bandwidthBps_; }
     sim::Tick latency() const { return latency_; }
 
     std::uint64_t framesDropped() const
@@ -97,9 +96,6 @@ class EthernetLink : public sim::SimObject
     /** Fold the shard-local split-path counters into the registered
      *  Scalars (no-op on the classic same-queue path). */
     void syncStats() override;
-
-    /** True when the two ends live on different event queues. */
-    bool crossShard() const { return split_; }
 
     /** Cache scheduled "<name>.down" outage windows from the armed
      *  FaultPlan (spec: `at=` start, `param=` duration). */

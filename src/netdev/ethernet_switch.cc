@@ -284,7 +284,9 @@ EthernetSwitch::fabricFrameIn(std::uint32_t port, net::PacketPtr pkt)
     // so acting on frames in raw delivery order would make the
     // ECMP-visible forwarding order an engine artifact.
     Fabric &f = *fabric_;
-    f.inbox.emplace_back(port, std::move(pkt));
+    f.inbox.push_back(Fabric::Arrival{
+        port, static_cast<std::uint32_t>(f.inbox.size()),
+        std::move(pkt)});
     if (!f.passScheduled) {
         f.passScheduled = true;
         eventQueue().schedule([this] { fabricIngressPass(); },
@@ -298,16 +300,18 @@ EthernetSwitch::fabricIngressPass()
 {
     Fabric &f = *fabric_;
     f.passScheduled = false;
-    auto batch = std::move(f.inbox);
-    f.inbox.clear();
-    // Stable: frames from the same port (one link's FIFO) keep
-    // their relative order in every engine.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-    for (auto &[port, pkt] : batch)
-        fabricRoute(port, std::move(pkt));
+    f.batch.swap(f.inbox);
+    // Frames from the same port (one link's FIFO) keep their
+    // relative order in every engine: (port, seq) is unique, so an
+    // in-place sort gives the stable order without a buffer.
+    std::sort(f.batch.begin(), f.batch.end(),
+              [](const Fabric::Arrival &a, const Fabric::Arrival &b) {
+                  return a.port != b.port ? a.port < b.port
+                                          : a.seq < b.seq;
+              });
+    for (auto &a : f.batch)
+        fabricRoute(a.port, std::move(a.pkt));
+    f.batch.clear();
 }
 
 void

@@ -230,12 +230,23 @@ class EthernetSwitch : public sim::SimObject
         /** (srcIp, dstIp) -> last notify tick (throttle). */
         std::map<std::pair<std::uint32_t, std::uint32_t>, sim::Tick>
             lastNotify;
+        /** One same-tick arrival; seq is its position in the
+         *  inbox. */
+        struct Arrival
+        {
+            std::uint32_t port;
+            std::uint32_t seq;
+            net::PacketPtr pkt;
+        };
         /** Same-tick arrivals, routed in one end-of-tick pass
          *  sorted by ingress port: the classic and sharded engines
          *  (and different mailbox merges) interleave same-tick
          *  deliveries from different neighbours differently, and
          *  routing must only ever see modeled order. */
-        std::vector<std::pair<std::uint32_t, net::PacketPtr>> inbox;
+        std::vector<Arrival> inbox;
+        /** The pass's batch: swapped with inbox, so both keep their
+         *  capacity from pass to pass. */
+        std::vector<Arrival> batch;
         bool passScheduled = false;
     };
 

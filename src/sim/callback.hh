@@ -190,15 +190,24 @@ class Callback<R(Args...)>
     construct(F &&fn)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (detail::IsNullable<Fn>::value)
-            if (!fn)
-                return;
-        if constexpr (fitsInline<Fn>)
-            ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
-        else
-            ::new (static_cast<void *>(buf_))
-                Fn *(new Fn(std::forward<F>(fn)));
-        ops_ = &opsFor<Fn>;
+        if constexpr (std::is_same_v<Fn, Callback>) {
+            // A Callback is 64 B, so wrapping one in another would
+            // always allocate: take its callable over instead.
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "a Callback is moved, never copied");
+            takeFrom(fn);
+        } else {
+            if constexpr (detail::IsNullable<Fn>::value)
+                if (!fn)
+                    return;
+            if constexpr (fitsInline<Fn>)
+                ::new (static_cast<void *>(buf_))
+                    Fn(std::forward<F>(fn));
+            else
+                ::new (static_cast<void *>(buf_))
+                    Fn *(new Fn(std::forward<F>(fn)));
+            ops_ = &opsFor<Fn>;
+        }
     }
 
     void

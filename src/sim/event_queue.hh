@@ -423,9 +423,6 @@ class EventQueue
     /** Pooled callback events ever carved from the slabs. */
     std::size_t poolCarved() const { return poolCarved_; }
 
-    /** Pooled callback events currently on the free list. */
-    std::size_t poolFree() const { return freeList_.size(); }
-
     /** Pooled events currently live (scheduled or mid-dispatch);
      *  zero after a full drain means no pooled-event leaks. */
     std::size_t

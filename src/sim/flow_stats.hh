@@ -7,7 +7,7 @@
  * Three record families feed one process-wide FlowTelemetry
  * registry:
  *
- *  - *flows*: the transport layers (TCP/UDP/ICMP) record tx/rx
+ *  - *flows*: the transport layers (TCP/ICMP) record tx/rx
  *    bytes and packets, retransmits, RTT samples and end-to-end
  *    delivery latency per 5-tuple (src ip/port, dst ip/port,
  *    proto). A flow is unidirectional, like an IPFIX/NetFlow

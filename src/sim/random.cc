@@ -35,15 +35,6 @@ Rng::chance(double p)
 }
 
 double
-Rng::exponential(double mean)
-{
-    if (mean <= 0.0)
-        return 0.0;
-    std::exponential_distribution<double> dist(1.0 / mean);
-    return dist(engine_);
-}
-
-double
 Rng::normalNonNeg(double mean, double stddev)
 {
     std::normal_distribution<double> dist(mean, stddev);

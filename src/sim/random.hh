@@ -8,7 +8,7 @@
  *
  *   Rng rng(42);                              // same seed, same run
  *   auto burst = rng.uniformInt(1, 8);
- *   auto gap = rng.exponential(meanGapTicks);
+ *   auto jitter = rng.normalNonNeg(meanTicks, sdTicks);
  *   if (rng.chance(0.01)) dropPacket();
  */
 
@@ -34,9 +34,6 @@ class Rng
 
     /** Bernoulli trial with probability @p p of true. */
     bool chance(double p);
-
-    /** Exponentially distributed value with mean @p mean. */
-    double exponential(double mean);
 
     /** Normal value clamped at >= 0 (for jittered latencies). */
     double normalNonNeg(double mean, double stddev);

@@ -45,7 +45,7 @@ ShardSet::addEdge(std::size_t a, std::size_t b, Tick latency)
 void
 ShardSet::post(std::size_t src, std::size_t dst, Tick when,
                EventPriority prio, const char *name,
-               std::function<void()> fn)
+               Callback<void()> fn)
 {
     MCNSIM_ASSERT(src < queues_.size() && dst < queues_.size(),
                   "post shard index out of range");

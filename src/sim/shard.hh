@@ -63,7 +63,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -116,7 +115,7 @@ class ShardSet
      */
     void post(std::size_t src, std::size_t dst, Tick when,
               EventPriority prio, const char *name,
-              std::function<void()> fn);
+              Callback<void()> fn);
 
     /**
      * Run every shard up to @p until (inclusive, like
@@ -165,7 +164,7 @@ class ShardSet
          *  them exactly like a per-source counter would. */
         std::uint64_t seq;
         const char *name;
-        std::function<void()> fn;
+        Callback<void()> fn;
     };
 
     /** Mail for one destination from one writing worker, by window

@@ -49,7 +49,7 @@ void
 Simulation::postCrossShard(std::size_t src, std::size_t dst,
                            Tick when, EventPriority prio,
                            const char *name,
-                           std::function<void()> fn)
+                           Callback<void()> fn)
 {
     if (shards_) {
         shards_->post(src, dst, when, prio, name, std::move(fn));

@@ -36,7 +36,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -94,15 +93,6 @@ class Simulation
      * via StatRegistry::dumpJson.
      */
     void dumpStatsJson(std::ostream &os);
-
-    /** Reset all statistics (e.g. after warmup). Syncs pending
-     *  shard-local counters first so they don't survive the reset. */
-    void
-    resetStats()
-    {
-        prepareStatsDump();
-        statRegistry_.resetAll();
-    }
 
     /** RNG seed this simulation was constructed with. */
     std::uint64_t seed() const { return seed_; }
@@ -219,7 +209,7 @@ class Simulation
      */
     void postCrossShard(std::size_t src, std::size_t dst, Tick when,
                         EventPriority prio, const char *name,
-                        std::function<void()> fn);
+                        Callback<void()> fn);
 
     /** Worker threads used by sharded run() (default 1). Clamped to
      *  the shard count; ignored when unsharded. */
@@ -239,9 +229,10 @@ class Simulation
     /**
      * Record every registry Scalar (its value) and Average (its
      * mean) whose qualified "group.stat" name contains @p filter
-     * (empty = all; histograms are skipped -- a distribution is not
-     * one number) as a timeline counter on its group's track: now,
-     * then every @p period while Timeline::active(). Sampling is one
+     * (empty = all; queue stats are skipped -- a time-weighted
+     * level and a peak are not one number) as a timeline counter
+     * on its group's track: now, then every @p period while
+     * Timeline::active(). Sampling is one
      * managed event at StatsDump priority, so a sample sees
      * everything else scheduled for its tick applied; a run of
      * length T yields floor(T/period)+1 samples per stat. Returns

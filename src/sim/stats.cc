@@ -7,8 +7,6 @@
 
 #include <iomanip>
 
-#include "sim/logging.hh"
-
 namespace mcnsim::sim {
 
 void
@@ -54,113 +52,8 @@ Average::toJson(json::Writer &w) const
     w.endObject();
 }
 
-Histogram::Histogram(std::string name, std::string desc, double min,
-                     double max, std::size_t buckets)
-    : StatBase(std::move(name), std::move(desc)), lo_(min), hi_(max),
-      width_((max - min) / static_cast<double>(buckets)),
-      buckets_(buckets, 0)
-{
-    MCNSIM_ASSERT(max > min && buckets > 0, "bad histogram bounds");
-}
-
-void
-Histogram::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-    sum_ += v;
-    count_++;
-
-    if (v < lo_) {
-        under_++;
-    } else if (v >= hi_) {
-        over_++;
-    } else {
-        auto idx = static_cast<std::size_t>((v - lo_) / width_);
-        if (idx >= buckets_.size())
-            idx = buckets_.size() - 1;
-        buckets_[idx]++;
-    }
-}
-
-double
-Histogram::percentile(double p) const
-{
-    if (count_ == 0)
-        return 0.0;
-    // Fractional target rank, then linear interpolation within the
-    // bucket that holds it: tail percentiles (p999) land between
-    // bucket edges instead of snapping to a midpoint. The result is
-    // clamped to the exact observed extremes so a sparsely filled
-    // bucket cannot report a value no sample ever had.
-    double target = p / 100.0 * static_cast<double>(count_);
-    if (static_cast<double>(under_) >= target && under_ > 0)
-        return std::min(lo_, max_);
-    double seen = static_cast<double>(under_);
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        double n = static_cast<double>(buckets_[i]);
-        if (n > 0.0 && seen + n >= target) {
-            double frac = (target - seen) / n;
-            double v = lo_ + width_ * (static_cast<double>(i) + frac);
-            return std::clamp(v, min_, max_);
-        }
-        seen += n;
-    }
-    return max_;
-}
-
-void
-Histogram::print(std::ostream &os, const std::string &prefix) const
-{
-    os << std::left << std::setw(48) << (prefix + name()) << " mean="
-       << mean() << " min=" << min_ << " max=" << max_
-       << " p50=" << percentile(50) << " p99=" << percentile(99)
-       << " n=" << count_ << " # " << desc() << "\n";
-}
-
-void
-Histogram::toJson(json::Writer &w) const
-{
-    w.beginObject();
-    jsonHeader(w, "histogram");
-    w.kv("count", count_);
-    w.kv("sum", sum_);
-    w.kv("mean", mean());
-    w.kv("min", min_);
-    w.kv("max", max_);
-    w.kv("lo", lo_);
-    w.kv("hi", hi_);
-    w.kv("bucket_width", width_);
-    w.kv("underflow", under_);
-    w.kv("overflow", over_);
-    w.key("buckets");
-    w.beginArray();
-    for (auto b : buckets_)
-        w.value(b);
-    w.endArray();
-    w.key("percentiles");
-    w.beginObject();
-    w.kv("p50", percentile(50));
-    w.kv("p90", percentile(90));
-    w.kv("p99", percentile(99));
-    w.endObject();
-    w.endObject();
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    under_ = over_ = count_ = 0;
-    sum_ = min_ = max_ = 0.0;
-}
-
 // ---------------------------------------------------------------------
-// LogBuckets / LogHistogram
+// LogBuckets
 // ---------------------------------------------------------------------
 
 std::size_t
@@ -247,14 +140,6 @@ LogBuckets::percentile(double p) const
     return static_cast<double>(max_);
 }
 
-void
-LogBuckets::reset()
-{
-    buckets_.clear();
-    count_ = sum_ = max_ = 0;
-    min_ = ~std::uint64_t{0};
-}
-
 std::vector<std::pair<std::size_t, std::uint64_t>>
 LogBuckets::nonzero() const
 {
@@ -293,25 +178,6 @@ LogBuckets::writeJsonBody(json::Writer &w) const
     w.endArray();
 }
 
-void
-LogHistogram::print(std::ostream &os, const std::string &prefix) const
-{
-    os << std::left << std::setw(48) << (prefix + name())
-       << " mean=" << mean() << " min=" << minSample()
-       << " max=" << maxSample() << " p50=" << percentile(50)
-       << " p99=" << percentile(99) << " p999=" << percentile(99.9)
-       << " n=" << count() << " # " << desc() << "\n";
-}
-
-void
-LogHistogram::toJson(json::Writer &w) const
-{
-    w.beginObject();
-    jsonHeader(w, "log_histogram");
-    b_.writeJsonBody(w);
-    w.endObject();
-}
-
 // ---------------------------------------------------------------------
 // QueueStat
 // ---------------------------------------------------------------------
@@ -339,14 +205,6 @@ QueueStat::toJson(json::Writer &w) const
 }
 
 void
-QueueStat::reset()
-{
-    area_ = 0.0;
-    lastTick_ = 0;
-    lastLevel_ = peak_ = updates_ = 0;
-}
-
-void
 StatGroup::print(std::ostream &os) const
 {
     for (const auto *s : stats_)
@@ -364,13 +222,6 @@ StatGroup::toJson(json::Writer &w) const
         s->toJson(w);
     w.endArray();
     w.endObject();
-}
-
-void
-StatGroup::reset()
-{
-    for (auto *s : stats_)
-        s->reset();
 }
 
 void
@@ -401,13 +252,6 @@ StatRegistry::writeGroups(json::Writer &w) const
     for (const auto *g : groups_)
         g->toJson(w);
     w.endArray();
-}
-
-void
-StatRegistry::resetAll()
-{
-    for (auto *g : groups_)
-        g->reset();
 }
 
 } // namespace mcnsim::sim

@@ -1,8 +1,10 @@
 /**
  * @file
  * Statistics package, a small cousin of gem5's: named scalar
- * counters, averages, histograms and rate helpers, organised into
- * per-object groups and dumpable as text or as JSON.
+ * counters, averages, queue-occupancy stats and rate helpers,
+ * organised into per-object groups and dumpable as text or as JSON.
+ * LogBuckets is the log-bucketed distribution core the flow
+ * telemetry tables (sim/flow_stats.hh) build on.
  *
  * Usage:
  *
@@ -15,7 +17,7 @@
  * The JSON schema is documented in README.md §Observability: one
  * top-level object with "schema_version" and "groups", each group
  * carrying its stats as typed objects ("scalar" / "average" /
- * "histogram" including raw buckets and percentiles).
+ * "queue").
  */
 
 #ifndef MCNSIM_SIM_STATS_HH
@@ -56,9 +58,6 @@ class StatBase
      *  ...}). The writer must be positioned where a value fits. */
     virtual void toJson(json::Writer &w) const = 0;
 
-    /** Reset to the post-construction state. */
-    virtual void reset() = 0;
-
   protected:
     /** Shared "name"/"desc"/"type" members of the JSON object. */
     void jsonHeader(json::Writer &w, const char *type) const;
@@ -77,13 +76,11 @@ class Scalar : public StatBase
 
     Scalar &operator+=(double v) { value_ += v; return *this; }
     Scalar &operator++() { value_ += 1.0; return *this; }
-    void set(double v) { value_ = v; }
     double value() const { return value_; }
 
     void print(std::ostream &os,
                const std::string &prefix) const override;
     void toJson(json::Writer &w) const override;
-    void reset() override { value_ = 0.0; }
 
   private:
     double value_ = 0.0;
@@ -109,7 +106,6 @@ class Average : public StatBase
     void print(std::ostream &os,
                const std::string &prefix) const override;
     void toJson(json::Writer &w) const override;
-    void reset() override { sum_ = 0.0; count_ = 0; }
 
   private:
     double sum_ = 0.0;
@@ -117,50 +113,8 @@ class Average : public StatBase
 };
 
 /**
- * Fixed-bucket histogram over [min, max) with overflow/underflow
- * buckets, plus exact min/max/mean tracking.
- */
-class Histogram : public StatBase
-{
-  public:
-    Histogram(std::string name, std::string desc, double min,
-              double max, std::size_t buckets);
-
-    void sample(double v);
-
-    std::uint64_t count() const { return count_; }
-
-    double
-    mean() const
-    {
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-    }
-
-    double minSample() const { return min_; }
-    double maxSample() const { return max_; }
-
-    /** Approximate p-th percentile (0..100) from bucket midpoints. */
-    double percentile(double p) const;
-
-    void print(std::ostream &os,
-               const std::string &prefix) const override;
-    void toJson(json::Writer &w) const override;
-    void reset() override;
-
-    std::uint64_t underflow() const { return under_; }
-    std::uint64_t overflow() const { return over_; }
-
-  private:
-    double lo_, hi_, width_;
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t under_ = 0, over_ = 0, count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0, max_ = 0.0;
-};
-
-/**
- * Log-bucketed counting core shared by LogHistogram and the flow
- * telemetry tables (sim/flow_stats.hh): HDR-histogram-style
+ * Log-bucketed counting core of the flow telemetry tables
+ * (sim/flow_stats.hh): HDR-histogram-style
  * log-linear buckets over unsigned tick values. Values below
  * kSubBuckets land in unit-width buckets; above that each power-of-
  * two range splits into kSubBuckets linear subbuckets, so relative
@@ -197,8 +151,6 @@ class LogBuckets
                       : 0.0;
     }
 
-    void reset();
-
     /** Bucket index for @p v (test / report introspection). */
     static std::size_t bucketIndex(std::uint64_t v);
 
@@ -222,37 +174,6 @@ class LogBuckets
     std::uint64_t sum_ = 0;
     std::uint64_t min_ = ~std::uint64_t{0};
     std::uint64_t max_ = 0;
-};
-
-/**
- * HDR-style log-bucketed histogram stat for long-tailed tick-valued
- * distributions (latencies): p50/p90/p99/p999 with within-bucket
- * interpolation, exact min/max, and a sparse JSON encoding. Unlike
- * Histogram it needs no a-priori [min, max) range.
- */
-class LogHistogram : public StatBase
-{
-  public:
-    using StatBase::StatBase;
-
-    void sample(std::uint64_t v) { b_.sample(v); }
-    void merge(const LogHistogram &o) { b_.merge(o.b_); }
-
-    std::uint64_t count() const { return b_.count(); }
-    double mean() const { return b_.mean(); }
-    std::uint64_t minSample() const { return b_.minSample(); }
-    std::uint64_t maxSample() const { return b_.maxSample(); }
-    double percentile(double p) const { return b_.percentile(p); }
-
-    const LogBuckets &buckets() const { return b_; }
-
-    void print(std::ostream &os,
-               const std::string &prefix) const override;
-    void toJson(json::Writer &w) const override;
-    void reset() override { b_.reset(); }
-
-  private:
-    LogBuckets b_;
 };
 
 /**
@@ -296,7 +217,6 @@ class QueueStat : public StatBase
     void print(std::ostream &os,
                const std::string &prefix) const override;
     void toJson(json::Writer &w) const override;
-    void reset() override;
 
   private:
     double area_ = 0.0; ///< integral of level over time (level*ticks)
@@ -321,8 +241,6 @@ class StatGroup
 
     /** Write {"name":..., "stats":[...]} for this group. */
     void toJson(json::Writer &w) const;
-
-    void reset();
 
     const std::string &name() const { return name_; }
     const std::vector<StatBase *> &stats() const { return stats_; }
@@ -350,8 +268,6 @@ class StatRegistry
      *  JSON object, for callers composing a larger document
      *  (Simulation::dumpStatsJson wraps this with run metadata). */
     void writeGroups(json::Writer &w) const;
-
-    void resetAll();
 
     /** Registered groups, for walkers like
      *  Simulation::sampleStatsToTimeline. */

@@ -16,7 +16,7 @@
  *
  * Tasks compose by co_await-ing sub-tasks; top-level tasks are
  * launched with spawnDetached() or via a TaskGroup that tracks
- * completion. Condition / Mailbox / SimSemaphore provide blocking
+ * completion. Condition and Mailbox provide blocking
  * primitives whose wakeups are funnelled through the event queue so
  * notify never recursively re-enters the notifier.
  */
@@ -370,38 +370,6 @@ class Condition
     /// only when there are none.
     std::coroutine_handle<> first_;
     std::vector<std::coroutine_handle<>> spill_;
-};
-
-/** Counting semaphore for coroutines (e.g. bounded socket buffers). */
-class SimSemaphore
-{
-  public:
-    SimSemaphore(EventQueue &q, std::int64_t initial)
-        : cv_(q), count_(initial)
-    {}
-
-    /** Acquire @p n units, suspending while unavailable. */
-    Task<void>
-    acquire(std::int64_t n = 1)
-    {
-        while (count_ < n)
-            co_await cv_.wait();
-        count_ -= n;
-    }
-
-    /** Release @p n units and wake waiters. */
-    void
-    release(std::int64_t n = 1)
-    {
-        count_ += n;
-        cv_.notifyAll();
-    }
-
-    std::int64_t available() const { return count_; }
-
-  private:
-    Condition cv_;
-    std::int64_t count_;
 };
 
 /**

@@ -13,13 +13,13 @@ struct Scalar
     Scalar(const std::string &name, const char *desc);
 };
 using Average = Scalar;
-using LogHistogram = Scalar;
+using QueueStat = Scalar;
 
 struct NicStats
 {
     Scalar txBytes{"txBytes", "bytes sent"};
     Average ringUsed{"txRing.usedBytes", "mean ring occupancy"};
-    LogHistogram rtt2{"rtt2", "round-trip times"};
+    QueueStat rxBacklog{"rxBacklog", "rx ring occupancy"};
     // analyze-ok: stat-name (kRttName is the literal "rttUs")
     Scalar rtt{kRttName, "round-trip time"};
 };

@@ -14,7 +14,6 @@ struct Scalar
     Scalar(const std::string &name, const char *desc);
 };
 using Average = Scalar;
-using Histogram = Scalar;
 using QueueStat = Scalar;
 
 struct NicStats
@@ -23,7 +22,7 @@ struct NicStats
     Scalar txBytes{"TxBytes", "bytes sent"}; // expect: stat-name
     Scalar rxDrops{"rx_drops", "frames dropped"}; // expect: stat-name
     Average latency{prefix + "Latency", "mean latency"}; // expect: stat-name
-    Histogram depth{"ring..depth", "ring depth"}; // expect: stat-name
+    Average depth{"ring..depth", "ring depth"}; // expect: stat-name
     // analyze-ok: stat-name
     QueueStat queue{"Queue", "queue occupancy"}; // expect: stat-name
 };

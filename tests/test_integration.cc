@@ -11,7 +11,6 @@
 #include "net/icmp.hh"
 #include "net/socket.hh"
 #include "net/tcp.hh"
-#include "net/udp.hh"
 #include "sim/simulation.hh"
 
 using namespace mcnsim;
@@ -170,30 +169,6 @@ TEST(ClusterIntegration, TcpDataIntegrity)
         ASSERT_EQ(received[i],
                   static_cast<std::uint8_t>((i * 7) & 0xff))
             << "at offset " << i;
-}
-
-TEST(ClusterIntegration, UdpDatagramAcrossSwitch)
-{
-    Simulation s;
-    ClusterSystemParams p;
-    ClusterSystem sys(s, p);
-
-    std::vector<std::uint8_t> got;
-    auto receiver = [&]() -> Task<void> {
-        auto sock = sys.node(1).stack->udpSocket();
-        sock->bind(9000);
-        auto d = co_await sock->recvFrom();
-        got = d.data;
-    };
-    auto sender = [&]() -> Task<void> {
-        co_await delayFor(s.eventQueue(), 10 * oneUs);
-        auto sock = sys.node(0).stack->udpSocket();
-        sock->sendTo(sys.addrOf(1), 9000, {1, 2, 3, 4, 5});
-    };
-    spawnDetached(s.eventQueue(), receiver());
-    spawnDetached(s.eventQueue(), sender());
-    s.run(s.curTick() + secondsToTicks(0.1));
-    EXPECT_EQ(got, (std::vector<std::uint8_t>{1, 2, 3, 4, 5}));
 }
 
 // ---------------------------------------------------------------------

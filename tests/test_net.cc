@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the TCP send and receive queues, packet buffers,
- * checksums, Ethernet/IPv4/ICMP/UDP wire formats, and
+ * checksums, Ethernet/IPv4/ICMP wire formats, and
  * interface-table routing semantics.
  */
 
@@ -20,7 +20,6 @@
 #include "net/packet.hh"
 #include "net/recv_queue.hh"
 #include "net/tcp.hh"
-#include "net/udp.hh"
 #include "sim/random.hh"
 
 using namespace mcnsim::net;
@@ -1051,23 +1050,6 @@ TEST(TcpWire, WindowFieldScalesAndSaturates)
         ASSERT_TRUE(parsed);
         EXPECT_EQ(parsed->window, w);
     }
-}
-
-TEST(UdpWire, HeaderRoundTrip)
-{
-    Ipv4Addr src(10, 0, 0, 1), dst(10, 0, 0, 2);
-    auto pkt = Packet::makePattern(200);
-    UdpHeader h;
-    h.srcPort = 7;
-    h.dstPort = 9;
-    h.push(*pkt, src, dst, true);
-
-    auto parsed = UdpHeader::pull(*pkt, src, dst, true);
-    ASSERT_TRUE(parsed);
-    EXPECT_EQ(parsed->srcPort, 7);
-    EXPECT_EQ(parsed->dstPort, 9);
-    EXPECT_EQ(parsed->length, 208);
-    EXPECT_EQ(pkt->size(), 200u);
 }
 
 TEST(IcmpWire, PatternPayloadIsChecksummedUnwritten)

@@ -11,7 +11,6 @@
 #include "net/tcp.hh"
 #include "netdev/ethernet_link.hh"
 #include "netdev/ethernet_switch.hh"
-#include "netdev/loopback.hh"
 #include "netdev/mac_fib.hh"
 #include "netdev/nic.hh"
 #include "os/kernel.hh"
@@ -318,22 +317,6 @@ TEST(SwitchTest, EgressQueueTailDrops)
     s.run();
     EXPECT_GT(sw.drops(), 0u);
     EXPECT_LT(h1.got.size(), 10u);
-}
-
-TEST(LoopbackTest, EchoesUp)
-{
-    Simulation s;
-    LoopbackDevice lo(s, "lo");
-    PacketPtr got;
-    lo.setRxHandler([&](os::NetDevice &, PacketPtr p) {
-        got = std::move(p);
-    });
-    lo.xmit(Packet::makePattern(50));
-    s.run();
-    ASSERT_TRUE(got);
-    EXPECT_EQ(got->size(), 50u);
-    EXPECT_EQ(lo.txPackets(), 1u);
-    EXPECT_EQ(lo.rxPackets(), 1u);
 }
 
 // ---------------------------------------------------------------------

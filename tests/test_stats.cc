@@ -33,8 +33,6 @@ TEST(Scalar, AccumulatesAndResets)
     s += 5.5;
     ++s;
     EXPECT_DOUBLE_EQ(s.value(), 16.5);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
 }
 
 TEST(Average, MeanOverSamples)
@@ -47,40 +45,6 @@ TEST(Average, MeanOverSamples)
     EXPECT_DOUBLE_EQ(a.mean(), 20.0);
     EXPECT_EQ(a.count(), 3u);
     EXPECT_DOUBLE_EQ(a.sum(), 60.0);
-}
-
-TEST(Histogram, BucketsAndStats)
-{
-    Histogram h("h", "test", 0.0, 100.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i);
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_DOUBLE_EQ(h.mean(), 49.5);
-    EXPECT_DOUBLE_EQ(h.minSample(), 0.0);
-    EXPECT_DOUBLE_EQ(h.maxSample(), 99.0);
-    // p50 should land near the middle bucket
-    EXPECT_NEAR(h.percentile(50), 50.0, 10.0);
-    EXPECT_NEAR(h.percentile(99), 95.0, 10.0);
-}
-
-TEST(Histogram, OutOfRangeSamplesTracked)
-{
-    Histogram h("h", "test", 10.0, 20.0, 5);
-    h.sample(-5.0);
-    h.sample(100.0);
-    h.sample(15.0);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_DOUBLE_EQ(h.minSample(), -5.0);
-    EXPECT_DOUBLE_EQ(h.maxSample(), 100.0);
-}
-
-TEST(Histogram, ResetClearsEverything)
-{
-    Histogram h("h", "test", 0.0, 10.0, 5);
-    h.sample(5.0);
-    h.reset();
-    EXPECT_EQ(h.count(), 0u);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
 TEST(StatGroup, PrintsAllMembers)
@@ -117,67 +81,6 @@ TEST(StatRegistry, DumpAndResetAll)
     reg.dump(os);
     EXPECT_NE(os.str().find("a.x"), std::string::npos);
     EXPECT_NE(os.str().find("b.y"), std::string::npos);
-
-    reg.resetAll();
-    EXPECT_DOUBLE_EQ(s1.value(), 0.0);
-    EXPECT_DOUBLE_EQ(s2.value(), 0.0);
-}
-
-TEST(Histogram, PercentileEdgeCases)
-{
-    // Empty histogram: every percentile is 0.
-    Histogram empty("h", "test", 0.0, 10.0, 5);
-    EXPECT_DOUBLE_EQ(empty.percentile(50), 0.0);
-    EXPECT_DOUBLE_EQ(empty.percentile(99), 0.0);
-
-    // Single bucket: interpolation walks the bucket but the result
-    // is clamped to the observed extremes -- two samples cannot
-    // produce a value no sample ever had.
-    Histogram one("h", "test", 0.0, 10.0, 1);
-    one.sample(2.0);
-    one.sample(9.0);
-    EXPECT_DOUBLE_EQ(one.percentile(50), 5.0);
-    EXPECT_DOUBLE_EQ(one.percentile(99), 9.0); // clamped to max
-    EXPECT_DOUBLE_EQ(one.percentile(99.9), 9.0);
-
-    // All samples below the range: the observed extreme wins over
-    // the range edge (samples were <= 0, so p50 must not report 10).
-    Histogram under("h", "test", 10.0, 20.0, 5);
-    under.sample(-5.0);
-    under.sample(0.0);
-    EXPECT_EQ(under.underflow(), 2u);
-    EXPECT_DOUBLE_EQ(under.percentile(50), 0.0);
-
-    // All samples above the range: percentile reports the exact max.
-    Histogram over("h", "test", 10.0, 20.0, 5);
-    over.sample(100.0);
-    over.sample(250.0);
-    EXPECT_EQ(over.overflow(), 2u);
-    EXPECT_DOUBLE_EQ(over.percentile(50), 250.0);
-
-    // p999 with fewer than 1000 samples: lands in the top bucket,
-    // clamped to the true maximum rather than the bucket edge.
-    Histogram few("h", "test", 0.0, 100.0, 10);
-    for (int i = 0; i < 10; ++i)
-        few.sample(10.0 * i + 5.0);
-    EXPECT_DOUBLE_EQ(few.percentile(99.9), 95.0);
-}
-
-TEST(Histogram, PercentileInterpolatesWithinBucket)
-{
-    // 100 uniform samples over [0,100) in 10 buckets: interpolation
-    // should track the true quantile to within one sample step,
-    // where midpoint snapping was off by up to half a bucket.
-    Histogram h("h", "test", 0.0, 100.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i + 0.5);
-    EXPECT_NEAR(h.percentile(50), 50.0, 1.0);
-    EXPECT_NEAR(h.percentile(90), 90.0, 1.0);
-    EXPECT_NEAR(h.percentile(99), 99.0, 1.0);
-    // Monotone in p.
-    EXPECT_LE(h.percentile(50), h.percentile(90));
-    EXPECT_LE(h.percentile(90), h.percentile(99));
-    EXPECT_LE(h.percentile(99), h.percentile(99.9));
 }
 
 TEST(LogBuckets, BucketMathCoversTheRange)
@@ -270,10 +173,6 @@ TEST(QueueStat, TimeWeightedAverageAndPeak)
     EXPECT_EQ(v["type"].asString(), "queue");
     EXPECT_DOUBLE_EQ(v["twa"].asNumber(), 4.5);
     EXPECT_DOUBLE_EQ(v["peak"].asNumber(), 10.0);
-
-    q.reset();
-    EXPECT_DOUBLE_EQ(q.timeWeightedMean(), 0.0);
-    EXPECT_EQ(q.peak(), 0u);
 }
 
 TEST(JsonStats, ScalarRoundTrips)
@@ -299,47 +198,21 @@ TEST(JsonStats, AverageRoundTrips)
     EXPECT_DOUBLE_EQ(v["mean"].asNumber(), 20.0);
 }
 
-TEST(JsonStats, HistogramRoundTrips)
-{
-    Histogram h("h", "test", 0.0, 100.0, 10);
-    for (int i = 0; i < 100; ++i)
-        h.sample(i);
-    h.sample(-1.0);
-    h.sample(500.0);
-
-    auto v = roundTrip(h);
-    EXPECT_EQ(v["type"].asString(), "histogram");
-    EXPECT_DOUBLE_EQ(v["count"].asNumber(), 102.0);
-    EXPECT_DOUBLE_EQ(v["min"].asNumber(), -1.0);
-    EXPECT_DOUBLE_EQ(v["max"].asNumber(), 500.0);
-    EXPECT_DOUBLE_EQ(v["lo"].asNumber(), 0.0);
-    EXPECT_DOUBLE_EQ(v["hi"].asNumber(), 100.0);
-    EXPECT_DOUBLE_EQ(v["underflow"].asNumber(), 1.0);
-    EXPECT_DOUBLE_EQ(v["overflow"].asNumber(), 1.0);
-    ASSERT_EQ(v["buckets"].size(), 10u);
-    for (std::size_t i = 0; i < 10; ++i)
-        EXPECT_DOUBLE_EQ(v["buckets"][i].asNumber(), 10.0);
-    EXPECT_DOUBLE_EQ(v["percentiles"]["p50"].asNumber(),
-                     h.percentile(50));
-    EXPECT_DOUBLE_EQ(v["percentiles"]["p99"].asNumber(),
-                     h.percentile(99));
-}
-
 TEST(JsonStats, RegistryDumpJsonParses)
 {
     StatRegistry reg;
     StatGroup g1("node0.nic"), g2("node1.nic");
     Scalar s1("tx", "tx bytes");
     Average a1("lat", "latency");
-    Histogram h1("q", "queue depth", 0.0, 16.0, 4);
+    QueueStat q1("q", "queue depth");
     g1.add(&s1);
     g1.add(&a1);
-    g2.add(&h1);
+    g2.add(&q1);
     reg.add(&g1);
     reg.add(&g2);
     s1 += 99;
     a1.sample(7);
-    h1.sample(3);
+    q1.update(5, 3);
 
     std::ostringstream os;
     reg.dumpJson(os);
@@ -351,7 +224,7 @@ TEST(JsonStats, RegistryDumpJsonParses)
     EXPECT_DOUBLE_EQ(
         v["groups"][0]["stats"][0]["value"].asNumber(), 99.0);
     EXPECT_EQ(
-        v["groups"][1]["stats"][0]["type"].asString(), "histogram");
+        v["groups"][1]["stats"][0]["type"].asString(), "queue");
 }
 
 TEST(RateHelpers, GbpsAndGBps)

@@ -294,27 +294,6 @@ TEST(Condition, NotifyOneWalksInlineThenSpilledInOrder)
     EXPECT_EQ(order.size(), 5u);
 }
 
-TEST(Semaphore, BlocksUntilRelease)
-{
-    EventQueue q;
-    SimSemaphore sem(q, 1);
-    std::vector<int> order;
-    auto user = [&](int id) -> Task<void> {
-        co_await sem.acquire();
-        order.push_back(id);
-        co_await delayFor(q, 100);
-        sem.release();
-    };
-    spawnDetached(q, user(1));
-    spawnDetached(q, user(2));
-    q.run();
-    ASSERT_EQ(order.size(), 2u);
-    EXPECT_EQ(order[0], 1);
-    EXPECT_EQ(order[1], 2);
-    EXPECT_EQ(q.curTick(), 200u);
-    EXPECT_EQ(sem.available(), 1);
-}
-
 TEST(Mailbox, FifoDelivery)
 {
     EventQueue q;

@@ -293,11 +293,11 @@ TEST(TimelineStats, FilterSamplesScalarsAndAveragesSkipsHistograms)
     Component other(s, "nodeB.dev");
     Scalar bytes{"txBytes", "bytes sent"};
     Average lat{"lat", "latency"};
-    Histogram hist{"dist", "not sampled", 0, 10, 4};
+    QueueStat depth{"depth", "not sampled"};
     Scalar otherBytes{"txBytes", "filtered out"};
     comp.stats().add(&bytes);
     comp.stats().add(&lat);
-    comp.stats().add(&hist);
+    comp.stats().add(&depth);
     other.stats().add(&otherBytes);
 
     // Nothing is sampled (or scheduled) while the timeline is off.
@@ -305,7 +305,7 @@ TEST(TimelineStats, FilterSamplesScalarsAndAveragesSkipsHistograms)
     EXPECT_TRUE(s.eventQueue().empty());
 
     Timeline::instance().enable(true);
-    // Filter by qualified name; histograms never match.
+    // Filter by qualified name; queue stats never match.
     EXPECT_EQ(s.sampleStatsToTimeline(oneUs, "nodeA.dev."), 2u);
     bytes += 1000;
     lat.sample(4.0);

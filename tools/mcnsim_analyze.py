@@ -160,7 +160,7 @@ PACKET_MAKE_TEMP_RE = re.compile(
 # first constructor argument -- a literal (group 1) or whatever
 # non-literal expression sits there (group 2).
 STAT_CTOR_RE = re.compile(
-    r"\b(?:Scalar|Average|Histogram|LogHistogram|QueueStat)\s+"
+    r"\b(?:Scalar|Average|QueueStat)\s+"
     r"\w+\s*[({]\s*(?:\"([^\"]*)\"|([^,)}]+))"
 )
 STAT_NAME_OK_RE = re.compile(
