@@ -61,6 +61,37 @@ BM_EventQueueScheduleRun(benchmark::State &state)
 BENCHMARK(BM_EventQueueScheduleRun);
 
 static void
+BM_EventChain(benchmark::State &state)
+{
+    // Each handler schedules its successor, the next event to run,
+    // ahead of a standing backlog of far-future events: the pattern
+    // of MCN polling and driver work on a core, which
+    // BM_EventQueueScheduleRun's batch of 64 misses.
+    sim::EventQueue q;
+    for (int i = 0; i < 64; ++i)
+        q.schedule([] {}, sim::maxTick / 2 + i, "bench.backlog");
+    struct Link
+    {
+        sim::EventQueue *q;
+        int *left;
+
+        void
+        operator()() const
+        {
+            if (--*left > 0)
+                q->scheduleIn(*this, 10, "bench.chain");
+        }
+    };
+    for (auto _ : state) {
+        int left = 64;
+        q.scheduleIn(Link{&q, &left}, 10, "bench.chain");
+        q.run(q.curTick() + 64 * 10);
+    }
+    benchmark::DoNotOptimize(q.eventsProcessed());
+}
+BENCHMARK(BM_EventChain);
+
+static void
 BM_Checksum(benchmark::State &state)
 {
     std::vector<std::uint8_t> data(

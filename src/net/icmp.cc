@@ -249,11 +249,11 @@ IcmpLayer::sendUnreachable(Ipv4Addr to, Ipv4Addr about)
     if (!stack_.interfaces().route(to))
         return;
     statUnreachTx_ += 1;
-    auto pkt = Packet::make({
-        static_cast<std::uint8_t>(about.v >> 24),
-        static_cast<std::uint8_t>(about.v >> 16),
-        static_cast<std::uint8_t>(about.v >> 8),
-        static_cast<std::uint8_t>(about.v),
+    auto pkt = Packet::makeFilled(4, [about](std::uint8_t *p) {
+        p[0] = static_cast<std::uint8_t>(about.v >> 24);
+        p[1] = static_cast<std::uint8_t>(about.v >> 16);
+        p[2] = static_cast<std::uint8_t>(about.v >> 8);
+        p[3] = static_cast<std::uint8_t>(about.v);
     });
     IcmpHeader h;
     h.type = icmpDestUnreachable;

@@ -6,6 +6,8 @@
 
 #include "net/net_stack.hh"
 
+#include <algorithm>
+
 #include "net/checksum.hh"
 #include "net/icmp.hh"
 #include "net/tcp.hh"
@@ -154,17 +156,33 @@ NetStack::primaryAddr() const
     return table_.ownAddrs().front();
 }
 
+namespace {
+
+bool
+ipBefore(const std::pair<std::uint32_t, MacAddr> &e, std::uint32_t ip)
+{
+    return e.first < ip;
+}
+
+} // namespace
+
 void
 NetStack::addNeighbor(Ipv4Addr ip, MacAddr mac)
 {
-    neighbors_[ip.v] = mac;
+    auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(),
+                               ip.v, ipBefore);
+    if (it != neighbors_.end() && it->first == ip.v)
+        it->second = mac;
+    else
+        neighbors_.insert(it, {ip.v, mac});
 }
 
 std::optional<MacAddr>
 NetStack::neighbor(Ipv4Addr ip) const
 {
-    auto it = neighbors_.find(ip.v);
-    if (it == neighbors_.end())
+    auto it = std::lower_bound(neighbors_.begin(), neighbors_.end(),
+                               ip.v, ipBefore);
+    if (it == neighbors_.end() || it->first != ip.v)
         return defaultNeighbor_;
     return it->second;
 }

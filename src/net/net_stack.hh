@@ -16,6 +16,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/ethernet.hh"
@@ -164,7 +165,10 @@ class NetStack : public sim::SimObject
     os::Kernel &kernel_;
     InterfaceTable table_;
     std::vector<os::NetDevice *> devices_;
-    std::map<std::uint32_t, MacAddr> neighbors_;
+    /** Static neighbour entries sorted by IPv4 address. They are
+     *  only inserted and looked up, so a binary search over one
+     *  flat array replaces a tree walk. */
+    std::vector<std::pair<std::uint32_t, MacAddr>> neighbors_;
     std::map<os::NetDevice *, TxQueue> txQueues_;
     std::optional<MacAddr> defaultNeighbor_;
     bool ipForwarding_ = false;

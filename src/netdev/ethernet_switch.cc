@@ -389,8 +389,10 @@ EthernetSwitch::sendHello(std::uint32_t port)
     EthernetLink *link = ports_[port]->link;
     if (!link)
         return;
-    auto pkt = net::Packet::make(
-        {static_cast<std::uint8_t>(port), 0, 0, 0});
+    auto pkt = net::Packet::makeFilled(4, [port](std::uint8_t *p) {
+        p[0] = static_cast<std::uint8_t>(port);
+        p[1] = p[2] = p[3] = 0;
+    });
     net::EthernetHeader h;
     h.dst = net::MacAddr::broadcast();
     h.src = net::MacAddr{};

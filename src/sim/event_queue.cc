@@ -1,8 +1,8 @@
 /**
  * @file
- * EventQueue implementation: vector-backed binary heap with lazy
- * deletion + threshold compaction, and a slab pool for managed
- * callback events.
+ * EventQueue implementation: vector-backed binary heap plus a front
+ * slot for the earliest entry, lazy deletion + threshold compaction,
+ * and a slab pool for managed callback events.
  */
 
 #include "sim/event_queue.hh"
@@ -71,11 +71,10 @@ EventQueue::~EventQueue()
     // to a socket whose destructor cancels its timers); draining_
     // makes those re-entrant calls mark-only.
     draining_ = true;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-        const Entry e = heap_[i];
+    const auto drain = [this](const Entry e) {
         Event *ev = e.ev;
         if (!ev)
-            continue;
+            return;
         if (ev->scheduled_ && ev->seq_ == e.seq())
             ev->scheduled_ = false;
         else
@@ -88,22 +87,35 @@ EventQueue::~EventQueue()
             // will not call back into us.
             ev->queue_ = nullptr;
         }
+    };
+    if (hasFront_) {
+        hasFront_ = false;
+        drain(front_);
     }
+    for (std::size_t i = 0; i < heap_.size(); ++i)
+        drain(heap_[i]);
     heap_.clear();
 }
 
 void
 EventQueue::forgetDead(Event *ev)
 {
-    for (Entry &e : heap_) {
+    // Scrub in place, the front slot included: an Event destructor
+    // must not allocate. popAndRun() and compact() skip the nulled
+    // entries.
+    const auto scrub = [this, ev](Entry &e) {
         if (e.ev != ev)
-            continue;
+            return;
         // The (single) live entry turns stale by being nulled; stale
         // entries were already counted.
         if (ev->scheduled_ && e.seq() == ev->seq_)
             staleEntries_++;
         e.ev = nullptr;
-    }
+    };
+    if (hasFront_)
+        scrub(front_);
+    for (Entry &e : heap_)
+        scrub(e);
     ev->scheduled_ = false;
     ev->staleRefs_ = 0;
     ev->queue_ = nullptr;
@@ -226,8 +238,25 @@ EventQueue::schedule(Event *ev, Tick when)
     assert(nextSeq_ <= seqMask && "sequence numbers exhausted");
     ev->seq_ = nextSeq_++;
     ev->scheduled_ = true;
-    heap_.push_back(Entry{when, entryKey(ev), ev});
-    std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+    const Entry n{when, entryKey(ev), ev};
+    // The new entry takes the front slot when it pops before every
+    // pending entry; a displaced slot entry goes into the heap.
+    const Entry *top = earliest();
+    if (top && !EntryAfter{}(*top, n)) {
+        heap_.push_back(n);
+        std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+        return;
+    }
+    if (hasFront_) {
+        heap_.push_back(front_);
+        std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+    }
+    // Field by field: copying a stack-built Entry in stalls the
+    // next pop's loads on store forwarding.
+    front_.when = n.when;
+    front_.key = n.key;
+    front_.ev = n.ev;
+    hasFront_ = true;
 }
 
 void
@@ -253,7 +282,7 @@ EventQueue::deschedule(Event *ev)
     // No compaction while ~EventQueue walks the heap (re-entrant
     // call from a capture's destructor): the walk settles accounts.
     if (!draining_ && staleEntries_ > staleCompactMin &&
-        staleEntries_ * 2 > heap_.size())
+        staleEntries_ * 2 > internalEntries())
         compact();
 }
 
@@ -281,20 +310,27 @@ EventQueue::compact()
     // live entry exists elsewhere in the heap). A seq-matched entry
     // for a descheduled managed event is that event's only remaining
     // reference -- recycle it here, exactly as popAndRun() would.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-        const Entry e = heap_[i];
+    // The front slot is settled in place, so compaction (which a
+    // destructor's deschedule() can trigger) never allocates; a live
+    // slot entry stays, as it still comes before every heap entry.
+    const auto live = [this](const Entry e) {
         if (!e.ev)
-            continue; // scrubbed by ~Event
-        if (e.ev->scheduled_ && e.ev->seq_ == e.seq()) {
-            heap_[kept++] = e;
-            continue;
-        }
+            return false; // scrubbed by ~Event
+        if (e.ev->scheduled_ && e.ev->seq_ == e.seq())
+            return true;
         e.ev->staleRefs_--;
         if (!e.ev->scheduled_ && e.ev->managed_ &&
             e.ev->seq_ == e.seq()) {
             recycle(static_cast<CallbackEvent *>(e.ev));
         }
+        return false;
+    };
+    if (hasFront_ && !live(front_))
+        hasFront_ = false;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < heap_.size(); ++i) {
+        if (live(heap_[i]))
+            heap_[kept++] = heap_[i];
     }
     heap_.resize(kept);
     std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
@@ -304,9 +340,15 @@ EventQueue::compact()
 void
 EventQueue::popAndRun()
 {
-    const Entry e = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-    heap_.pop_back();
+    Entry e;
+    if (hasFront_) {
+        e = front_;
+        hasFront_ = false;
+    } else {
+        e = heap_.front();
+        std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
+        heap_.pop_back();
+    }
 
     Event *ev = e.ev;
     // Entry scrubbed by ~Event: the event is gone; only the count
@@ -405,7 +447,7 @@ Tick
 EventQueue::run(Tick until)
 {
     CurrentScope scope(this);
-    while (!heap_.empty() && heap_.front().when <= until)
+    for (const Entry *e; (e = earliest()) && e->when <= until;)
         popAndRun();
     if (curTick_ < until && until != maxTick)
         curTick_ = until;
@@ -417,7 +459,7 @@ EventQueue::runEvents(std::uint64_t n)
 {
     CurrentScope scope(this);
     std::uint64_t before = processed_;
-    while (!heap_.empty() && processed_ - before < n)
+    while (earliest() && processed_ - before < n)
         popAndRun();
     return processed_ - before;
 }
@@ -429,10 +471,9 @@ EventQueue::nextEventTick()
     // reported tick belongs to a live event. popAndRun() on a stale
     // head does exactly the bookkeeping run() would do, so this
     // pruning never perturbs the schedule.
-    while (!heap_.empty()) {
-        const Entry &e = heap_.front();
-        if (e.ev && e.ev->scheduled_ && e.ev->seq_ == e.seq())
-            return e.when;
+    while (const Entry *e = earliest()) {
+        if (e->ev && e->ev->scheduled_ && e->ev->seq_ == e->seq())
+            return e->when;
         popAndRun();
     }
     return maxTick;
@@ -442,7 +483,7 @@ void
 EventQueue::runWindow(Tick endExclusive)
 {
     CurrentScope scope(this);
-    while (!heap_.empty() && heap_.front().when < endExclusive)
+    for (const Entry *e; (e = earliest()) && e->when < endExclusive;)
         popAndRun();
 }
 
@@ -451,7 +492,7 @@ EventQueue::setCurTick(Tick t)
 {
     MCNSIM_ASSERT(t >= curTick_,
                   "setCurTick would move time backwards");
-    assert((heap_.empty() || nextEventTick() >= t) &&
+    assert((!earliest() || nextEventTick() >= t) &&
            "setCurTick would jump over a pending event");
     curTick_ = t;
 }

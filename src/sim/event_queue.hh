@@ -28,6 +28,12 @@
  *    literal on the fast path; a std::string name is interned once
  *    into a process-lifetime pool, so Event never owns (or copies)
  *    name storage.
+ *  - The pending set is a binary heap plus one front slot held
+ *    outside it, whose entry (when present) comes before every heap
+ *    entry. A handler that schedules the next event to run (an MCN
+ *    poll, a driver's core slot) fills the slot, and popAndRun()
+ *    takes it back, so a chain of such events never touches the
+ *    heap. Keys are unique, so the pop order is the heap's.
  *  - deschedule() is lazy: the heap entry is left behind and skipped
  *    (by sequence-number mismatch or a cleared scheduled flag) when
  *    popped. The queue counts stale entries and compacts the heap
@@ -320,13 +326,13 @@ class EventQueue
     }
 
     /** True when no live events are pending. */
-    bool empty() const { return heap_.size() == staleEntries_; }
+    bool empty() const { return internalEntries() == staleEntries_; }
 
     /** Number of live (not lazily-descheduled) pending events. */
     std::size_t
     pendingEvents() const
     {
-        return heap_.size() - staleEntries_;
+        return internalEntries() - staleEntries_;
     }
 
     /**
@@ -414,10 +420,15 @@ class EventQueue
 
     // Introspection for tests and diagnostics ------------------------
 
-    /** Heap entries including stale (lazily-descheduled) ones. */
-    std::size_t internalEntries() const { return heap_.size(); }
+    /** Pending entries (heap and front slot) including stale
+     *  (lazily-descheduled) ones. */
+    std::size_t
+    internalEntries() const
+    {
+        return heap_.size() + (hasFront_ ? 1 : 0);
+    }
 
-    /** Stale heap entries awaiting pop or compaction. */
+    /** Stale entries awaiting pop or compaction. */
     std::size_t staleEntries() const { return staleEntries_; }
 
     /** Pooled callback events ever carved from the slabs. */
@@ -521,6 +532,16 @@ class EventQueue
         EventQueue *prev;
     };
 
+    /** The earliest pending entry, live or stale; null when none
+     *  is pending. */
+    const Entry *
+    earliest() const
+    {
+        if (hasFront_)
+            return &front_;
+        return heap_.empty() ? nullptr : &heap_.front();
+    }
+
     void popAndRun();
     void dispatchProfiled(Event *ev);
     void compact();
@@ -560,6 +581,10 @@ class EventQueue
      *  or trip the checked lifetime detectors. */
     bool draining_ = false;
     std::vector<Entry> heap_;
+    /** The front slot: when hasFront_, an entry that comes before
+     *  every entry in heap_. */
+    Entry front_{};
+    bool hasFront_ = false;
     struct DetachedFrame
     {
         std::coroutine_handle<> h;

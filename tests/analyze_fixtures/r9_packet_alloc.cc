@@ -2,7 +2,8 @@
  * @file
  * Analyzer fixture: R9 packet-alloc violations. Raw heap byte
  * storage bypasses the slab pool's size-classed free lists; a
- * temporary vector fed to Packet::make() copies the bytes twice.
+ * temporary vector fed to Packet::make(), named or a braced list,
+ * copies the bytes twice.
  */
 
 #include <cstddef>
@@ -25,7 +26,10 @@ copies(const std::uint8_t *p, std::size_t n, const Packet *src)
     auto *b = Packet::make( // expect: packet-alloc
         std::vector<std::uint8_t>(p, p + n));
     auto *c = Packet::make(src->bytes()); // expect: packet-alloc
-    (void)a, (void)b, (void)c;
+    auto *d = Packet::make({0x45, 0, 0, 0}); // expect: packet-alloc
+    auto *e = Packet::make( // expect: packet-alloc
+        {static_cast<std::uint8_t>(n), 0, 0, 0});
+    (void)a, (void)b, (void)c, (void)d, (void)e;
 }
 
 void

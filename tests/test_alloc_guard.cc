@@ -803,3 +803,29 @@ TEST(AllocGuard, FabricIngressPassReusesItsBatch)
     EXPECT_EQ(hosts[2].frames, 4u * perPort);
     EXPECT_EQ(sw.forwarded(), 4u * perPort);
 }
+
+TEST(AllocGuard, WarmFabricHelloRound)
+{
+    // Two fabric switches probe one trunk with hellos every
+    // helloInterval. A hello's 4-byte payload is written in place
+    // into a pooled block, so once the pool and the event slabs are
+    // warm a round of hellos allocates nothing.
+    sim::Simulation s;
+    netdev::EthernetSwitch a(s, "a", 1), b(s, "b", 1);
+    const netdev::FabricParams fp;
+    a.enableFabric(fp);
+    b.enableFabric(fp);
+    a.markTrunk(0);
+    b.markTrunk(0);
+    netdev::EthernetLink trunk(s, "trunk", 10e9, sim::oneUs);
+    a.attachLink(0, trunk);
+    b.attachLink(0, trunk, /*b_side=*/true);
+    s.run(4 * fp.helloInterval);
+    {
+        AllocCount c;
+        s.run(s.curTick() + 2 * fp.helloInterval);
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_TRUE(a.portLive(0));
+    EXPECT_TRUE(b.portLive(0));
+}

@@ -11,8 +11,10 @@
 #include <array>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -303,6 +305,191 @@ TEST(EventQueue, RandomizedStressKeepsDispatchOrderAndPool)
     }
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.pendingEvents(), 0u);
+    EXPECT_EQ(q.staleEntries(), 0u);
+    EXPECT_EQ(q.poolOutstanding(), 0u) << "pooled-event leak";
+}
+
+TEST(EventQueue, PendingSetMatchesOrderedModel)
+{
+    // Differential test of the pending set (heap plus front slot)
+    // against a std::map keyed on (tick, priority, schedule order):
+    // every dispatch must be the model's first entry. The seeded mix
+    // covers same-tick schedules at mixed priorities, handlers that
+    // schedule the next event to run (which lands in the front
+    // slot), deschedule and reschedule of the earliest entry,
+    // owner-held events destroyed while earliest, compactions with a
+    // cancelled or a live entry in the slot, and run, runEvents,
+    // runWindow and nextEventTick.
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+    Rng rng(20261019);
+    EventQueue q;
+    std::map<Key, int> model;           // pending key -> event id
+    std::unordered_map<int, Key> keyOf; // event id -> pending key
+    std::unordered_map<int, Event *> managed; // ids >= 0
+    std::uint64_t order = 0;
+    int nextId = 0;
+    std::uint64_t fired = 0;
+
+    static const EventPriority prios[] = {
+        EventPriority::ClockTick, EventPriority::HardwareIrq,
+        EventPriority::Default, EventPriority::Softirq,
+        EventPriority::Process};
+    auto randomPrio = [&] { return prios[rng.uniformInt(0, 4)]; };
+
+    auto track = [&](int id, Tick when, EventPriority prio) {
+        const Key k{when, static_cast<int>(prio), order++};
+        model.emplace(k, id);
+        keyOf[id] = k;
+    };
+    auto untrack = [&](int id) {
+        auto it = keyOf.find(id);
+        model.erase(it->second);
+        keyOf.erase(it);
+    };
+
+    // Owner-held events have ids -1 - i.
+    std::function<void(int)> fire;
+    std::array<std::unique_ptr<CallbackEvent>, 5> held;
+    auto makeHeld = [&](std::size_t i) {
+        held[i] = std::make_unique<CallbackEvent>(
+            "held", [&fire, i] { fire(-1 - static_cast<int>(i)); },
+            prios[i]);
+    };
+    for (std::size_t i = 0; i < held.size(); ++i)
+        makeHeld(i);
+    auto heldEvent = [&](int id) {
+        return held[static_cast<std::size_t>(-1 - id)].get();
+    };
+
+    auto addManaged = [&](Tick when, EventPriority prio) {
+        const int id = nextId++;
+        track(id, when, prio);
+        managed[id] = q.schedule([&fire, id] { fire(id); }, when,
+                                 "diff", prio);
+    };
+    auto scheduleHeld = [&](std::size_t i, Tick when) {
+        CallbackEvent *ev = held[i].get();
+        const int id = -1 - static_cast<int>(i);
+        if (ev->scheduled()) {
+            untrack(id);
+            track(id, when, ev->priority());
+            q.reschedule(ev, when);
+        } else {
+            track(id, when, ev->priority());
+            q.schedule(ev, when);
+        }
+    };
+    auto descheduleId = [&](int id) {
+        untrack(id);
+        if (id >= 0) {
+            q.deschedule(managed[id]);
+            managed.erase(id);
+        } else {
+            q.deschedule(heldEvent(id));
+        }
+    };
+    auto earliestId = [&] { return model.begin()->second; };
+
+    fire = [&](int id) {
+        ASSERT_FALSE(model.empty());
+        ASSERT_EQ(earliestId(), id) << "dispatch " << fired;
+        ASSERT_EQ(std::get<0>(model.begin()->first), q.curTick());
+        untrack(id);
+        managed.erase(id);
+        ++fired;
+        // Chains: schedule the next event to run, often at this
+        // tick; sometimes cancel or move the earliest pending entry.
+        if (rng.chance(0.6))
+            addManaged(q.curTick() + rng.uniformInt(0, 2),
+                       randomPrio());
+        if (!model.empty() && rng.chance(0.1))
+            descheduleId(earliestId());
+        if (rng.chance(0.1))
+            scheduleHeld(rng.uniformInt(0, held.size() - 1),
+                         q.curTick() + rng.uniformInt(0, 3));
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+        const Tick now = q.curTick();
+        switch (rng.uniformInt(0, 8)) {
+        case 0:
+        case 1:
+            for (auto k = rng.uniformInt(1, 4); k > 0; --k)
+                addManaged(now + rng.uniformInt(0, 20), randomPrio());
+            break;
+        case 2:
+            scheduleHeld(rng.uniformInt(0, held.size() - 1),
+                         now + rng.uniformInt(0, 20));
+            break;
+        case 3:
+            if (!model.empty())
+                descheduleId(earliestId());
+            break;
+        case 4: {
+            // Destroy an owner-held event, preferring the earliest
+            // pending entry when it is one, and build a fresh one.
+            int id = model.empty() ? -1 : earliestId();
+            if (id >= 0)
+                id = -1 - static_cast<int>(
+                              rng.uniformInt(0, held.size() - 1));
+            if (keyOf.count(id))
+                untrack(id);
+            makeHeld(static_cast<std::size_t>(-1 - id));
+            break;
+        }
+        case 5: {
+            const auto before = fired;
+            const auto n = rng.uniformInt(1, 6);
+            const auto ran = q.runEvents(n);
+            ASSERT_EQ(ran, fired - before);
+            ASSERT_LE(ran, n);
+            break;
+        }
+        case 6: {
+            const Tick end = now + rng.uniformInt(0, 10);
+            q.runWindow(end);
+            if (!model.empty()) {
+                ASSERT_GE(std::get<0>(model.begin()->first), end);
+            }
+            break;
+        }
+        case 7:
+            ASSERT_EQ(q.nextEventTick(),
+                      model.empty() ? maxTick
+                                    : std::get<0>(model.begin()->first));
+            break;
+        case 8: {
+            const Tick until = now + rng.uniformInt(0, 10);
+            ASSERT_EQ(q.run(until), until);
+            if (!model.empty()) {
+                ASSERT_GT(std::get<0>(model.begin()->first), until);
+            }
+            break;
+        }
+        }
+        if (step % 500 == 250) {
+            // Compaction with an entry in the front slot (once
+            // nothing is pending at now, a schedule at now takes
+            // the slot), cancelled in every other round and live in
+            // the rest; then cancel most of a far-future batch.
+            q.run(q.curTick());
+            addManaged(q.curTick(), EventPriority::Default);
+            if (step % 1000 == 250)
+                descheduleId(earliestId());
+            for (int k = 0; k < 200; ++k)
+                addManaged(q.curTick() + 1'000'000 +
+                               rng.uniformInt(0, 50),
+                           randomPrio());
+            for (int k = 0; k < 150; ++k)
+                descheduleId(model.rbegin()->second);
+            EXPECT_LT(q.staleEntries(), 150u) << "no compaction";
+        }
+        ASSERT_EQ(q.pendingEvents(), model.size()) << "step " << step;
+    }
+    q.run();
+    EXPECT_TRUE(model.empty());
+    EXPECT_GT(fired, 3000u);
+    EXPECT_EQ(q.internalEntries(), 0u);
     EXPECT_EQ(q.staleEntries(), 0u);
     EXPECT_EQ(q.poolOutstanding(), 0u) << "pooled-event leak";
 }

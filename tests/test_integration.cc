@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "core/experiment.hh"
 #include "core/system_builder.hh"
 #include "net/icmp.hh"
 #include "net/socket.hh"
@@ -290,6 +295,44 @@ TEST(McnIntegration, EchoPayloadsStayLazyAndRttsHold)
         EXPECT_EQ(Packet::materialisedBytes(), written)
             << "level " << c.level << ", " << c.payload << " B";
     }
+}
+
+TEST(McnIntegration, PingSweepDigestMatchesPinnedSchedule)
+{
+    // Pinned fingerprint of a 2-DIMM ping sweep's modeled end state
+    // (stat JSON, final tick and event count) at mcn0 and mcn5: 16 B,
+    // 1 KB and 8 KB, host<->MCN and MCN<->MCN, at the 9 KB MTU the
+    // mcn_ping benchmark uses. MCN polling and driver work make
+    // chains of short events here, so this pins the event engine's
+    // dispatch order on the paper's latency path, event count
+    // included, as Pdes.IperfDigestsMatchPinnedSchedule does for
+    // iperf.
+    std::string digest;
+    for (int level : {0, 5}) {
+        Simulation s(1);
+        McnSystemParams p;
+        p.numDimms = 2;
+        p.config = McnConfig::level(level);
+        p.config.mtu = 9000;
+        McnSystem sys(s, p);
+        const std::vector<std::size_t> sizes = {16, 1024, 8192};
+        for (const auto &pt : runPingSweep(s, sys, 0, 1, sizes, 3))
+            EXPECT_EQ(pt.lost, 0) << "mcn" << level << " host<->mcn";
+        for (const auto &pt : runPingSweep(s, sys, 1, 2, sizes, 3))
+            EXPECT_EQ(pt.lost, 0) << "mcn" << level << " mcn<->mcn";
+        std::ostringstream os;
+        s.prepareStatsDump();
+        s.statRegistry().dumpJson(os);
+        os << "tick=" << s.curTick()
+           << " events=" << s.eventsProcessed() << "\n";
+        digest += os.str();
+    }
+    std::uint64_t h = 0xcbf29ce484222325ull; // FNV-1a
+    for (unsigned char c : digest) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    EXPECT_EQ(h, 0x500cdca79a2beb44ull) << std::hex << h;
 }
 
 TEST(McnIntegration, TcpHostToDimm)

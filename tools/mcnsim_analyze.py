@@ -150,9 +150,11 @@ PACKET_ALLOC_RE = re.compile(
     r"|\bnew\s+(?:std::)?vector\s*<\s*(?:std::)?uint8_t"
 )
 # ...and a temporary byte vector built only to feed Packet::make():
-# a vector constructed in the call, or another packet's bytes() copy.
+# a vector constructed in the call (by name or from a braced list),
+# or another packet's bytes() copy.
 PACKET_MAKE_TEMP_RE = re.compile(
     r"\bPacket::make\s*\(\s*(?:(?:std::)?vector\s*<[^<>]*>\s*[({]"
+    r"|\{"
     r"|[\w.>-]+(?:->|\.)\s*bytes\s*\(\s*\))"
 )
 
