@@ -37,13 +37,6 @@ Core::execute(Cycles cycles, sim::Callback<void(Tick)> done, bool irq)
         startNext();
 }
 
-Tick
-Core::backlogClearsAt() const
-{
-    Tick at = running_ ? currentEndsAt_ : curTick();
-    return at + queuedTicks_;
-}
-
 void
 Core::startNext()
 {

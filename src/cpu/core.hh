@@ -76,7 +76,14 @@ class Core : public sim::SimObject
     }
 
     /** Tick at which all queued work completes. */
-    Tick backlogClearsAt() const;
+    Tick backlogClearsAt() const { return backlogClearsAt(curTick()); }
+
+    /** As above, given the current tick @p now. */
+    Tick
+    backlogClearsAt(Tick now) const
+    {
+        return (running_ ? currentEndsAt_ : now) + queuedTicks_;
+    }
 
     /** True when the core has no queued or running work. */
     bool idle() const { return !running_ && queue_.empty(); }
@@ -110,7 +117,7 @@ class Core : public sim::SimObject
     Tick busyTicks_ = 0;
     /// Sum of cyclesToTicks() over queue_: backlogClearsAt() is on
     /// the per-segment CPU-charge path (CpuCluster::leastLoaded scans
-    /// every core), so it must not walk the slot deque.
+    /// the cores), so it must not walk the slot deque.
     Tick queuedTicks_ = 0;
 
     sim::Scalar statSlots_{"slots", "work slots executed"};

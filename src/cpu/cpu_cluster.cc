@@ -26,10 +26,13 @@ CpuCluster::CpuCluster(sim::Simulation &s, std::string name,
 Core &
 CpuCluster::leastLoaded()
 {
-    Core *best = cores_[0].get();
-    sim::Tick best_at = best->backlogClearsAt();
+    // The tick is read once for the whole scan; the strict compare
+    // keeps the lowest-index core on a tie.
+    const sim::Tick now = curTick();
+    Core *best = cores_.front().get();
+    sim::Tick best_at = sim::maxTick;
     for (auto &c : cores_) {
-        sim::Tick at = c->backlogClearsAt();
+        const sim::Tick at = c->backlogClearsAt(now);
         if (at < best_at) {
             best = c.get();
             best_at = at;

@@ -34,7 +34,8 @@ class CpuCluster : public sim::SimObject
 
     Core &core(std::uint32_t i) { return *cores_[i]; }
 
-    /** The core whose backlog clears soonest. */
+    /** The core whose backlog clears soonest; the lowest-index one
+     *  on a tie. */
     Core &leastLoaded();
 
     /** Charge unpinned work on the least-loaded core. */

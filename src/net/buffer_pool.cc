@@ -170,7 +170,7 @@ BufferPool::recycle(PktBuf *b)
         return;
     }
     Cache &c = cache();
-    if (c.free[b->cls].size() >= cacheCap) {
+    if (c.free[b->cls].size() >= cacheCap[b->cls]) {
         ::operator delete(b);
         return;
     }

@@ -19,7 +19,8 @@
  *    locks and PDES workers never contend. A block may be released
  *    on a different thread than acquired it (cross-shard clone
  *    fan-out); it simply joins the releasing thread's list. Lists
- *    are capped; overflow returns blocks to the heap.
+ *    are capped per class (cacheCap); overflow returns blocks to the
+ *    heap.
  *  - Refcounts are atomic: a switch flood can clone one buffer into
  *    packets owned by several shards, and the last release can race
  *    across worker threads.
@@ -102,10 +103,18 @@ class BufferPool
     };
     static constexpr std::uint8_t heapClass = 0xff;
 
-    /** Per-thread free-list length cap per class; overflow frees to
-     *  the heap (bounds memory when PDES producers/consumers sit on
-     *  different threads). */
-    static constexpr std::size_t cacheCap = 4096;
+    /**
+     * Per-thread free-list length cap of each class, in blocks;
+     * overflow frees to the heap. A thread that releases more blocks
+     * of a class than it acquires (the consumer of a cross-shard
+     * flow) fills its list to the cap, so each cap holds the largest
+     * warm working set a benchmark workload needs and little more:
+     * rack_iperf keeps 12 101 class-0 and 260 class-4 blocks live at
+     * its peak, and fabric_iperf_2w's consumer thread holds 4 096
+     * class-1 blocks at 8 MiB.
+     */
+    static constexpr std::array<std::size_t, classBytes.size()>
+        cacheCap = {16384, 4096, 4096, 4096, 512};
 
     /**
      * Acquire a block with capacity >= @p n, refs == 1 and len ==

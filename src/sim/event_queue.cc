@@ -1,13 +1,15 @@
 /**
  * @file
- * EventQueue implementation: vector-backed binary heap plus a front
- * slot for the earliest entry, lazy deletion + threshold compaction,
- * and a slab pool for managed callback events.
+ * EventQueue implementation: a radix heap on the tick (a small
+ * `now` min-heap plus chunked buckets) behind a front slot for the
+ * earliest entry, lazy deletion + threshold compaction, and a slab
+ * pool for managed callback events.
  */
 
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <chrono>
 #include <mutex>
@@ -42,8 +44,8 @@ internEventName(const std::string &name)
 
 Event::~Event()
 {
-    // A caller-owned event may die while the queue still holds heap
-    // entries for it -- scheduled (a periodic device event whose
+    // A caller-owned event may die while the queue still holds
+    // pending entries for it -- scheduled (a periodic device event whose
     // owner is torn down before the Simulation) or lazily
     // descheduled. Scrub those entries so the queue never
     // dereferences a destroyed event; this makes destruction an
@@ -53,13 +55,16 @@ Event::~Event()
         queue_->forgetDead(this);
 }
 
-EventQueue::EventQueue(std::string name) : name_(std::move(name)) {}
+EventQueue::EventQueue(std::string name) : name_(std::move(name))
+{
+    now_.reserve(nowReserve);
+}
 
 EventQueue::~EventQueue()
 {
     // Reap suspended detached coroutine frames first: their locals'
-    // destructors may deschedule events, which needs the heap still
-    // intact.
+    // destructors may deschedule events, which needs the pending set
+    // still intact.
     destroyDetachedFrames();
 
     // Drain without executing: recycle managed events, detach the
@@ -92,9 +97,8 @@ EventQueue::~EventQueue()
         hasFront_ = false;
         drain(front_);
     }
-    for (std::size_t i = 0; i < heap_.size(); ++i)
-        drain(heap_[i]);
-    heap_.clear();
+    // In place: a drain re-entering forgetDead() only nulls entries.
+    forEachPending(drain);
 }
 
 void
@@ -114,8 +118,7 @@ EventQueue::forgetDead(Event *ev)
     };
     if (hasFront_)
         scrub(front_);
-    for (Entry &e : heap_)
-        scrub(e);
+    forEachPending(scrub);
     ev->scheduled_ = false;
     ev->staleRefs_ = 0;
     ev->queue_ = nullptr;
@@ -199,6 +202,76 @@ EventQueue::recycle(CallbackEvent *ev)
     freeList_.push_back(ev);
 }
 
+inline void
+EventQueue::push(const Entry &e)
+{
+    if (e.when <= last_) {
+        now_.push_back(e);
+        std::push_heap(now_.begin(), now_.end(), EntryAfter{});
+        return;
+    }
+    const auto b =
+        static_cast<std::size_t>(std::bit_width(e.when ^ last_)) - 1;
+    Bucket &bk = buckets_[b];
+    Chunk *c = bk.head;
+    if (!c || c->n == Chunk::capacity) [[unlikely]] {
+        c = takeChunk();
+        c->next = bk.head;
+        bk.head = c;
+        occupied_ |= std::uint64_t{1} << b;
+    }
+    c->e[c->n++] = e;
+    if (e.when < bk.min)
+        bk.min = e.when;
+    bucketed_++;
+}
+
+EventQueue::Chunk *
+EventQueue::takeChunk()
+{
+    if (!freeChunks_) {
+        // Carve a slab; chunks return to the free list, never to the
+        // heap, so a warm queue allocates nothing here.
+        chunkSlabs_.emplace_back(new Chunk[slabChunks]);
+        Chunk *slab = chunkSlabs_.back().get();
+        for (std::size_t i = 0; i < slabChunks; ++i) {
+            slab[i].next = freeChunks_;
+            freeChunks_ = &slab[i];
+        }
+    }
+    Chunk *c = freeChunks_;
+    freeChunks_ = c->next;
+    c->n = 0;
+    return c;
+}
+
+void
+EventQueue::refill()
+{
+    // Every entry of the lowest non-empty bucket b shares last_'s
+    // bits above b and has bit b set, so around the bucket's minimum
+    // tick each one differs at a lower bit (or not at all: `now`),
+    // and no higher bucket's entries move. A chunk is read in full
+    // before it is handed back for the redistribution to reuse.
+    assert(now_.empty() && occupied_);
+    const auto b = static_cast<std::size_t>(std::countr_zero(occupied_));
+    Bucket &bk = buckets_[b];
+    Chunk *c = bk.head;
+    last_ = bk.min;
+    bk.head = nullptr;
+    bk.min = maxTick;
+    occupied_ &= ~(std::uint64_t{1} << b);
+    while (c) {
+        bucketed_ -= c->n;
+        for (std::uint32_t i = 0; i < c->n; ++i)
+            push(c->e[i]);
+        Chunk *next = c->next;
+        c->next = freeChunks_;
+        freeChunks_ = c;
+        c = next;
+    }
+}
+
 void
 EventQueue::schedule(Event *ev, Tick when)
 {
@@ -240,16 +313,25 @@ EventQueue::schedule(Event *ev, Tick when)
     ev->scheduled_ = true;
     const Entry n{when, entryKey(ev), ev};
     // The new entry takes the front slot when it pops before every
-    // pending entry; a displaced slot entry goes into the heap.
-    const Entry *top = earliest();
-    if (top && !EntryAfter{}(*top, n)) {
-        heap_.push_back(n);
-        std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
-        return;
-    }
+    // pending entry; a displaced slot entry goes into the radix heap.
+    // With the slot and `now` empty the buckets are not refilled for
+    // this test: their lowest one's minimum tick bounds them, and an
+    // entry on that tick simply goes into the buckets.
     if (hasFront_) {
-        heap_.push_back(front_);
-        std::push_heap(heap_.begin(), heap_.end(), EntryAfter{});
+        if (EntryAfter{}(n, front_)) {
+            push(n);
+            return;
+        }
+        push(front_);
+    } else if (!now_.empty()) {
+        if (EntryAfter{}(n, now_.front())) {
+            push(n);
+            return;
+        }
+    } else if (occupied_ &&
+               n.when >= buckets_[std::countr_zero(occupied_)].min) {
+        push(n);
+        return;
     }
     // Field by field: copying a stack-built Entry in stalls the
     // next pop's loads on store forwarding.
@@ -271,7 +353,7 @@ EventQueue::deschedule(Event *ev)
                  "deschedule() of a managed Event* ('", ev->name(),
                  "') that already fired or was descheduled: the "
                  "pointer died at that moment");
-    // Lazy removal: mark unscheduled; the stale heap entry is
+    // Lazy removal: mark unscheduled; the stale entry is
     // skipped (and a managed event recycled) when popped, or
     // reclaimed wholesale by compact() once stale entries dominate.
     if (!ev->scheduled_)
@@ -279,7 +361,7 @@ EventQueue::deschedule(Event *ev)
     ev->scheduled_ = false;
     ev->staleRefs_++;
     staleEntries_++;
-    // No compaction while ~EventQueue walks the heap (re-entrant
+    // No compaction while ~EventQueue walks the set (re-entrant
     // call from a capture's destructor): the walk settles accounts.
     if (!draining_ && staleEntries_ > staleCompactMin &&
         staleEntries_ * 2 > internalEntries())
@@ -289,7 +371,7 @@ EventQueue::deschedule(Event *ev)
 void
 EventQueue::reschedule(Event *ev, Tick when)
 {
-    // deschedule() clears scheduled_, turning the live heap entry
+    // deschedule() clears scheduled_, turning the live entry
     // stale; schedule() then hands out a fresh (monotonic) sequence
     // number, which is what lets the stale entry be recognized on
     // pop or compaction. Sequence monotonicity is the invariant the
@@ -304,15 +386,18 @@ EventQueue::reschedule(Event *ev, Tick when)
 void
 EventQueue::compact()
 {
-    // Drop every stale entry in one pass and re-heapify. An entry is
-    // live iff its event is scheduled and the sequence numbers agree;
-    // a seq-mismatched entry is a leftover from reschedule() (a newer
-    // live entry exists elsewhere in the heap). A seq-matched entry
+    // Drop every stale entry in one pass. An entry is live iff its
+    // event is scheduled and the sequence numbers agree; a
+    // seq-mismatched entry is a leftover from reschedule() (a newer
+    // live entry exists elsewhere in the set). A seq-matched entry
     // for a descheduled managed event is that event's only remaining
     // reference -- recycle it here, exactly as popAndRun() would.
-    // The front slot is settled in place, so compaction (which a
-    // destructor's deschedule() can trigger) never allocates; a live
-    // slot entry stays, as it still comes before every heap entry.
+    // Everything is settled in place, so compaction (which a
+    // destructor's deschedule() can trigger) never allocates: a live
+    // slot entry stays, as it still comes before every other entry,
+    // `now` is re-heapified, and each bucket is packed into the head
+    // of its own chunk list (the minimum recomputed, emptied chunks
+    // freed). Entries never change bucket, as last_ stays.
     const auto live = [this](const Entry e) {
         if (!e.ev)
             return false; // scrubbed by ~Event
@@ -328,26 +413,69 @@ EventQueue::compact()
     if (hasFront_ && !live(front_))
         hasFront_ = false;
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-        if (live(heap_[i]))
-            heap_[kept++] = heap_[i];
+    for (std::size_t i = 0; i < now_.size(); ++i) {
+        if (live(now_[i]))
+            now_[kept++] = now_[i];
     }
-    heap_.resize(kept);
-    std::make_heap(heap_.begin(), heap_.end(), EntryAfter{});
+    now_.resize(kept);
+    std::make_heap(now_.begin(), now_.end(), EntryAfter{});
+    bucketed_ = 0;
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+        Bucket &bk = buckets_[b];
+        if (!bk.head)
+            continue;
+        bk.min = maxTick;
+        Chunk *w = bk.head;
+        std::uint32_t wn = 0;
+        for (Chunk *r = bk.head; r; r = r->next) {
+            for (std::uint32_t i = 0; i < r->n; ++i) {
+                if (!live(r->e[i]))
+                    continue;
+                if (wn == Chunk::capacity) {
+                    w->n = wn;
+                    w = w->next;
+                    wn = 0;
+                }
+                w->e[wn++] = r->e[i];
+                bk.min = std::min(bk.min, r->e[i].when);
+                bucketed_++;
+            }
+        }
+        // Free the chunks past the write position; the whole list when
+        // nothing stayed (w is then still the head).
+        Chunk *spare;
+        if (wn == 0) {
+            spare = bk.head;
+            bk.head = nullptr;
+            occupied_ &= ~(std::uint64_t{1} << b);
+        } else {
+            w->n = wn;
+            spare = w->next;
+            w->next = nullptr;
+        }
+        while (spare) {
+            Chunk *next = spare->next;
+            spare->next = freeChunks_;
+            freeChunks_ = spare;
+            spare = next;
+        }
+    }
     staleEntries_ = 0;
 }
 
 void
 EventQueue::popAndRun()
 {
+    // Callers reach here through earliest(), which left the next
+    // entry in the slot or on top of `now`.
     Entry e;
     if (hasFront_) {
         e = front_;
         hasFront_ = false;
     } else {
-        e = heap_.front();
-        std::pop_heap(heap_.begin(), heap_.end(), EntryAfter{});
-        heap_.pop_back();
+        e = now_.front();
+        std::pop_heap(now_.begin(), now_.end(), EntryAfter{});
+        now_.pop_back();
     }
 
     Event *ev = e.ev;
@@ -358,7 +486,7 @@ EventQueue::popAndRun()
         return;
     }
     // Stale entry: the event was descheduled or rescheduled since
-    // this heap entry was created.
+    // this entry was created.
     if (!ev->scheduled_ || ev->seq_ != e.seq()) {
         staleEntries_--;
         ev->staleRefs_--;

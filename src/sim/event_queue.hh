@@ -28,17 +28,28 @@
  *    literal on the fast path; a std::string name is interned once
  *    into a process-lifetime pool, so Event never owns (or copies)
  *    name storage.
- *  - The pending set is a binary heap plus one front slot held
- *    outside it, whose entry (when present) comes before every heap
- *    entry. A handler that schedules the next event to run (an MCN
- *    poll, a driver's core slot) fills the slot, and popAndRun()
- *    takes it back, so a chain of such events never touches the
- *    heap. Keys are unique, so the pop order is the heap's.
- *  - deschedule() is lazy: the heap entry is left behind and skipped
- *    (by sequence-number mismatch or a cleared scheduled flag) when
- *    popped. The queue counts stale entries and compacts the heap
- *    when they outnumber live ones, so a frequently rescheduled
- *    periodic timer cannot bloat the heap.
+ *  - The pending set is a radix heap on the tick plus one front
+ *    slot. Relative to `last` (the tick of the latest refill), an
+ *    entry at or before `last` sits in a small (tick, key) min-heap,
+ *    `now`; a later one sits in bucket b, where b is the highest bit
+ *    in which its tick differs from `last`. Every entry of bucket b
+ *    precedes every entry of bucket b + 1, so when `now` runs dry
+ *    the lowest non-empty bucket is redistributed around its own
+ *    minimum tick, and each entry moves down at most 64 times in
+ *    its life instead of sifting through a heap of thousands on
+ *    every pop. Buckets are lists of fixed-size chunks from one
+ *    free list the queue owns.
+ *  - The front slot holds an entry (when present) that comes before
+ *    every other pending entry. A handler that schedules the next
+ *    event to run (an MCN poll, a driver's core slot) fills the
+ *    slot, and popAndRun() takes it back, so a chain of such events
+ *    never touches the radix heap. Keys are unique and `now` is
+ *    ordered on (tick, key), so the pop order is that total order.
+ *  - deschedule() is lazy: the pending entry is left behind and
+ *    skipped (by sequence-number mismatch or a cleared scheduled
+ *    flag) when popped. The queue counts stale entries and compacts
+ *    the pending set when they outnumber live ones, so a frequently
+ *    rescheduled periodic timer cannot bloat it.
  *
  * Lifetime rules for managed (pooled) events: the Event* returned by
  * schedule(fn, ...) is valid only while the event is scheduled. After
@@ -65,6 +76,7 @@
 #ifndef MCNSIM_SIM_EVENT_QUEUE_HH
 #define MCNSIM_SIM_EVENT_QUEUE_HH
 
+#include <array>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -167,7 +179,7 @@ class Event
      *  entries still referencing it (see the lifetime rules in the
      *  file comment). */
     EventQueue *queue_ = nullptr;
-    /** Heap entries referencing this event that are stale (lazily
+    /** Pending entries referencing this event that are stale (lazily
      *  descheduled or superseded by reschedule). Non-zero means the
      *  queue still holds pointers to us. */
     std::uint32_t staleRefs_ = 0;
@@ -256,8 +268,8 @@ class EventQueue
     void schedule(Event *ev, Tick when);
 
     /**
-     * Remove a pending event; no-op if not scheduled. Lazy: the heap
-     * entry is left behind and skipped when popped (or reclaimed by
+     * Remove a pending event; no-op if not scheduled. Lazy: the
+     * pending entry is left behind and skipped when popped (or reclaimed by
      * compaction). For a managed event the pointer is dead after
      * this call.
      */
@@ -348,7 +360,7 @@ class EventQueue
 
     /**
      * Tick of the earliest live pending event, maxTick when none.
-     * Prunes stale (lazily-descheduled) heap heads on the way --
+     * Prunes stale (lazily-descheduled) heads on the way --
      * exactly the entries run() would skip, so the pruning is
      * deterministic.
      */
@@ -415,17 +427,17 @@ class EventQueue
     }
 
     /** Destroy every live detached frame (teardown; also called by
-     *  the destructor before the pending-event heap is dropped). */
+     *  the destructor before the pending set is dropped). */
     void destroyDetachedFrames();
 
     // Introspection for tests and diagnostics ------------------------
 
-    /** Pending entries (heap and front slot) including stale
-     *  (lazily-descheduled) ones. */
+    /** Pending entries (front slot, `now` and buckets) including
+     *  stale (lazily-descheduled) ones. */
     std::size_t
     internalEntries() const
     {
-        return heap_.size() + (hasFront_ ? 1 : 0);
+        return now_.size() + bucketed_ + (hasFront_ ? 1 : 0);
     }
 
     /** Stale entries awaiting pop or compaction. */
@@ -505,8 +517,8 @@ class EventQueue
                ev->seq_;
     }
 
-    /** Comparator making the std heap algorithms build a min-heap.
-     *  A functor type (not a function pointer) so the heap
+    /** Comparator making the std heap algorithms build `now` as a
+     *  min-heap. A functor type (not a function pointer) so the heap
      *  algorithms inline the comparison. */
     struct EntryAfter
     {
@@ -532,14 +544,58 @@ class EventQueue
         EventQueue *prev;
     };
 
+    /** A bucket's entries in fixed-size chunks; the head chunk is
+     *  the one being filled. Chunks come from (and go back to) the
+     *  queue's chunk free list. */
+    struct Chunk
+    {
+        static constexpr std::uint32_t capacity = 16;
+        Entry e[capacity];
+        std::uint32_t n = 0;
+        Chunk *next = nullptr;
+    };
+
+    /** Bucket b holds the entries whose highest bit that differs
+     *  from last_ is bit b. */
+    struct Bucket
+    {
+        Chunk *head = nullptr;
+        Tick min = maxTick; ///< smallest tick held
+    };
+
     /** The earliest pending entry, live or stale; null when none
-     *  is pending. */
+     *  is pending. Refills `now` from the buckets when it is dry. */
     const Entry *
-    earliest() const
+    earliest()
     {
         if (hasFront_)
             return &front_;
-        return heap_.empty() ? nullptr : &heap_.front();
+        if (now_.empty()) {
+            if (!occupied_)
+                return nullptr;
+            refill();
+        }
+        return &now_.front();
+    }
+
+    /** Put @p e into `now` or its bucket (not the front slot). */
+    void push(const Entry &e);
+    /** Redistribute the lowest non-empty bucket around its minimum
+     *  tick, which becomes last_; precondition: `now` is empty. */
+    void refill();
+    Chunk *takeChunk();
+
+    /** Call @p f on every entry in `now` and the buckets, in place. */
+    template <typename F>
+    void
+    forEachPending(F &&f)
+    {
+        for (Entry &e : now_)
+            f(e);
+        for (Bucket &b : buckets_)
+            for (Chunk *c = b.head; c; c = c->next)
+                for (std::uint32_t i = 0; i < c->n; ++i)
+                    f(c->e[i]);
     }
 
     void popAndRun();
@@ -548,7 +604,7 @@ class EventQueue
     CallbackEvent *acquireSlot();
     void recycle(CallbackEvent *ev);
 
-    /** Null out every heap entry referencing @p ev: called by
+    /** Null out every pending entry referencing @p ev: called by
      *  ~Event when the event dies with entries still pending, so the
      *  queue never dereferences a destroyed event. */
     void forgetDead(Event *ev);
@@ -560,6 +616,14 @@ class EventQueue
     /** Pooled events are carved from fixed-size slabs so the pool
      *  grows without relocating live events. */
     static constexpr std::size_t slabEvents = 64;
+
+    /** Bucket chunks are carved this many at a time: small, as
+     *  every shard queue carves its own. */
+    static constexpr std::size_t slabChunks = 8;
+
+    /** Capacity `now` starts with, so that a warm run's same-tick
+     *  batches do not grow it. */
+    static constexpr std::size_t nowReserve = 32;
 
     // analyze-ok: shard-static (thread_local dispatch context: each
     // worker reads/writes only its own copy, and a worker's copy always
@@ -577,14 +641,22 @@ class EventQueue
     bool profiling_ = false;
     /** True inside ~EventQueue: deschedule() calls re-entered from
      *  destructors triggered by the drain (an event lambda dropping
-     *  the last ref to a socket) must not compact the heap mid-walk
-     *  or trip the checked lifetime detectors. */
+     *  the last ref to a socket) must not compact the pending set
+     *  mid-walk or trip the checked lifetime detectors. */
     bool draining_ = false;
-    std::vector<Entry> heap_;
     /** The front slot: when hasFront_, an entry that comes before
-     *  every entry in heap_. */
+     *  every entry in now_ and the buckets. */
     Entry front_{};
     bool hasFront_ = false;
+    /** Radix heap: now_ (a min-heap on (tick, key)) holds the
+     *  entries at or before last_, buckets_ the later ones. */
+    Tick last_ = 0;
+    std::vector<Entry> now_;
+    std::array<Bucket, 64> buckets_{};
+    std::uint64_t occupied_ = 0; ///< bit b: buckets_[b] non-empty
+    std::size_t bucketed_ = 0;   ///< entries in buckets_
+    Chunk *freeChunks_ = nullptr;
+    std::vector<std::unique_ptr<Chunk[]>> chunkSlabs_;
     struct DetachedFrame
     {
         std::coroutine_handle<> h;

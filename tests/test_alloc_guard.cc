@@ -17,7 +17,9 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "core/system_builder.hh"
 #include "cpu/core.hh"
@@ -828,4 +830,88 @@ TEST(AllocGuard, WarmFabricHelloRound)
     }
     EXPECT_TRUE(a.portLive(0));
     EXPECT_TRUE(b.portLive(0));
+}
+
+TEST(AllocGuard, PendingSetWarmMixedHorizonRound)
+{
+    // The pending set's shape on rack_iperf: near-future entries in
+    // FIFO order (link deliveries), each re-pushed as it fires, plus
+    // far-future timers of which one is re-armed per pop, leaving a
+    // stale entry for compaction. Bucket chunks come from the
+    // queue's own free list and `now` keeps its capacity, so once
+    // warm this allocates nothing.
+    sim::EventQueue q;
+    std::uint64_t fired = 0;
+    std::vector<std::unique_ptr<sim::CallbackEvent>> timers;
+    for (int i = 0; i < 64; ++i)
+        timers.push_back(
+            std::make_unique<sim::CallbackEvent>("rto", [] {}));
+    struct Near
+    {
+        sim::EventQueue *q;
+        std::vector<std::unique_ptr<sim::CallbackEvent>> *timers;
+        std::uint64_t *fired;
+
+        void
+        operator()() const
+        {
+            const std::uint64_t n = ++*fired;
+            q->scheduleIn(*this, 1000, "near");
+            sim::CallbackEvent *t = (*timers)[n % timers->size()].get();
+            const sim::Tick at = q->curTick() + 50'000'000 + n % 977;
+            if (t->scheduled())
+                q->reschedule(t, at);
+            else
+                q->schedule(t, at);
+        }
+    };
+    for (int i = 0; i < 256; ++i)
+        q.schedule(Near{&q, &timers, &fired}, 1 + i * 3, "near");
+    q.runEvents(20000);
+    {
+        AllocCount c;
+        q.runEvents(20000);
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_EQ(fired, 40000u);
+    EXPECT_EQ(q.pendingEvents(), 256u + timers.size());
+}
+
+TEST(AllocGuard, CompactionReturnsEveryChunkOfAStaleBucket)
+{
+    // Far buckets of several chunks whose entries are all cancelled
+    // when compaction runs (old retransmission timers whose re-arms
+    // landed in a higher bucket) hand every one of their chunks back
+    // to the queue's free list, so repeating the round carves no new
+    // chunk slab.
+    sim::EventQueue q;
+    std::vector<std::unique_ptr<sim::CallbackEvent>> lowBucket, highBucket;
+    for (int i = 0; i < 40; ++i)
+        lowBucket.push_back(
+            std::make_unique<sim::CallbackEvent>("old", [] {}));
+    for (int i = 0; i < 25; ++i)
+        highBucket.push_back(
+            std::make_unique<sim::CallbackEvent>("new", [] {}));
+    // 65 entries, all cancelled: the last cancel crosses the
+    // compaction threshold and leaves the queue empty, so every round
+    // starts from the same state.
+    const auto round = [&] {
+        for (std::size_t i = 0; i < lowBucket.size(); ++i)
+            q.schedule(lowBucket[i].get(), (sim::Tick{1} << 30) + i);
+        for (std::size_t i = 0; i < highBucket.size(); ++i)
+            q.schedule(highBucket[i].get(), (sim::Tick{1} << 40) + i);
+        for (auto &ev : lowBucket)
+            q.deschedule(ev.get());
+        for (auto &ev : highBucket)
+            q.deschedule(ev.get());
+        EXPECT_EQ(q.staleEntries(), 0u) << "no compaction";
+        EXPECT_EQ(q.internalEntries(), 0u);
+    };
+    round();
+    {
+        AllocCount c;
+        for (int r = 0; r < 64; ++r)
+            round();
+        EXPECT_EQ(c.count(), 0u);
+    }
 }

@@ -103,6 +103,33 @@ TEST(CpuClusterTest, LeastLoadedBalances)
     EXPECT_EQ(cpus.totalBusyTicks(), 800 * oneNs);
 }
 
+TEST(CpuCluster, LeastLoadedPicksFirstIdleCore)
+{
+    // The pick is the lowest-index core with the smallest clear
+    // tick, whether it is idle (clears now) or every core is busy.
+    Simulation s;
+    CpuCluster cpus(s, "cpus", 4, 1e9);
+    EXPECT_EQ(&cpus.leastLoaded(), &cpus.core(0));
+    cpus.core(0).execute(300, nullptr);
+    cpus.core(2).execute(100, nullptr);
+    EXPECT_EQ(&cpus.leastLoaded(), &cpus.core(1));
+    cpus.core(1).execute(200, nullptr);
+    EXPECT_EQ(&cpus.leastLoaded(), &cpus.core(3));
+    cpus.core(3).execute(100, nullptr);
+    // All busy: cores 2 and 3 clear first, at 100 ns; 2 wins the tie.
+    EXPECT_EQ(&cpus.leastLoaded(), &cpus.core(2));
+    cpus.core(2).execute(250, nullptr);
+    EXPECT_EQ(&cpus.leastLoaded(), &cpus.core(3));
+    // At 150 ns core 3 is idle again while 0, 1 and 2 still run.
+    s.run(150 * oneNs);
+    EXPECT_EQ(&cpus.leastLoaded(), &cpus.core(3));
+    // At 320 ns cores 0 (300) and 1 (200) are idle; 2 runs to 350.
+    s.run(320 * oneNs);
+    EXPECT_EQ(&cpus.leastLoaded(), &cpus.core(0));
+    EXPECT_TRUE(cpus.core(1).idle());
+    EXPECT_FALSE(cpus.core(2).idle());
+}
+
 TEST(CpuClusterTest, ZeroCoresRejected)
 {
     Simulation s;

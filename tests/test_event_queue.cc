@@ -311,15 +311,20 @@ TEST(EventQueue, RandomizedStressKeepsDispatchOrderAndPool)
 
 TEST(EventQueue, PendingSetMatchesOrderedModel)
 {
-    // Differential test of the pending set (heap plus front slot)
-    // against a std::map keyed on (tick, priority, schedule order):
-    // every dispatch must be the model's first entry. The seeded mix
-    // covers same-tick schedules at mixed priorities, handlers that
-    // schedule the next event to run (which lands in the front
-    // slot), deschedule and reschedule of the earliest entry,
-    // owner-held events destroyed while earliest, compactions with a
-    // cancelled or a live entry in the slot, and run, runEvents,
-    // runWindow and nextEventTick.
+    // Differential test of the pending set (front slot plus radix
+    // heap) against a std::map keyed on (tick, priority, schedule
+    // order): every dispatch must be the model's first entry. The
+    // seeded mix covers same-tick schedules at mixed priorities,
+    // handlers that schedule the next event to run (which lands in
+    // the front slot), deschedule and reschedule of the earliest
+    // entry, owner-held events destroyed while earliest, compactions
+    // with a cancelled or a live entry in the slot, and run,
+    // runEvents, runWindow and nextEventTick. Fixed phases after it
+    // cover the radix heap's corners: schedules below the refill
+    // tick after run(until) stops early, hundreds of entries on one
+    // tick, buckets of several chunks compacted and scrubbed by
+    // ~Event, ticks that differ only in bit 63 or sit next to
+    // maxTick, and teardown with entries in the buckets.
     using Key = std::tuple<Tick, int, std::uint64_t>;
     Rng rng(20261019);
     EventQueue q;
@@ -329,6 +334,7 @@ TEST(EventQueue, PendingSetMatchesOrderedModel)
     std::uint64_t order = 0;
     int nextId = 0;
     std::uint64_t fired = 0;
+    bool chain = true; // handlers schedule more work
 
     static const EventPriority prios[] = {
         EventPriority::ClockTick, EventPriority::HardwareIrq,
@@ -397,6 +403,8 @@ TEST(EventQueue, PendingSetMatchesOrderedModel)
         untrack(id);
         managed.erase(id);
         ++fired;
+        if (!chain)
+            return;
         // Chains: schedule the next event to run, often at this
         // tick; sometimes cancel or move the earliest pending entry.
         if (rng.chance(0.6))
@@ -487,11 +495,132 @@ TEST(EventQueue, PendingSetMatchesOrderedModel)
         ASSERT_EQ(q.pendingEvents(), model.size()) << "step " << step;
     }
     q.run();
-    EXPECT_TRUE(model.empty());
+    ASSERT_TRUE(model.empty());
+
+    // Below the refill tick: run(until) refills up to the one far
+    // entry and stops, so what is scheduled next (and what those
+    // handlers chain) lands below it.
+    {
+        SCOPED_TRACE("phase: below the refill tick");
+        for (int round = 0; round < 20; ++round) {
+            const Tick t0 = q.curTick();
+            addManaged(t0 + 5000, randomPrio());
+            ASSERT_EQ(q.run(t0 + 10), t0 + 10);
+            for (int k = 0; k < 8; ++k)
+                addManaged(t0 + 10 + rng.uniformInt(0, 40), randomPrio());
+            scheduleHeld(rng.uniformInt(0, held.size() - 1),
+                         t0 + 10 + rng.uniformInt(0, 40));
+            ASSERT_EQ(q.nextEventTick(), std::get<0>(model.begin()->first));
+            q.run();
+            ASSERT_TRUE(model.empty()) << "round " << round;
+        }
+    }
+
+    // Many entries on one tick, at every priority, around a chain.
+    {
+        SCOPED_TRACE("phase: one tick");
+        for (int k = 0; k < 600; ++k)
+            addManaged(q.curTick() + 7, randomPrio());
+        q.run();
+        ASSERT_TRUE(model.empty());
+    }
+
+    // Buckets of several chunks: a batch spread over one far bucket,
+    // owner-held entries among them destroyed (scrubbed in place in
+    // their chunks), then most of the batch cancelled so compaction
+    // packs the chunks.
+    {
+        SCOPED_TRACE("phase: chunked buckets");
+        chain = false;
+        for (int round = 0; round < 4; ++round) {
+            const Tick far = q.curTick() + (Tick{1} << 30);
+            for (int k = 0; k < 300; ++k)
+                addManaged(far + rng.uniformInt(0, 1 << 20), randomPrio());
+            for (std::size_t i = 0; i < held.size(); ++i)
+                scheduleHeld(i, far + rng.uniformInt(0, 1 << 20));
+            for (std::size_t i = 0; i < held.size(); i += 2) {
+                untrack(-1 - static_cast<int>(i));
+                makeHeld(i);
+            }
+            ASSERT_EQ(q.pendingEvents(), model.size());
+            const auto staleBefore = q.staleEntries();
+            for (int k = 0; k < 200; ++k) {
+                auto it = std::next(model.begin(),
+                                    rng.uniformInt(0, model.size() - 1));
+                descheduleId(it->second);
+            }
+            EXPECT_LT(q.staleEntries(), staleBefore + 200) << "no compaction";
+            ASSERT_EQ(q.pendingEvents(), model.size());
+            ASSERT_EQ(q.run(far + (1 << 19)), far + (1 << 19));
+            q.run();
+            ASSERT_TRUE(model.empty()) << "round " << round;
+        }
+    }
+
+    // Ticks that differ only in bit 63, and ticks next to maxTick.
+    {
+        SCOPED_TRACE("phase: bit 63 and maxTick");
+        const Tick bit63 = Tick{1} << 63;
+        // An untracked handler dispatched just before bit63 - 2, which
+        // then sits alone in a bucket (slot and `now` empty), schedules
+        // a tick that differs from it in bit 63.
+        addManaged(bit63 - 2, randomPrio());
+        q.schedule([&] { addManaged(bit63 + 1, randomPrio()); },
+                   bit63 - 3, "probe");
+        ASSERT_EQ(q.run(bit63 - 3), bit63 - 3);
+        ASSERT_EQ(q.nextEventTick(), bit63 - 2);
+        for (Tick t : {bit63 - 1, bit63, bit63 | 7, maxTick - 3, maxTick - 1,
+                       maxTick - 2, maxTick - 1})
+            addManaged(t, randomPrio());
+        scheduleHeld(0, bit63 + 1);
+        scheduleHeld(1, maxTick - 1);
+        ASSERT_EQ(q.nextEventTick(), bit63 - 2);
+        ASSERT_EQ(q.run(bit63), bit63);
+        for (int k = 0; k < 4; ++k)
+            addManaged(bit63 + rng.uniformInt(0, 3), randomPrio());
+        q.run();
+        ASSERT_TRUE(model.empty());
+        EXPECT_EQ(q.curTick(), maxTick - 1);
+    }
+
     EXPECT_GT(fired, 3000u);
     EXPECT_EQ(q.internalEntries(), 0u);
     EXPECT_EQ(q.staleEntries(), 0u);
     EXPECT_EQ(q.poolOutstanding(), 0u) << "pooled-event leak";
+
+    // Teardown of a second queue with live and cancelled entries
+    // spread over the front slot, `now` and many buckets: every
+    // managed capture is destroyed unrun, and every owner-held event
+    // is detached.
+    {
+        SCOPED_TRACE("phase: teardown");
+        auto token = std::make_shared<int>(0);
+        std::vector<std::unique_ptr<CallbackEvent>> owned;
+        int ran = 0;
+        {
+            EventQueue q2;
+            for (int k = 0; k < 500; ++k) {
+                const Tick t = Tick{1} << rng.uniformInt(0, 62);
+                Event *ev = q2.schedule([token, &ran] { ++ran; },
+                                        t + rng.uniformInt(0, 100));
+                if (k % 3 == 0)
+                    q2.deschedule(ev);
+            }
+            for (int k = 0; k < 40; ++k) {
+                owned.push_back(std::make_unique<CallbackEvent>(
+                    "owned", [&ran] { ++ran; }));
+                q2.schedule(owned.back().get(),
+                            Tick{1} << rng.uniformInt(0, 62));
+            }
+            ASSERT_GT(q2.internalEntries(), 500u);
+            EXPECT_GT(token.use_count(), 300);
+        }
+        EXPECT_EQ(ran, 0);
+        EXPECT_EQ(token.use_count(), 1) << "a capture outlived the queue";
+        for (const auto &ev : owned)
+            EXPECT_FALSE(ev->scheduled());
+        owned.clear(); // their destructors must not touch the dead queue
+    }
 }
 
 // ---------------------------------------------------------------------
