@@ -10,8 +10,9 @@
 namespace mcnsim::cpu {
 
 Core::Core(sim::Simulation &s, std::string name,
-           const sim::ClockDomain &clock)
-    : sim::SimObject(s, std::move(name)), clock_(clock)
+           const sim::ClockDomain &clock, Backlog *backlog)
+    : sim::SimObject(s, std::move(name)), clock_(clock),
+      backlog_(backlog ? backlog : &ownBacklog_)
 {
     regStat(&statSlots_);
     regStat(&statBusy_);
@@ -28,7 +29,7 @@ Core::execute(Cycles cycles, sim::Callback<void(Tick)> done, bool irq)
         start(cycles, std::move(done));
         return;
     }
-    queuedTicks_ += clock_.cyclesToTicks(cycles);
+    backlog_->queued += clock_.cyclesToTicks(cycles);
     if (irq)
         queue_.push_front(Slot{cycles, std::move(done)});
     else
@@ -43,7 +44,7 @@ Core::startNext()
     if (queue_.empty())
         return;
     Slot &slot = queue_.front();
-    queuedTicks_ -= clock_.cyclesToTicks(slot.cycles);
+    backlog_->queued -= clock_.cyclesToTicks(slot.cycles);
     start(slot.cycles, std::move(slot.done));
     queue_.pop_front();
 }
@@ -56,10 +57,10 @@ Core::start(Cycles cycles, sim::Callback<void(Tick)> &&done)
     Tick duration = clock_.cyclesToTicks(cycles);
     busyTicks_ += duration;
     statBusy_ += static_cast<double>(duration);
-    currentEndsAt_ = curTick() + duration;
+    backlog_->endsAt = curTick() + duration;
 
     runningDone_ = std::move(done);
-    eventQueue().schedule(&slotEvent_, currentEndsAt_);
+    eventQueue().schedule(&slotEvent_, backlog_->endsAt);
 }
 
 void

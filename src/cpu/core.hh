@@ -17,11 +17,17 @@
  * and its completion is one embedded MemberEvent, and run() is a
  * plain awaiter rather than a coroutine of its own, so
  * `co_await core.run(n)` adds no frame.
+ *
+ * The two ticks CpuCluster::leastLoaded() reads on every charge sit
+ * in a Backlog record, which a cluster's cores keep side by side in
+ * one array, so a pick scans 16 B per core rather than following a
+ * pointer into each core object.
  */
 
 #ifndef MCNSIM_CPU_CORE_HH
 #define MCNSIM_CPU_CORE_HH
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 
@@ -37,12 +43,28 @@ namespace mcnsim::cpu {
 using sim::Cycles;
 using sim::Tick;
 
+/** A core's backlog: when its queued and running work clears. */
+struct Backlog
+{
+    /// End tick of the running slot, or of the last slot run, which
+    /// is at or before now whenever the core is not running.
+    Tick endsAt = 0;
+    /// Sum of cyclesToTicks() over the queued (not running) slots.
+    Tick queued = 0;
+
+    /** Tick at which all the work clears, given the current tick. */
+    Tick clearsAt(Tick now) const { return std::max(endsAt, now) + queued; }
+};
+
 /** One CPU core. */
 class Core : public sim::SimObject
 {
   public:
+    /** @p backlog is where the core keeps its Backlog: a slot in its
+     *  cluster's array. Null keeps it in the core itself, for a
+     *  standalone core outside any cluster (as in unit tests). */
     Core(sim::Simulation &s, std::string name,
-         const sim::ClockDomain &clock);
+         const sim::ClockDomain &clock, Backlog *backlog = nullptr);
 
     /**
      * Charge @p cycles of work; @p done fires with the completion
@@ -79,11 +101,7 @@ class Core : public sim::SimObject
     Tick backlogClearsAt() const { return backlogClearsAt(curTick()); }
 
     /** As above, given the current tick @p now. */
-    Tick
-    backlogClearsAt(Tick now) const
-    {
-        return (running_ ? currentEndsAt_ : now) + queuedTicks_;
-    }
+    Tick backlogClearsAt(Tick now) const { return backlog_->clearsAt(now); }
 
     /** True when the core has no queued or running work. */
     bool idle() const { return !running_ && queue_.empty(); }
@@ -113,12 +131,13 @@ class Core : public sim::SimObject
     sim::MemberEvent<Core> slotEvent_{"core.slot", this,
                                       &Core::finishCurrent};
     bool running_ = false;
-    Tick currentEndsAt_ = 0;
     Tick busyTicks_ = 0;
-    /// Sum of cyclesToTicks() over queue_: backlogClearsAt() is on
-    /// the per-segment CPU-charge path (CpuCluster::leastLoaded scans
-    /// the cores), so it must not walk the slot deque.
-    Tick queuedTicks_ = 0;
+    /// The backlog of a standalone core, built with no cluster slot
+    /// (only unit tests do); unused in a cluster.
+    Backlog ownBacklog_;
+    /// Kept current on every charge, start and pop, so a pick never
+    /// walks the slot deque.
+    Backlog *backlog_;
 
     sim::Scalar statSlots_{"slots", "work slots executed"};
     sim::Scalar statBusy_{"busyTicks", "ticks spent busy"};

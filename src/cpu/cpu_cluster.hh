@@ -19,7 +19,8 @@
 
 namespace mcnsim::cpu {
 
-/** A homogeneous group of cores. */
+/** A homogeneous group of cores. Their Backlog records live in one
+ *  array here, which leastLoaded() scans on every unpinned charge. */
 class CpuCluster : public sim::SimObject
 {
   public:
@@ -35,7 +36,8 @@ class CpuCluster : public sim::SimObject
     Core &core(std::uint32_t i) { return *cores_[i]; }
 
     /** The core whose backlog clears soonest; the lowest-index one
-     *  on a tie. */
+     *  on a tie. Returns at the first core that clears now: no core
+     *  clears earlier. */
     Core &leastLoaded();
 
     /** Charge unpinned work on the least-loaded core. */
@@ -57,6 +59,8 @@ class CpuCluster : public sim::SimObject
   private:
     sim::ClockDomain clock_;
     CostModel costs_;
+    /// backlogs_[i] is cores_[i]'s; sized once, so never moves.
+    std::vector<Backlog> backlogs_;
     std::vector<std::unique_ptr<Core>> cores_;
 };
 

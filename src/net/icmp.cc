@@ -86,11 +86,20 @@ IcmpLayer::IcmpLayer(sim::Simulation &s, std::string name,
     regStat(&statUnreachLocal_);
 }
 
+IcmpLayer::PendingPing *
+IcmpLayer::findPending(std::uint16_t id)
+{
+    for (auto &p : pending_)
+        if (p.id == id)
+            return &p;
+    return nullptr;
+}
+
 void
 IcmpLayer::failPingsToward(Ipv4Addr about)
 {
     bool woke = false;
-    for (auto &[id, ping] : pending_) {
+    for (auto &ping : pending_) {
         if (ping.dst == about && !ping.done) {
             ping.done = true;
             ping.unreachable = true;
@@ -167,14 +176,13 @@ IcmpLayer::rx(Ipv4Addr src, Ipv4Addr dst, PacketPtr pkt,
             });
     } else if (h->type == icmpEchoReply) {
         statEchoRep_ += 1;
-        auto it = pending_.find(h->id);
-        if (it != pending_.end() && !it->second.done) {
-            it->second.done = true;
-            it->second.rtt = curTick() - it->second.sentAt;
+        PendingPing *ping = findPending(h->id);
+        if (ping && !ping->done) {
+            ping->done = true;
+            ping->rtt = curTick() - ping->sentAt;
             if (sim::FlowTelemetry::active()) [[unlikely]]
                 sim::FlowTelemetry::instance().recordRtt(
-                    shardId(), echoKey(dst, src, h->id),
-                    it->second.rtt);
+                    shardId(), echoKey(dst, src, h->id), ping->rtt);
             replyCv_.notifyAll();
         }
     }
@@ -190,7 +198,8 @@ IcmpLayer::ping(Ipv4Addr dst, std::size_t payload_bytes,
 
     for (unsigned attempt = 0; attempt <= retries; ++attempt) {
         std::uint16_t id = nextId_++;
-        auto &entry = pending_[id];
+        PendingPing &entry = pending_.emplace_back();
+        entry.id = id;
         entry.sentAt = curTick();
         entry.dst = dst;
 
@@ -215,7 +224,7 @@ IcmpLayer::ping(Ipv4Addr dst, std::size_t payload_bytes,
             });
 
         sim::Tick deadline = curTick() + timeout;
-        while (!pending_[id].done && curTick() < deadline) {
+        while (!findPending(id)->done && curTick() < deadline) {
             // Wake either on a reply or at the deadline. `fired`
             // tells us whether the wake event is still pending: its
             // Event* is dead (recycled into the pool) once it has
@@ -233,8 +242,10 @@ IcmpLayer::ping(Ipv4Addr dst, std::size_t payload_bytes,
                 eventQueue().deschedule(wake);
         }
 
-        const PendingPing result = pending_[id];
-        pending_.erase(id);
+        PendingPing *slot = findPending(id);
+        const PendingPing result = *slot;
+        *slot = pending_.back();
+        pending_.pop_back();
         if (result.done && !result.unreachable)
             co_return result.rtt;
         if (result.unreachable)

@@ -8,8 +8,8 @@
 #define MCNSIM_NET_ICMP_HH
 
 #include <cstdint>
-#include <map>
 #include <optional>
+#include <vector>
 
 #include "net/ipv4.hh"
 #include "net/packet.hh"
@@ -89,6 +89,7 @@ class IcmpLayer : public sim::SimObject
   private:
     struct PendingPing
     {
+        std::uint16_t id = 0;
         sim::Tick sentAt = 0;
         sim::Tick rtt = 0;
         Ipv4Addr dst;
@@ -96,13 +97,18 @@ class IcmpLayer : public sim::SimObject
         bool unreachable = false;
     };
 
+    /** The outstanding ping with echo id @p id, or null. */
+    PendingPing *findPending(std::uint16_t id);
+
     /** Fail pending pings toward @p about (shared by the wire and
      *  local unreachable paths). */
     void failPingsToward(Ipv4Addr about);
 
     NetStack &stack_;
     std::uint16_t nextId_ = 1;
-    std::map<std::uint16_t, PendingPing> pending_;
+    /// Outstanding pings, searched by id: a node has a handful at
+    /// most, and the vector keeps its capacity between pings.
+    std::vector<PendingPing> pending_;
     sim::Condition replyCv_;
 
     sim::Scalar statEchoReq_{"echoRequests", "echo requests seen"};

@@ -264,21 +264,18 @@ TcpLayer::unbind(const TcpTuple &t, std::uint16_t listen_port)
 void
 TcpLayer::remoteUnreachable(Ipv4Addr addr)
 {
-    // Collect first: abortConnection() unbinds, mutating the map.
     std::vector<TcpSocketPtr> victims;
     for (auto &[t, sock] : connections_) {
         if (t.remoteIp == addr &&
             sock->state() == TcpState::SynSent)
             victims.push_back(sock);
     }
-    for (auto &sock : victims)
-        sock->abortConnection(TcpError::Unreachable);
+    abortInTupleOrder(victims);
 }
 
 void
 TcpLayer::peerPartitioned(Ipv4Addr addr)
 {
-    // Collect first: abortConnection() unbinds, mutating the map.
     std::vector<TcpSocketPtr> victims;
     for (auto &[t, sock] : connections_) {
         if (t.remoteIp == addr &&
@@ -287,6 +284,19 @@ TcpLayer::peerPartitioned(Ipv4Addr addr)
             victims.push_back(sock);
     }
     statPartitionAborts_ += static_cast<double>(victims.size());
+    abortInTupleOrder(victims);
+}
+
+void
+TcpLayer::abortInTupleOrder(std::vector<TcpSocketPtr> &victims)
+{
+    // Collected first: abortConnection() unbinds, mutating the map.
+    // Each abort schedules its socket's wakeups, so the order is
+    // modeled output: ascending tuple, as an ordered map iterates.
+    std::sort(victims.begin(), victims.end(),
+              [](const TcpSocketPtr &a, const TcpSocketPtr &b) {
+                  return a->tuple() < b->tuple();
+              });
     for (auto &sock : victims)
         sock->abortConnection(TcpError::Unreachable);
 }

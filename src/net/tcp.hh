@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "net/byte_ring.hh"
@@ -76,6 +77,13 @@ struct TcpTuple
     std::uint16_t localPort = 0, remotePort = 0;
 
     bool
+    operator==(const TcpTuple &o) const
+    {
+        return localIp == o.localIp && remoteIp == o.remoteIp &&
+               localPort == o.localPort && remotePort == o.remotePort;
+    }
+
+    bool
     operator<(const TcpTuple &o) const
     {
         if (localIp != o.localIp)
@@ -85,6 +93,23 @@ struct TcpTuple
         if (localPort != o.localPort)
             return localPort < o.localPort;
         return remotePort < o.remotePort;
+    }
+};
+
+/** Hash of a 4-tuple: both addresses and ports folded into 64 bits
+ *  and mixed with the splitmix64 finalizer. */
+struct TcpTupleHash
+{
+    std::size_t
+    operator()(const TcpTuple &t) const
+    {
+        std::uint64_t k =
+            (std::uint64_t{t.remoteIp.v} << 32 | t.localIp.v) ^
+            (std::uint64_t{t.remotePort} << 16 | t.localPort) *
+                0x9e3779b97f4a7c15ull;
+        k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ull;
+        k = (k ^ (k >> 27)) * 0x94d049bb133111ebull;
+        return static_cast<std::size_t>(k ^ (k >> 31));
     }
 };
 
@@ -196,9 +221,16 @@ class TcpLayer : public sim::SimObject
   private:
     friend class TcpSocket;
 
+    /** Abort @p victims (sorting them) in ascending tuple order. */
+    void abortInTupleOrder(std::vector<TcpSocketPtr> &victims);
+
     NetStack &stack_;
     sim::TimerList timers_;
-    std::map<TcpTuple, TcpSocketPtr> connections_;
+    /// Hashed: rx() looks every segment up here. Nothing iterates
+    /// it in an order that reaches output; the abort paths sort
+    /// their victims by tuple first.
+    std::unordered_map<TcpTuple, TcpSocketPtr, TcpTupleHash>
+        connections_;
     std::map<std::uint16_t, TcpSocketPtr> listeners_;
     std::uint16_t nextPort_ = 32768;
     std::uint64_t nextSockId_ = 0;

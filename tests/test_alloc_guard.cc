@@ -676,13 +676,13 @@ warmPingAllocations(sim::Simulation &s, net::NetStack &from,
 
 } // namespace
 
-TEST(AllocGuard, WarmHostToMcnPingAllocatesOnlyItsCoroutines)
+TEST(AllocGuard, WarmHostToMcnPingAllocatesNothing)
 {
     // A warm ping from the host to an MCN DIMM, 16 B (CPU copies)
     // and 8 KB (DMA at mcn5), at mcn0 (HR-timer polling) and mcn5:
-    // every completion along the way is inline or parked, so the
-    // only allocations are the ping() frame, its pending_ entry and
-    // this test's wrapper frame.
+    // every completion along the way is inline or parked, the
+    // ping() frame and this test's wrapper frame come from the
+    // frame pool, and the pending ping sits in a kept vector.
     for (int level : {0, 5}) {
         for (std::size_t payload : {16u, 8192u}) {
             sim::Simulation s;
@@ -693,10 +693,54 @@ TEST(AllocGuard, WarmHostToMcnPingAllocatesOnlyItsCoroutines)
             const std::size_t n = warmPingAllocations(
                 s, sys.hostStack(), sys.dimmAddr(0), payload, rtt);
             EXPECT_NE(rtt, sim::maxTick);
-            EXPECT_EQ(n, 3u) << "mcn" << level << ", " << payload
+            EXPECT_EQ(n, 0u) << "mcn" << level << ", " << payload
                              << " B";
         }
     }
+}
+
+namespace {
+
+sim::Task<int>
+chainLeaf(sim::EventQueue &q, int v)
+{
+    co_await sim::delayFor(q, sim::oneNs);
+    co_return v;
+}
+
+sim::Task<int>
+chainMiddle(sim::EventQueue &q, int v)
+{
+    co_return co_await chainLeaf(q, v) + 1;
+}
+
+sim::Task<void>
+chainRoot(sim::EventQueue &q, int v, int &sum)
+{
+    sum += co_await chainMiddle(q, v);
+}
+
+} // namespace
+
+TEST(AllocGuard, WarmNestedTaskChainAllocatesNothing)
+{
+    // Each call in a 3-deep co_await chain makes a coroutine frame;
+    // once a chain has run, the next one's frames come back from
+    // the frame pool.
+    sim::EventQueue q;
+    int sum = 0;
+    auto round = [&](int v) {
+        sim::spawnDetached(q, chainRoot(q, v, sum));
+        q.run();
+    };
+    round(1);
+    {
+        AllocCount c;
+        for (int v = 2; v <= 8; ++v)
+            round(v);
+        EXPECT_EQ(c.count(), 0u);
+    }
+    EXPECT_EQ(sum, 8 * 9 / 2 + 8);
 }
 
 TEST(AllocGuard, CrossShardPostOfA40ByteCaptureStaysInline)

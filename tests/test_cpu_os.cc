@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "cpu/cpu_cluster.hh"
@@ -13,6 +15,7 @@
 #include "os/interrupt.hh"
 #include "os/kernel.hh"
 #include "os/softirq.hh"
+#include "sim/random.hh"
 #include "sim/simulation.hh"
 
 using namespace mcnsim;
@@ -128,6 +131,73 @@ TEST(CpuCluster, LeastLoadedPicksFirstIdleCore)
     EXPECT_EQ(&cpus.leastLoaded(), &cpus.core(0));
     EXPECT_TRUE(cpus.core(1).idle());
     EXPECT_FALSE(cpus.core(2).idle());
+}
+
+TEST(CpuCluster, LeastLoadedMatchesBacklogScan)
+{
+    // A seeded mix of pinned and balanced charges, IRQ work pushed
+    // to the front of busy queues, and picks made from completion
+    // callbacks, where the finishing core is not running but may
+    // still hold queued slots: every pick is the lowest-index core
+    // whose backlog clears soonest. A core never idles with work
+    // queued, so the test's own clear ticks (max(clear, now) + work
+    // on every charge, in any queue order) must match each core's.
+    Simulation s;
+    CpuCluster cpus(s, "cpus", 6, 1e9);
+    Rng rng(29);
+    std::vector<Tick> clears(cpus.coreCount(), 0);
+    int picks = 0, idlePicks = 0, busyPicks = 0;
+    int callbackPicksWithQueue = 0, irqFrontPushes = 0;
+
+    auto charge = [&](std::uint32_t i, Callback<void(Tick)> done) {
+        Core &c = cpus.core(i);
+        const bool irq = rng.chance(0.3);
+        if (irq && !c.idle())
+            ++irqFrontPushes;
+        const Cycles n = rng.uniformInt(1, 2000);
+        clears[i] = std::max(clears[i], s.curTick()) +
+                    cpus.clock().cyclesToTicks(n);
+        c.execute(n, std::move(done), irq);
+    };
+    std::function<void(int)> balanced = [&](int depth) {
+        const Tick now = s.curTick();
+        std::uint32_t want = 0;
+        for (std::uint32_t i = 0; i < cpus.coreCount(); ++i) {
+            const Tick at = std::max(clears[i], now);
+            EXPECT_EQ(cpus.core(i).backlogClearsAt(now), at);
+            if (at < std::max(clears[want], now))
+                want = i;
+        }
+        ++picks;
+        ++(cpus.core(want).idle() ? idlePicks : busyPicks);
+        EXPECT_EQ(&cpus.leastLoaded(), &cpus.core(want))
+            << "pick " << picks;
+        charge(want, [&, depth, want](Tick) {
+            if (depth < 3 && rng.chance(0.6)) {
+                if (!cpus.core(want).idle())
+                    ++callbackPicksWithQueue;
+                balanced(depth + 1);
+            }
+        });
+    };
+    for (int i = 0; i < 400; ++i) {
+        s.eventQueue().schedule(
+            [&] {
+                for (auto n = rng.uniformInt(0, 2); n > 0; --n)
+                    charge(static_cast<std::uint32_t>(rng.uniformInt(
+                               0, cpus.coreCount() - 1)),
+                           nullptr);
+                for (auto n = rng.uniformInt(1, 3); n > 0; --n)
+                    balanced(0);
+            },
+            rng.uniformInt(0, 400) * oneUs, "mix");
+    }
+    s.run();
+
+    EXPECT_GT(idlePicks, 100);
+    EXPECT_GT(busyPicks, 100);
+    EXPECT_GT(callbackPicksWithQueue, 100);
+    EXPECT_GT(irqFrontPushes, 100);
 }
 
 TEST(CpuClusterTest, ZeroCoresRejected)

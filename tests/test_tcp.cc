@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 
@@ -711,6 +712,57 @@ TEST(TcpClose, OrderlyFinHandshake)
     // Client ends in TimeWait/FinWait2/Closed depending on timing,
     // but never Established.
     EXPECT_NE(client->state(), TcpState::Established);
+}
+
+TEST(TcpLayer, PartitionAbortsInTupleOrder)
+{
+    // Eight loopback connections: a partition notice about the
+    // node's own address aborts all sixteen sockets. Each abort
+    // wakes its socket's blocked recv(), so the wake order is the
+    // abort order, which must be ascending by tuple (the served
+    // ends, local port 8000, before the clients' ephemeral ports)
+    // whatever order the hashed demux holds them in.
+    Simulation s;
+    LoneNode node(s);
+    const Ipv4Addr self(10, 9, 9, 9);
+    auto listener = tcpListen(node.stack, 8000);
+    std::vector<TcpSocketPtr> socks;
+    std::vector<TcpTuple> woke;
+    auto reader = [&](TcpSocketPtr sock) -> Task<void> {
+        auto bytes = co_await sock->recv(64);
+        EXPECT_TRUE(bytes.empty());
+        woke.push_back(sock->tuple());
+    };
+    auto server = [&]() -> Task<void> {
+        for (int i = 0; i < 8; ++i) {
+            auto conn = co_await listener->accept();
+            socks.push_back(conn);
+            spawnDetached(s.eventQueue(), reader(conn));
+        }
+    };
+    auto client = [&]() -> Task<void> {
+        auto sock = node.stack.tcpSocket();
+        socks.push_back(sock);
+        if (co_await sock->connect(self, 8000))
+            co_await reader(sock);
+    };
+    spawnDetached(s.eventQueue(), server());
+    for (int i = 0; i < 8; ++i)
+        spawnDetached(s.eventQueue(), client());
+    s.run(s.curTick() + secondsToTicks(0.01));
+    ASSERT_EQ(socks.size(), 16u);
+    for (const auto &sock : socks)
+        ASSERT_EQ(sock->state(), TcpState::Established);
+    ASSERT_TRUE(woke.empty());
+
+    node.stack.tcp().peerPartitioned(self);
+    s.run(s.curTick() + secondsToTicks(0.01));
+    EXPECT_EQ(node.stack.tcp().partitionAborts(), 16u);
+    ASSERT_EQ(woke.size(), 16u);
+    EXPECT_TRUE(std::is_sorted(woke.begin(), woke.end()));
+    EXPECT_EQ(woke.front().localPort, 8000);
+    for (const auto &sock : socks)
+        EXPECT_EQ(sock->error(), TcpError::Unreachable);
 }
 
 TEST(TcpMisc, StateNamesComplete)

@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Paired perf runs of this tree against a parent commit.
 
-    tools/perf_pairs.py [REF]
+    tools/perf_pairs.py [REF] [--workload NAME]...
 
 The parent is REF; by default HEAD when the working tree has changes,
 else HEAD~1. It is checked out with `git worktree add --detach` into a
 temporary directory, removed on every exit path, and each tree builds
 and runs through its own perfbench/run.py. Every BENCHMARK.json
-workload runs 10 pairs, seeds 11-20, the order alternating, each run
-run_seconds long. Per workload and end-to-end metric it prints the
-parent's median [q1-q3], the change's median and the pairs the change
-won.
+workload (or each --workload given) runs 10 pairs, seeds 11-20, the
+order alternating, each run run_seconds long. Per workload and
+end-to-end metric it prints the parent's median [q1-q3], the change's
+median and the pairs the change won.
 
 Exits 1 when a run is incorrect, the change fails more operations than
 the parent, or a change median is worse than the parent's by more than
@@ -75,12 +75,12 @@ def summarize(wl, metric, pairs):
     return row, worse
 
 
-def compare(bench, trees):
+def compare(bench, trees, workloads):
     problems, seconds = [], bench["run_seconds"]
     print("%-16s %-12s %10s %-22s %10s  %5s  %s" % (
         "workload", "metric", "parent", "[q1-q3]", "change", "won",
         "verdict"))
-    for wl in (w["name"] for w in bench["workloads"]):
+    for wl in workloads:
         pairs, failed = [], {"parent": 0, "change": 0}
         for i, seed in enumerate(SEEDS):
             order = (("parent", "change") if i % 2 == 0
@@ -124,10 +124,18 @@ def main():
         formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("ref", nargs="?", help="parent commit (default: "
                     "HEAD if the tree has changes, else HEAD~1)")
+    ap.add_argument("--workload", action="append", metavar="NAME",
+                    help="run only this BENCHMARK.json workload "
+                    "(repeatable; default: all)")
     args = ap.parse_args()
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]]
+    for wl in args.workload or []:
+        if wl not in names:
+            ap.error("unknown workload %s (BENCHMARK.json has: %s)"
+                     % (wl, ", ".join(names)))
     ref = args.ref or ("HEAD" if git("status", "--porcelain").strip()
                        else "HEAD~1")
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
 
     # SIGTERM and SIGHUP unwind through the finally below too.
     for sig in (signal.SIGTERM, signal.SIGHUP):
@@ -138,7 +146,8 @@ def main():
         git("worktree", "add", "--detach", str(parent), ref)
         print("parent %s (%s), change: working tree %s" % (
             ref, git("rev-parse", "--short", ref).strip(), ROOT))
-        return compare(bench, {"parent": parent, "change": ROOT})
+        return compare(bench, {"parent": parent, "change": ROOT},
+                       args.workload or names)
     finally:
         subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
                         "--force", str(parent)], stderr=subprocess.DEVNULL)
